@@ -2,8 +2,16 @@
 
 from .config import ExperimentConfig, load_config
 from .data import Corpus, SynthConfig, read_corpus, splice, synth_corpus, write_corpus
-from .dsn import DomainLabel, DsnBatch, DsnModel, dsn_step, load_dsn_model, save_dsn_model
-from .grl import GrlConfig, grl_backward, grl_forward
+from .dsn import (
+    DomainLabel,
+    DsnBatch,
+    DsnModel,
+    dsn_gradients,
+    dsn_step,
+    load_dsn_model,
+    save_dsn_model,
+)
+from .grl import grl_backward
 from .nn import Activation, Gradients, Mlp, Rng, forward, init_mlp, load_mlp, save_mlp
 from .pipeline import adapt_dsn, adapt_grl, evaluate, pretrain_source, run_trend, sweep
 
@@ -15,17 +23,16 @@ __all__ = [
     "DsnModel",
     "ExperimentConfig",
     "Gradients",
-    "GrlConfig",
     "Mlp",
     "Rng",
     "SynthConfig",
     "adapt_dsn",
     "adapt_grl",
+    "dsn_gradients",
     "dsn_step",
     "evaluate",
     "forward",
     "grl_backward",
-    "grl_forward",
     "init_mlp",
     "load_config",
     "load_dsn_model",

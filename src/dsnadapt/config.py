@@ -7,6 +7,7 @@ keys are rejected before any compute.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -80,6 +81,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"n_h={self.n_h} exceeds the {len(self.net.source_hidden)} hidden layers"
             )
+        for name in ("alpha", "beta", "gamma", "mu"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha < 0:
             raise ConfigError("alpha must be >= 0")
         if self.mu < 0:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,15 +22,6 @@ VARIANCE_FLOOR = 1e-8
 
 _DOMAIN_TAGS = {DomainLabel.SOURCE: "src", DomainLabel.TARGET: "tgt"}
 _TAG_DOMAINS = {tag: dom for dom, tag in _DOMAIN_TAGS.items()}
-
-
-@dataclass
-class FrameRecord:
-    utterance_id: str
-    frame_index: int
-    domain: DomainLabel
-    label: int | None
-    features: np.ndarray
 
 
 @dataclass
@@ -69,17 +60,6 @@ class Corpus:
     def is_labeled(self) -> bool:
         return len(self) > 0 and bool((self.labels >= 0).all())
 
-    def records(self) -> Iterator[FrameRecord]:
-        for i in range(len(self)):
-            label = int(self.labels[i])
-            yield FrameRecord(
-                self.utt_ids[i],
-                int(self.frame_indices[i]),
-                DomainLabel(int(self.domains[i])),
-                label if label >= 0 else None,
-                self.features[i],
-            )
-
     def utterance_slices(self) -> list[tuple[int, int]]:
         """(start, end) row ranges of consecutive frames sharing an utterance id."""
         slices = []
@@ -89,9 +69,6 @@ class Corpus:
                 slices.append((start, i))
                 start = i
         return slices
-
-    def without_labels(self) -> "Corpus":
-        return replace(self, labels=np.full(len(self), -1, dtype=np.int64))
 
 
 def concat_corpora(corpora: Sequence[Corpus]) -> Corpus:

@@ -13,6 +13,13 @@ Update routing for one step with learning rate mu:
     private_*   <- beta * d(diff) + gamma * d(recon)
     recon       <- d(recon)
 
+`dsn_gradients` computes all of this in one joint pass: each sub-network is
+forwarded once and backpropagated once, and the four upstream gradients are
+summed at the shared output before the shared extractor's single backward
+(standard reverse-mode accumulation at a fan-out node). A zero coefficient
+skips its term entirely, so beta = gamma = 0 reproduces the reversal-only
+baseline bit for bit.
+
 The total-loss scalar reported in traces is senone + domain + beta*diff +
 gamma*recon; alpha only flips and scales gradients, never the scalar.
 """
@@ -26,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ContractError, DataError, ShapeError, TrainingDivergedError
-from .grl import GrlConfig, grl_backward, grl_forward
+from .grl import grl_backward
 from .nn import (
     Activation,
     Gradients,
@@ -73,7 +80,7 @@ class DsnModel:
     n_h: int
 
     def __post_init__(self):
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ConfigError("alpha must be >= 0")
         k = self.shared.out_dim
         if self.senone.in_dim != k or self.domain.in_dim != k:
@@ -146,47 +153,6 @@ class StepTrace:
     domain_accuracy: float
 
 
-@dataclass
-class SenoneGrads:
-    shared: Gradients
-    senone: Gradients
-
-
-@dataclass
-class DomainGrads:
-    domain: Gradients
-    shared_reversed: Gradients  # already scaled by -alpha via the reversal layer
-    accuracy: float
-
-
-@dataclass
-class DiffGrads:
-    shared: Gradients
-    private_src: Gradients
-    private_tgt: Gradients
-
-
-@dataclass
-class ReconGrads:
-    shared: Gradients
-    private_src: Gradients
-    private_tgt: Gradients
-    recon: Gradients
-
-
-@dataclass
-class DsnGrads:
-    """Routed per-sub-network gradients for one joint step. None means the
-    sub-network receives no update this step."""
-
-    shared: Gradients
-    senone: Gradients
-    domain: Gradients
-    private_src: Gradients | None
-    private_tgt: Gradients | None
-    recon: Gradients | None
-
-
 def split_pretrained(source_dnn: Mlp, n_h: int) -> tuple[Mlp, Mlp]:
     """Split a pretrained classifier after its n_h-th hidden layer.
 
@@ -201,57 +167,11 @@ def split_pretrained(source_dnn: Mlp, n_h: int) -> tuple[Mlp, Mlp]:
     return shared, head
 
 
-def senone_posteriors(model: DsnModel, x: Matrix) -> Matrix:
-    shared, _ = forward(model.shared, x)
-    post, _ = forward(model.senone, shared)
-    return post
-
-
-def domain_posteriors(model: DsnModel, x: Matrix) -> Matrix:
-    shared, _ = forward(model.shared, x)
-    post, _ = forward(model.domain, grl_forward(shared))
-    return post
-
-
-def loss_senone(model: DsnModel, source_x: Matrix, source_y: np.ndarray) -> tuple[float, SenoneGrads]:
-    f_c, cache_c = forward(model.shared, source_x)
-    post, cache_y = forward(model.senone, f_c)
-    loss, g_logits = cross_entropy_loss(post, source_y)
-    g_head, g_fc = backward(model.senone, cache_y, g_logits, at_logits=True)
-    g_shared, _ = backward(model.shared, cache_c, g_fc)
-    return loss, SenoneGrads(g_shared, g_head)
-
-
 def _domain_targets(n_source: int, n_target: int) -> np.ndarray:
     labels = np.empty(n_source + n_target, dtype=np.int64)
     labels[:n_source] = DomainLabel.SOURCE.column
     labels[n_source:] = DomainLabel.TARGET.column
     return labels
-
-
-def loss_domain(model: DsnModel, source_x: Matrix, target_x: Matrix) -> tuple[float, DomainGrads]:
-    """Mean domain cross-entropy over both batches.
-
-    One scalar, two gradient destinations: the classifier itself descends on
-    it, while the shared extractor receives the reversal-layer gradient
-    (-alpha times the plain one) and therefore ascends.
-    """
-    if source_x.shape[0] == 0 or target_x.shape[0] == 0:
-        raise ContractError("loss_domain needs frames from both domains")
-    n_s = source_x.shape[0]
-    f_s, cache_s = forward(model.shared, source_x)
-    f_t, cache_t = forward(model.shared, target_x)
-    stacked = grl_forward(np.vstack([f_s, f_t]))
-    post, cache_d = forward(model.domain, stacked)
-    labels = _domain_targets(n_s, target_x.shape[0])
-    loss, g_logits = cross_entropy_loss(post, labels)
-    accuracy = float((post.argmax(axis=1) == labels).mean())
-    g_domain, g_in = backward(model.domain, cache_d, g_logits, at_logits=True)
-    cfg = GrlConfig(model.alpha)
-    g_shared, _ = backward(model.shared, cache_s, grl_backward(g_in[:n_s], cfg))
-    g_shared_t, _ = backward(model.shared, cache_t, grl_backward(g_in[n_s:], cfg))
-    g_shared.add_scaled(g_shared_t)
-    return loss, DomainGrads(g_domain, g_shared, accuracy)
 
 
 def cross_correlation_penalty(
@@ -274,139 +194,72 @@ def cross_correlation_penalty(
     return term, d_shared, d_private
 
 
-def loss_diff(model: DsnModel, source_x: Matrix, target_x: Matrix) -> tuple[float, DiffGrads]:
-    """Sum of per-domain cross-correlation penalties between shared and
-    private components. Gradients are unscaled; the step applies beta."""
-    if not model.has_private:
-        raise ContractError("model has no private extractors")
-    f_sc, cache_sc = forward(model.shared, source_x)
-    f_tc, cache_tc = forward(model.shared, target_x)
-    f_sp, cache_sp = forward(model.private_src, source_x)
-    f_tp, cache_tp = forward(model.private_tgt, target_x)
-    term_s, d_sc, d_sp = cross_correlation_penalty(f_sc, f_sp)
-    term_t, d_tc, d_tp = cross_correlation_penalty(f_tc, f_tp)
-    g_shared, _ = backward(model.shared, cache_sc, d_sc)
-    g_shared_t, _ = backward(model.shared, cache_tc, d_tc)
-    g_shared.add_scaled(g_shared_t)
-    g_ps, _ = backward(model.private_src, cache_sp, d_sp)
-    g_pt, _ = backward(model.private_tgt, cache_tp, d_tp)
-    return term_s + term_t, DiffGrads(g_shared, g_ps, g_pt)
+def dsn_gradients(model: DsnModel, batch: DsnBatch) -> tuple[StepTrace, dict[str, Gradients]]:
+    """Every loss term of one step and the routed gradient of each sub-network.
 
-
-def reconstruct(model: DsnModel, x: Matrix, domain: DomainLabel) -> Matrix:
-    """Rebuild input frames from [shared, private] components; the shared
-    component comes first in the concatenation."""
-    if not model.has_private:
-        raise ContractError("model has no reconstructor")
-    private = model.private_src if domain is DomainLabel.SOURCE else model.private_tgt
-    f_c, _ = forward(model.shared, x)
-    f_p, _ = forward(private, x)
-    out, _ = forward(model.recon, np.hstack([f_c, f_p]))
-    return out
-
-
-def loss_recon(model: DsnModel, source_x: Matrix, target_x: Matrix) -> tuple[float, ReconGrads]:
-    """Per-domain mean squared reconstruction error, summed over domains.
-
-    Gradients are unscaled: the step applies gamma on the extractor side and
-    feeds the reconstructor the raw gradient.
+    Source and target rows are stacked through the shared extractor, the
+    domain classifier and the reconstructor; the class head sees the source
+    rows and each private extractor its own domain's rows. The difference and
+    reconstruction terms are sums of per-domain terms; the domain
+    cross-entropy is one mean over both domains. The returned dict holds an
+    entry only for the sub-networks that receive an update this step.
     """
-    if not model.has_private:
-        raise ContractError("model has no reconstructor")
-    k = model.shared_dim
-    f_sc, cache_sc = forward(model.shared, source_x)
-    f_tc, cache_tc = forward(model.shared, target_x)
-    f_sp, cache_sp = forward(model.private_src, source_x)
-    f_tp, cache_tp = forward(model.private_tgt, target_x)
-    out_s, cache_rs = forward(model.recon, np.hstack([f_sc, f_sp]))
-    out_t, cache_rt = forward(model.recon, np.hstack([f_tc, f_tp]))
-    term_s, g_out_s = mse_loss(out_s, source_x)
-    term_t, g_out_t = mse_loss(out_t, target_x)
-    g_recon, g_in_s = backward(model.recon, cache_rs, g_out_s)
-    g_recon_t, g_in_t = backward(model.recon, cache_rt, g_out_t)
-    g_recon.add_scaled(g_recon_t)
-    g_shared, _ = backward(model.shared, cache_sc, g_in_s[:, :k])
-    g_shared_t, _ = backward(model.shared, cache_tc, g_in_t[:, :k])
-    g_shared.add_scaled(g_shared_t)
-    g_ps, _ = backward(model.private_src, cache_sp, g_in_s[:, k:])
-    g_pt, _ = backward(model.private_tgt, cache_tp, g_in_t[:, k:])
-    return term_s + term_t, ReconGrads(g_shared, g_ps, g_pt, g_recon)
+    xs, xt = batch.source_x, batch.target_x
+    n_s = xs.shape[0]
+    f, cache_f = forward(model.shared, np.vstack([xs, xt]))
+    f_s, f_t = f[:n_s], f[n_s:]
 
+    post_y, cache_y = forward(model.senone, f_s)
+    l_sen, g_logits_y = cross_entropy_loss(post_y, batch.source_y)
+    post_d, cache_d = forward(model.domain, f)
+    labels = _domain_targets(n_s, xt.shape[0])
+    l_dom, g_logits_d = cross_entropy_loss(post_d, labels)
+    accuracy = float((post_d.argmax(axis=1) == labels).mean())
 
-def total_losses(model: DsnModel, batch: DsnBatch) -> StepTrace:
-    """Forward-only evaluation of every loss term; no gradients."""
-    f_s, _ = forward(model.shared, batch.source_x)
-    f_t, _ = forward(model.shared, batch.target_x)
-    y_post, _ = forward(model.senone, f_s)
-    l_sen, _ = cross_entropy_loss(y_post, batch.source_y)
-    d_post, _ = forward(model.domain, grl_forward(np.vstack([f_s, f_t])))
-    labels = _domain_targets(f_s.shape[0], f_t.shape[0])
-    l_dom, _ = cross_entropy_loss(d_post, labels)
-    accuracy = float((d_post.argmax(axis=1) == labels).mean())
-    l_diff = 0.0
-    l_rec = 0.0
-    if model.has_private:
-        f_sp, _ = forward(model.private_src, batch.source_x)
-        f_tp, _ = forward(model.private_tgt, batch.target_x)
-        l_diff = cross_correlation_penalty(f_s, f_sp)[0] + cross_correlation_penalty(f_t, f_tp)[0]
-        out_s, _ = forward(model.recon, np.hstack([f_s, f_sp]))
-        out_t, _ = forward(model.recon, np.hstack([f_t, f_tp]))
-        l_rec = mse_loss(out_s, batch.source_x)[0] + mse_loss(out_t, batch.target_x)[0]
-    total = l_sen + l_dom + model.beta * l_diff + model.gamma * l_rec
-    return StepTrace(l_sen, l_dom, l_diff, l_rec, total, accuracy)
-
-
-def loss_total(model: DsnModel, batch: DsnBatch) -> tuple[StepTrace, DsnGrads]:
-    """All loss terms plus the routed per-sub-network gradients.
-
-    Zero coefficients skip their gradient contribution entirely, so a run
-    with beta = gamma = 0 accumulates exactly the same floating-point sums as
-    the reversal-only baseline.
-    """
-    l_sen, sen = loss_senone(model, batch.source_x, batch.source_y)
-    l_dom, dom = loss_domain(model, batch.source_x, batch.target_x)
-    g_shared = sen.shared
+    grads: dict[str, Gradients] = {}
+    grads["senone"], g_f_s = backward(model.senone, cache_y, g_logits_y, at_logits=True)
+    grads["domain"], g_f_d = backward(model.domain, cache_d, g_logits_d, at_logits=True)
+    g_f = np.zeros_like(f)
+    g_f[:n_s] = g_f_s
     if model.alpha != 0.0:
-        g_shared.add_scaled(dom.shared_reversed)
-    g_ps = g_pt = g_rec = None
-    l_diff = 0.0
-    l_rec = 0.0
+        g_f += grl_backward(g_f_d, model.alpha)
+
+    l_diff = l_rec = 0.0
     if model.has_private:
-        l_diff, diff = loss_diff(model, batch.source_x, batch.target_x)
-        l_rec, rec = loss_recon(model, batch.source_x, batch.target_x)
+        k = model.shared_dim
+        p_s, cache_ps = forward(model.private_src, xs)
+        p_t, cache_pt = forward(model.private_tgt, xt)
+        p = np.vstack([p_s, p_t])
+        diff_s, d_fs, d_ps = cross_correlation_penalty(f_s, p_s)
+        diff_t, d_ft, d_pt = cross_correlation_penalty(f_t, p_t)
+        out, cache_r = forward(model.recon, np.hstack([f, p]))
+        rec_s, g_out_s = mse_loss(out[:n_s], xs)
+        rec_t, g_out_t = mse_loss(out[n_s:], xt)
+        l_diff, l_rec = diff_s + diff_t, rec_s + rec_t
+        grads["recon"], g_fp = backward(model.recon, cache_r, np.vstack([g_out_s, g_out_t]))
+        g_p = np.zeros_like(p)
         if model.beta != 0.0:
-            g_shared.add_scaled(diff.shared, model.beta)
+            g_f += model.beta * np.vstack([d_fs, d_ft])
+            g_p += model.beta * np.vstack([d_ps, d_pt])
         if model.gamma != 0.0:
-            g_shared.add_scaled(rec.shared, model.gamma)
+            g_f += model.gamma * g_fp[:, :k]
+            g_p += model.gamma * g_fp[:, k:]
         if model.beta != 0.0 or model.gamma != 0.0:
-            g_ps = Gradients.zeros_like(model.private_src)
-            g_pt = Gradients.zeros_like(model.private_tgt)
-            if model.beta != 0.0:
-                g_ps.add_scaled(diff.private_src, model.beta)
-                g_pt.add_scaled(diff.private_tgt, model.beta)
-            if model.gamma != 0.0:
-                g_ps.add_scaled(rec.private_src, model.gamma)
-                g_pt.add_scaled(rec.private_tgt, model.gamma)
-        g_rec = rec.recon
+            grads["private_src"], _ = backward(model.private_src, cache_ps, g_p[:n_s])
+            grads["private_tgt"], _ = backward(model.private_tgt, cache_pt, g_p[n_s:])
+    grads["shared"], _ = backward(model.shared, cache_f, g_f)
+
     total = l_sen + l_dom + model.beta * l_diff + model.gamma * l_rec
-    trace = StepTrace(l_sen, l_dom, l_diff, l_rec, total, dom.accuracy)
-    grads = DsnGrads(g_shared, sen.senone, dom.domain, g_ps, g_pt, g_rec)
-    return trace, grads
+    return StepTrace(l_sen, l_dom, l_diff, l_rec, total, accuracy), grads
 
 
 def dsn_step(model: DsnModel, batch: DsnBatch, mu: float) -> tuple[DsnModel, StepTrace]:
     """One joint SGD update over every sub-network; mutates the model."""
-    trace, grads = loss_total(model, batch)
+    trace, grads = dsn_gradients(model, batch)
     if not np.isfinite(trace.loss_total):
         raise TrainingDivergedError(f"non-finite loss: {trace}")
-    sgd_update(model.shared, grads.shared, mu)
-    sgd_update(model.senone, grads.senone, mu)
-    sgd_update(model.domain, grads.domain, mu)
-    if grads.private_src is not None:
-        sgd_update(model.private_src, grads.private_src, mu)
-        sgd_update(model.private_tgt, grads.private_tgt, mu)
-    if grads.recon is not None:
-        sgd_update(model.recon, grads.recon, mu)
+    for name, g in grads.items():
+        sgd_update(getattr(model, name), g, mu)
     return model, trace
 
 

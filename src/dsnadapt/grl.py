@@ -1,31 +1,16 @@
 """Gradient reversal pseudo-layer.
 
-Identity in the forward pass; the backward pass multiplies the incoming
-gradient by -alpha. Placing it between the shared extractor and the domain
-classifier turns one domain-loss evaluation into a minimization for the
-classifier and a (scaled) maximization for the extractor.
+Identity in the forward pass, so the domain classifier reads the shared
+features directly; the backward pass multiplies the incoming gradient by
+-alpha. Placed between the shared extractor and the domain classifier, it
+turns one domain-loss evaluation into a minimization for the classifier and a
+(scaled) maximization for the extractor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import ConfigError
 from .nn import Matrix
 
 
-@dataclass(frozen=True)
-class GrlConfig:
-    alpha: float
-
-    def __post_init__(self):
-        if not self.alpha >= 0:
-            raise ConfigError("alpha must be >= 0")
-
-
-def grl_forward(x: Matrix) -> Matrix:
-    return x
-
-
-def grl_backward(g: Matrix, cfg: GrlConfig) -> Matrix:
-    return (-cfg.alpha) * g
+def grl_backward(g: Matrix, alpha: float) -> Matrix:
+    return (-alpha) * g

@@ -208,9 +208,6 @@ class Gradients:
             b += scale * ob
         return self
 
-    def scaled(self, scale: float) -> "Gradients":
-        return Gradients([scale * w for w in self.weights], [scale * b for b in self.biases])
-
     def all_finite(self) -> bool:
         return all(np.isfinite(w).all() for w in self.weights) and all(
             np.isfinite(b).all() for b in self.biases

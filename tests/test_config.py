@@ -59,6 +59,8 @@ def test_semantic_validation():
         build_config({"alpha": "-1"})
     with pytest.raises(ConfigError):
         build_config({"batch": "0"})
+    with pytest.raises(ConfigError):
+        build_config({"mu": "nan"})
 
 
 def test_line_errors_name_the_line():

@@ -305,4 +305,3 @@ def test_missing_label_is_accepted_as_absent(tmp_path):
     corpus = read_corpus(path)
     assert corpus.labels.tolist() == [-1]
     assert not corpus.is_labeled
-    assert next(corpus.records()).label is None

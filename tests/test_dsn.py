@@ -6,25 +6,18 @@ import math
 import numpy as np
 import pytest
 
+from dsnadapt import dsn
 from dsnadapt.dsn import (
     DomainLabel,
     DsnBatch,
     DsnModel,
     adapted_model,
     cross_correlation_penalty,
-    domain_posteriors,
+    dsn_gradients,
     dsn_step,
     load_dsn_model,
-    loss_diff,
-    loss_domain,
-    loss_recon,
-    loss_senone,
-    loss_total,
-    reconstruct,
     save_dsn_model,
-    senone_posteriors,
     split_pretrained,
-    total_losses,
 )
 from dsnadapt.errors import ConfigError, ContractError
 from dsnadapt.nn import (
@@ -36,6 +29,7 @@ from dsnadapt.nn import (
     finite_diff_check,
     forward,
     init_mlp,
+    sgd_update,
 )
 
 D, K, Q = 6, 5, 3
@@ -66,6 +60,25 @@ def tiny_batch(seed=10, n_s=4, n_t=5):
 def zero_head(in_dim, out_dim):
     """Softmax head with zero weights: uniform posteriors for any input."""
     return Mlp([DenseLayer(np.zeros((out_dim, in_dim)), np.zeros(out_dim), Activation.SOFTMAX)])
+
+
+def step_trace(model, batch):
+    trace, _ = dsn_gradients(model, batch)
+    return trace
+
+
+def composed(nets, x):
+    for net in nets:
+        x, _ = forward(net, x)
+    return x
+
+
+def recon_oracle(model, x, private):
+    """Reconstruction of x from [shared, private] components, shared first."""
+    f_c, _ = forward(model.shared, x)
+    f_p, _ = forward(private, x)
+    out, _ = forward(model.recon, np.hstack([f_c, f_p]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -126,24 +139,14 @@ def test_split_returns_copies():
 def test_senone_posteriors_rows_sum_to_one():
     model = tiny_model()
     x = Rng(60).normals(8 * D).reshape(8, D)
-    post = senone_posteriors(model, x)
+    post = composed(adapted_model(model), x)
     assert post.shape == (8, Q)
     assert np.abs(post.sum(axis=1) - 1).max() < 1e-9
 
 
-def test_posteriors_match_composed_forward():
-    model = tiny_model(seed=61)
-    x = Rng(62).normals(4 * D).reshape(4, D)
-    mid, _ = forward(model.shared, x)
-    want, _ = forward(model.senone, mid)
-    assert np.array_equal(senone_posteriors(model, x), want)
-    want_d, _ = forward(model.domain, mid)
-    assert np.array_equal(domain_posteriors(model, x), want_d)
-
-
 def test_domain_posteriors_well_behaved():
     model = tiny_model(seed=63)
-    post = domain_posteriors(model, Rng(64).normals(5 * D).reshape(5, D))
+    post = composed([model.shared, model.domain], Rng(64).normals(5 * D).reshape(5, D))
     assert post.shape == (5, 2)
     assert np.isfinite(post).all()
     assert ((post > 0) & (post < 1)).all()
@@ -152,7 +155,7 @@ def test_domain_posteriors_well_behaved():
 def test_identical_rows_identical_posteriors():
     model = tiny_model(seed=65)
     row = Rng(66).normals(D)
-    post = senone_posteriors(model, np.vstack([row, row]))
+    post = composed(adapted_model(model), np.vstack([row, row]))
     assert np.array_equal(post[0], post[1])
 
 
@@ -166,8 +169,8 @@ def test_loss_senone_uniform_model():
     model.senone.layers[0].weights[...] = 0.0
     x = Rng(70).normals(6 * D).reshape(6, D)
     y = np.array([0, 1, 2, 0, 1, 2])
-    loss, _ = loss_senone(model, x, y)
-    assert abs(loss - math.log(Q)) < 1e-12
+    trace = step_trace(model, DsnBatch(x, y, x))
+    assert abs(trace.loss_senone - math.log(Q)) < 1e-12
 
 
 def test_loss_senone_perfect_model_is_zero():
@@ -177,8 +180,8 @@ def test_loss_senone_perfect_model_is_zero():
     domain = init_mlp([(Q, 4, "relu"), (4, 2, "softmax")], Rng(0))
     model = DsnModel(shared, senone, domain, None, None, None, 1.0, 0.0, 0.0, n_h=1)
     x = np.eye(Q)
-    loss, _ = loss_senone(model, x, np.arange(Q))
-    assert loss == 0.0
+    trace = step_trace(model, DsnBatch(x, np.arange(Q), x))
+    assert trace.loss_senone == 0.0
 
 
 def test_loss_senone_matches_ce_on_composed_forward():
@@ -187,12 +190,11 @@ def test_loss_senone_matches_ce_on_composed_forward():
     mid, _ = forward(model.shared, batch.source_x)
     post, _ = forward(model.senone, mid)
     want, _ = cross_entropy_loss(post, batch.source_y)
-    got, _ = loss_senone(model, batch.source_x, batch.source_y)
-    assert got == want
+    assert step_trace(model, batch).loss_senone == want
 
 
 # ---------------------------------------------------------------------------
-# loss_domain
+# domain term
 # ---------------------------------------------------------------------------
 
 
@@ -200,9 +202,9 @@ def test_loss_domain_uniform_classifier():
     model = tiny_model(seed=73)
     model.domain = zero_head(K, 2)
     batch = tiny_batch(seed=74)
-    loss, ctx = loss_domain(model, batch.source_x, batch.target_x)
-    assert abs(loss - math.log(2)) < 1e-12
-    assert ctx.accuracy in (0.0, 1.0) or 0 <= ctx.accuracy <= 1
+    trace = step_trace(model, batch)
+    assert abs(trace.loss_domain - math.log(2)) < 1e-12
+    assert 0 <= trace.domain_accuracy <= 1
 
 
 def test_loss_domain_matches_ce_oracle_and_is_symmetric():
@@ -215,7 +217,7 @@ def test_loss_domain_matches_ce_oracle_and_is_symmetric():
     n_s, n_t = len(f_s), len(f_t)
     # direct arithmetic: source rows use column 0, target rows column 1
     want = -(np.log(post_s[:, 0]).sum() + np.log(post_t[:, 1]).sum()) / (n_s + n_t)
-    got, _ = loss_domain(model, batch.source_x, batch.target_x)
+    got = step_trace(model, batch).loss_domain
     assert abs(got - want) < 1e-12
     # same multiset of rows in swapped order: same mean
     swapped = -(np.log(post_t[:, 1]).sum() + np.log(post_s[:, 0]).sum()) / (n_s + n_t)
@@ -223,28 +225,27 @@ def test_loss_domain_matches_ce_oracle_and_is_symmetric():
 
 
 def test_loss_domain_rejects_empty_batches():
-    model = tiny_model()
     x = np.zeros((2, D))
     with pytest.raises(ContractError):
-        loss_domain(model, x, np.zeros((0, D)))
+        DsnBatch(x, np.zeros(2), np.zeros((0, D)))
     with pytest.raises(ContractError):
-        loss_domain(model, np.zeros((0, D)), x)
+        DsnBatch(np.zeros((0, D)), np.zeros(0), x)
 
 
 def test_reversed_gradient_pushes_domain_loss_up():
     # train the domain head alone until it separates well, then check that
-    # the reversal-routed update on the shared net increases the loss
-    model = tiny_model(seed=77, alpha=1.0)
+    # the reversal-routed update on the shared net increases the loss; the
+    # zero-weight senone head passes no gradient back, so the shared
+    # gradient is the reversed domain gradient alone
+    model = tiny_model(seed=77, alpha=1.0, with_private=False)
+    model.senone = zero_head(K, Q)
     batch = tiny_batch(seed=78, n_s=16, n_t=16)
-    from dsnadapt.nn import sgd_update
-
     for _ in range(300):
-        _, ctx = loss_domain(model, batch.source_x, batch.target_x)
-        sgd_update(model.domain, ctx.domain, 0.5)
-    before, ctx = loss_domain(model, batch.source_x, batch.target_x)
-    sgd_update(model.shared, ctx.shared_reversed, 1e-2)
-    after, _ = loss_domain(model, batch.source_x, batch.target_x)
-    assert after > before
+        _, grads = dsn_gradients(model, batch)
+        sgd_update(model.domain, grads["domain"], 0.5)
+    trace, grads = dsn_gradients(model, batch)
+    sgd_update(model.shared, grads["shared"], 1e-2)
+    assert step_trace(model, batch).loss_domain > trace.loss_domain
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +296,7 @@ def test_loss_diff_composes_extractors():
     f_sp, _ = forward(model.private_src, batch.source_x)
     f_tp, _ = forward(model.private_tgt, batch.target_x)
     want = cross_correlation_penalty(f_sc, f_sp)[0] + cross_correlation_penalty(f_tc, f_tp)[0]
-    got, _ = loss_diff(model, batch.source_x, batch.target_x)
+    got = step_trace(model, batch).loss_diff
     assert abs(got - want) < 1e-12
 
 
@@ -305,25 +306,17 @@ def test_loss_diff_composes_extractors():
 
 
 def test_reconstruct_shapes_and_domain_selection():
+    # the same frames on both sides: each private extractor must see only
+    # its own domain's rows, so its gradient depends on its own weights
     model = tiny_model(seed=84)
     x = Rng(85).normals(3 * D).reshape(3, D)
-    out_s = reconstruct(model, x, DomainLabel.SOURCE)
-    out_t = reconstruct(model, x, DomainLabel.TARGET)
-    assert out_s.shape == (3, D)
-    assert not np.array_equal(out_s, out_t)  # private nets differ
+    batch = DsnBatch(x, np.zeros(3), x)
+    _, grads = dsn_gradients(model, batch)
+    assert grads["private_src"].weights[0].shape == model.private_src.layers[0].weights.shape
+    assert not np.array_equal(grads["private_src"].flatten(), grads["private_tgt"].flatten())
     model.private_tgt = copy.deepcopy(model.private_src)
-    assert np.array_equal(
-        reconstruct(model, x, DomainLabel.SOURCE), reconstruct(model, x, DomainLabel.TARGET)
-    )
-
-
-def test_reconstruct_matches_explicit_concatenation():
-    model = tiny_model(seed=86)
-    x = Rng(87).normals(2 * D).reshape(2, D)
-    f_c, _ = forward(model.shared, x)
-    f_p, _ = forward(model.private_src, x)
-    want, _ = forward(model.recon, np.hstack([f_c, f_p]))
-    assert np.array_equal(reconstruct(model, x, DomainLabel.SOURCE), want)
+    _, grads = dsn_gradients(model, batch)
+    assert np.array_equal(grads["private_src"].flatten(), grads["private_tgt"].flatten())
 
 
 def test_loss_recon_perfect_reconstructor():
@@ -337,8 +330,8 @@ def test_loss_recon_perfect_reconstructor():
     model = DsnModel(shared, senone, domain, private_src, private_tgt, recon, 1.0, 0.25, 0.25, n_h=1)
     x_s = Rng(3).normals(4 * D).reshape(4, D)
     x_t = Rng(4).normals(3 * D).reshape(3, D)
-    loss, _ = loss_recon(model, x_s, x_t)
-    assert loss == 0.0
+    trace = step_trace(model, DsnBatch(x_s, np.zeros(4), x_t))
+    assert trace.loss_recon == 0.0
 
 
 def test_loss_recon_zero_output_reconstructor():
@@ -347,7 +340,7 @@ def test_loss_recon_zero_output_reconstructor():
         layer.weights[...] = 0.0
         layer.bias[...] = 0.0
     batch = tiny_batch(seed=89)
-    loss, _ = loss_recon(model, batch.source_x, batch.target_x)
+    loss = step_trace(model, batch).loss_recon
     want = float((batch.source_x**2).sum(axis=1).mean() + (batch.target_x**2).sum(axis=1).mean())
     assert abs(loss - want) < 1e-12
 
@@ -355,13 +348,34 @@ def test_loss_recon_zero_output_reconstructor():
 def test_loss_recon_matches_mse_oracle():
     model = tiny_model(seed=90)
     batch = tiny_batch(seed=91)
-    out_s = reconstruct(model, batch.source_x, DomainLabel.SOURCE)
-    out_t = reconstruct(model, batch.target_x, DomainLabel.TARGET)
+    out_s = recon_oracle(model, batch.source_x, model.private_src)
+    out_t = recon_oracle(model, batch.target_x, model.private_tgt)
     want = float(((out_s - batch.source_x) ** 2).sum(axis=1).mean()) + float(
         ((out_t - batch.target_x) ** 2).sum(axis=1).mean()
     )
-    got, _ = loss_recon(model, batch.source_x, batch.target_x)
+    got = step_trace(model, batch).loss_recon
     assert abs(got - want) < 1e-12
+
+
+def test_reconstruct_matches_explicit_concatenation():
+    # the reconstructor reads [shared, private], shared first: the step's
+    # reconstruction term matches that order and not the swapped one
+    model = tiny_model(seed=86)
+    x = Rng(87).normals(2 * D).reshape(2, D)
+    batch = DsnBatch(x, np.zeros(2), x)
+    f_c, _ = forward(model.shared, x)
+    f_s, _ = forward(model.private_src, x)
+    f_t, _ = forward(model.private_tgt, x)
+
+    def recon_error(left_s, right_s, left_t, right_t):
+        out_s, _ = forward(model.recon, np.hstack([left_s, right_s]))
+        out_t, _ = forward(model.recon, np.hstack([left_t, right_t]))
+        return float(((out_s - x) ** 2).sum(axis=1).mean()) + float(((out_t - x) ** 2).sum(axis=1).mean())
+
+    got = step_trace(model, batch).loss_recon
+    # the step forwards both domains as one stacked batch, so sums may differ in the last bit
+    assert abs(got - recon_error(f_c, f_s, f_c, f_t)) < 1e-12
+    assert abs(got - recon_error(f_s, f_c, f_t, f_c)) > 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -372,22 +386,31 @@ def test_loss_recon_matches_mse_oracle():
 def test_total_equals_sum_of_terms():
     model = tiny_model(seed=92)
     batch = tiny_batch(seed=93)
-    l_sen, _ = loss_senone(model, batch.source_x, batch.source_y)
-    l_dom, _ = loss_domain(model, batch.source_x, batch.target_x)
-    l_diff, _ = loss_diff(model, batch.source_x, batch.target_x)
-    l_rec, _ = loss_recon(model, batch.source_x, batch.target_x)
-    trace = total_losses(model, batch)
+    xs, xt = batch.source_x, batch.target_x
+    l_sen, _ = cross_entropy_loss(composed(adapted_model(model), xs), batch.source_y)
+    d_post = composed([model.shared, model.domain], np.vstack([xs, xt]))
+    l_dom, _ = cross_entropy_loss(d_post, np.array([0] * len(xs) + [1] * len(xt)))
+    l_diff = sum(
+        cross_correlation_penalty(forward(model.shared, x)[0], forward(p, x)[0])[0]
+        for x, p in ((xs, model.private_src), (xt, model.private_tgt))
+    )
+    l_rec = sum(
+        float(((recon_oracle(model, x, p) - x) ** 2).sum(axis=1).mean())
+        for x, p in ((xs, model.private_src), (xt, model.private_tgt))
+    )
+    trace = step_trace(model, batch)
     want = l_sen + l_dom + model.beta * l_diff + model.gamma * l_rec
     assert abs(trace.loss_total - want) < 1e-12
-    trace2, _ = loss_total(model, batch)
-    assert abs(trace2.loss_total - want) < 1e-12
+    assert trace.loss_total == (
+        trace.loss_senone + trace.loss_domain + model.beta * trace.loss_diff + model.gamma * trace.loss_recon
+    )
 
 
 def test_total_scalar_invariant_to_alpha():
     batch = tiny_batch(seed=94)
     values = []
     for alpha in (0.0, 1.0, 8.0):
-        trace = total_losses(tiny_model(seed=95, alpha=alpha), batch)
+        trace = step_trace(tiny_model(seed=95, alpha=alpha), batch)
         values.append(trace.loss_total)
     assert values[0] == values[1] == values[2]
 
@@ -395,24 +418,28 @@ def test_total_scalar_invariant_to_alpha():
 def test_total_with_zero_coefficients():
     model = tiny_model(seed=96, beta=0.0, gamma=0.0)
     batch = tiny_batch(seed=97)
-    trace = total_losses(model, batch)
+    trace = step_trace(model, batch)
     assert trace.loss_total == trace.loss_senone + trace.loss_domain
 
 
 def test_alpha_zero_keeps_domain_out_of_shared_grads():
+    # two models that differ only in their domain heads: at alpha = 0 the
+    # shared gradient must not depend on the domain head at all
     batch = tiny_batch(seed=98)
     m_zero = tiny_model(seed=99, alpha=0.0, beta=0.0, gamma=0.0)
-    _, grads = loss_total(m_zero, batch)
-    l, sen = loss_senone(m_zero, batch.source_x, batch.source_y)
-    for a, b in zip(grads.shared.weights, sen.shared.weights):
-        assert np.array_equal(a, b)
+    m_other = copy.deepcopy(m_zero)
+    m_other.domain = init_mlp([(K, 4, "relu"), (4, 2, "softmax")], Rng(199))
+    _, grads = dsn_gradients(m_zero, batch)
+    _, other = dsn_gradients(m_other, batch)
+    assert not np.array_equal(grads["domain"].flatten(), other["domain"].flatten())
+    assert np.array_equal(grads["shared"].flatten(), other["shared"].flatten())
 
 
 ROUTED_GROUPS = ["shared", "senone", "domain", "private_src", "private_tgt", "recon"]
 
 
 def routed_objective(model, batch, group):
-    t = total_losses(model, batch)
+    t, _ = dsn_gradients(model, batch)
     if group == "shared":
         return (
             t.loss_senone
@@ -433,9 +460,9 @@ def routed_objective(model, batch, group):
 def test_routed_gradients_match_finite_differences(group):
     model = tiny_model(seed=5, alpha=1.5, beta=0.4, gamma=0.3)
     batch = tiny_batch(seed=6, n_s=6, n_t=7)
-    _, grads = loss_total(model, batch)
+    _, grads = dsn_gradients(model, batch)
     net = getattr(model, group)
-    analytic = getattr(grads, group)
+    analytic = grads[group]
     report = finite_diff_check(lambda _: routed_objective(model, batch, group), net, analytic, h=1e-6)
     assert report.max_rel_error < 1e-3, f"{group}: {report.max_rel_error}"
 
@@ -444,13 +471,11 @@ def test_step_applies_minus_mu_times_gradient():
     model = tiny_model(seed=7)
     batch = tiny_batch(seed=8)
     before = copy.deepcopy(model)
-    _, grads = loss_total(copy.deepcopy(model), batch)
+    _, grads = dsn_gradients(copy.deepcopy(model), batch)
     mu = 0.05
     dsn_step(model, batch, mu)
-    for name in ROUTED_GROUPS:
-        g = getattr(grads, name)
-        if g is None:
-            continue
+    assert set(grads) == set(ROUTED_GROUPS)
+    for name, g in grads.items():
         for la, lb, gw in zip(getattr(model, name).layers, getattr(before, name).layers, g.weights):
             assert np.array_equal(la.weights, lb.weights - mu * gw)
 
@@ -471,10 +496,9 @@ def test_step_with_zero_mu_changes_nothing():
 def test_senone_only_step_descends():
     model = tiny_model(seed=11, alpha=0.0, beta=0.0, gamma=0.0)
     batch = tiny_batch(seed=12, n_s=8, n_t=8)
-    before, _ = loss_senone(model, batch.source_x, batch.source_y)
+    before = step_trace(model, batch).loss_senone
     dsn_step(model, batch, 1e-3)
-    after, _ = loss_senone(model, batch.source_x, batch.source_y)
-    assert after < before
+    assert step_trace(model, batch).loss_senone < before
 
 
 def test_baseline_equivalence_bitwise():
@@ -490,6 +514,23 @@ def test_baseline_equivalence_bitwise():
         for la, lb in zip(getattr(grl, name).layers, getattr(full, name).layers):
             assert np.array_equal(la.weights, lb.weights)
             assert np.array_equal(la.bias, lb.bias)
+
+
+@pytest.mark.parametrize("with_private", [True, False])
+def test_step_runs_each_subnetwork_once(monkeypatch, with_private):
+    model = tiny_model(seed=24, with_private=with_private)
+    calls = {"forward": [], "backward": []}
+    for kind, log in calls.items():
+        def counted(net, *args, _inner=getattr(dsn, kind), _log=log, **kwargs):
+            _log.append(id(net))
+            return _inner(net, *args, **kwargs)
+
+        monkeypatch.setattr(dsn, kind, counted)
+    dsn_step(model, tiny_batch(seed=25), 0.1)
+    nets = [id(getattr(model, name)) for name in ROUTED_GROUPS if getattr(model, name) is not None]
+    assert len(nets) == (6 if with_private else 3)
+    assert sorted(calls["forward"]) == sorted(nets)
+    assert sorted(calls["backward"]) == sorted(nets)
 
 
 def test_trace_fields_are_finite_and_nonnegative():
@@ -555,4 +596,4 @@ def test_roundtrip_preserves_predictions(tmp_path):
     save_dsn_model(model, path)
     loaded = load_dsn_model(path)
     x = Rng(23).normals(5 * D).reshape(5, D)
-    assert np.array_equal(senone_posteriors(model, x), senone_posteriors(loaded, x))
+    assert np.array_equal(composed(adapted_model(model), x), composed(adapted_model(loaded), x))

@@ -401,7 +401,7 @@ def test_fd_flags_corrupted_gradient():
     out, cache = forward(net, x)
     _, gl = cross_entropy_loss(out, y)
     grads, _ = backward(net, cache, gl, at_logits=True)
-    doubled = grads.scaled(2.0)
+    doubled = Gradients.zeros_like(net).add_scaled(grads, 2.0)
     report = finite_diff_check(loss, net, doubled, h=1e-5)
     assert abs(report.max_rel_error - 0.5) < 1e-3
     assert abs(report.mean_rel_error - 0.5) < 1e-3
