@@ -3,9 +3,10 @@
     dsn-adapt <mode> --config <path> [--out <dir>] [--seed N] [--n-h N]
               [--alpha X] [--beta X] [--gamma X]
 
-Modes: pretrain, adapt_grl, adapt_dsn, evaluate, sweep. Flags override
-config-file values. Exit codes: 0 success, 1 config error, 2 data error,
-3 training divergence.
+Modes: pretrain, adapt_grl, adapt_dsn, evaluate, sweep. Each flag sets the
+config key it names (`--n-h` sets `n_h`; `--seed` also sets `synth.seed`) over
+the file's value; see config.py for the key scheme. Exit codes: 0 success,
+1 config error, 2 data error, 3 training divergence.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import MODES, ExperimentConfig, apply_overrides, load_config
+from .config import MODES, ExperimentConfig, load_config
 from .dsn import adapted_model, load_dsn_model, save_dsn_model
 from .errors import ConfigError, DataError, TrainingDivergedError
-from .nn import Mlp, load_mlp, save_mlp
+from .nn import Mlp, load_mlp, read_lines, save_mlp
 from .pipeline import (
     adapt_dsn,
     adapt_grl,
@@ -31,17 +32,16 @@ from .pipeline import (
     RunReport,
 )
 
+_FLAG_KEYS = ("seed", "n_h", "alpha", "beta", "gamma")
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dsn-adapt", description=__doc__)
     parser.add_argument("mode")
     parser.add_argument("--config", required=False)
     parser.add_argument("--out", default="out")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--n-h", type=int, dest="n_h")
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--gamma", type=float)
+    for key in _FLAG_KEYS:
+        parser.add_argument("--" + key.replace("_", "-"), dest=key)
     return parser
 
 
@@ -57,13 +57,15 @@ def _load_eval_nets(cfg: ExperimentConfig) -> tuple[Mlp, ...]:
     path = Path(cfg.model_path)
     if not path.is_file():
         raise ConfigError(f"model file not found: {path}")
-    first = path.read_text().splitlines()[0].strip() if path.stat().st_size else ""
-    if first == "dsn-model v1":
+    lines = read_lines(path)
+    if lines and lines[0].strip() == "dsn-model v1":
         return adapted_model(load_dsn_model(path))
     return (load_mlp(path),)
 
 
 def _run_mode(mode: str, cfg: ExperimentConfig, out_dir: Path) -> None:
+    if mode == "sweep" and max(cfg.sweep_n_h) > len(cfg.net.source_hidden):  # before any compute
+        raise ConfigError(f"sweep.n_h {cfg.sweep_n_h} exceeds the hidden layers {cfg.net.source_hidden}")
     out_dir.mkdir(parents=True, exist_ok=True)
     if mode == "pretrain":
         prepared = prepare_corpora(cfg, need_target_labels=False)
@@ -116,10 +118,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.config is None:
             raise ConfigError("--config is required")
-        cfg = load_config(args.config)
-        cfg = apply_overrides(
-            cfg, seed=args.seed, n_h=args.n_h, alpha=args.alpha, beta=args.beta, gamma=args.gamma
-        )
+        overrides = {key: getattr(args, key) for key in _FLAG_KEYS if getattr(args, key) is not None}
+        if "seed" in overrides:
+            overrides["synth.seed"] = overrides["seed"]  # the data follows the master seed
+        cfg = load_config(args.config, overrides)
         _run_mode(args.mode, cfg, Path(args.out))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

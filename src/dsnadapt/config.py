@@ -1,5 +1,11 @@
 """Experiment configuration: plain-text `key = value` files plus CLI overrides.
 
+The dataclass fields below are the only declaration of keys, types and
+defaults. A key is `section.field` for the nested synth/splice/net sections
+and the bare field name otherwise; the sweep grid is spelled `sweep.n_h` and
+`sweep.alpha`. A value parses as the type of its field's default: tuples are
+comma-separated lists, and a None default means a path string.
+
 Lines starting with `#` (or inline `#` tails) are comments. Every key has a
 toy-profile default, so an empty file is a valid config; unknown or duplicate
 keys are rejected before any compute.
@@ -8,13 +14,16 @@ keys are rejected before any compute.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from .data import SynthConfig
 from .errors import ConfigError
 
 MODES = ("pretrain", "adapt_grl", "adapt_dsn", "evaluate", "sweep")
+
+# Key spelling of the sweep-grid fields; the field names themselves are not keys.
+_ALIASES = {"sweep_n_h": "sweep.n_h", "sweep_alpha": "sweep.alpha"}
 
 
 @dataclass(frozen=True)
@@ -75,19 +84,15 @@ class ExperimentConfig:
     sweep_alpha: tuple[float, ...] = (1.0, 4.0, 8.0)
 
     def __post_init__(self):
-        if self.n_h < 1:
-            raise ConfigError("n_h must be >= 1")
-        if self.n_h > len(self.net.source_hidden):
-            raise ConfigError(
-                f"n_h={self.n_h} exceeds the {len(self.net.source_hidden)} hidden layers"
-            )
-        for name in ("alpha", "beta", "gamma", "mu"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.alpha < 0:
-            raise ConfigError("alpha must be >= 0")
-        if self.mu < 0:
-            raise ConfigError("mu must be >= 0")
+        n_hidden = len(self.net.source_hidden)
+        if not 1 <= self.n_h <= n_hidden:
+            raise ConfigError(f"n_h must be in [1, {n_hidden}], got {self.n_h}")
+        if any(n < 1 for n in self.sweep_n_h):
+            raise ConfigError(f"sweep.n_h entries must be >= 1, got {self.sweep_n_h}")
+        coefficients = [(name, getattr(self, name)) for name in ("alpha", "beta", "gamma", "mu")]
+        for name, value in coefficients + [("sweep.alpha", a) for a in self.sweep_alpha]:
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
         if self.batch < 1:
@@ -96,26 +101,18 @@ class ExperimentConfig:
             raise ConfigError("sweep lists must be non-empty")
 
 
-def _to_int(key: str, raw: str) -> int:
+def _convert(key: str, raw: str, default: object) -> object:
+    """Parse raw as the type of the field's default: None means a path
+    string, a tuple a comma-separated list of its element type."""
+    if default is None:
+        return raw
+    if isinstance(default, tuple):
+        return tuple(_convert(key, part.strip(), default[0]) for part in raw.split(",") if part.strip())
     try:
-        return int(raw)
+        return type(default)(raw)
     except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
-
-
-def _to_float(key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-
-
-def _to_int_list(key: str, raw: str) -> tuple[int, ...]:
-    return tuple(_to_int(key, part.strip()) for part in raw.split(",") if part.strip())
-
-
-def _to_float_list(key: str, raw: str) -> tuple[float, ...]:
-    return tuple(_to_float(key, part.strip()) for part in raw.split(",") if part.strip())
+        kind = "an integer" if isinstance(default, int) else "a number"
+        raise ConfigError(f"{key}: expected {kind}, got {raw!r}") from None
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -137,87 +134,32 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
 
 def build_config(values: dict[str, str]) -> ExperimentConfig:
     base = ExperimentConfig()
-    synth_kwargs = {
-        "num_classes": base.synth.num_classes,
-        "base_dim": base.synth.base_dim,
-        "utterances_per_domain": base.synth.utterances_per_domain,
-        "frames_per_utterance": base.synth.frames_per_utterance,
-        "class_separation": base.synth.class_separation,
-        "channel_matrix_scale": base.synth.channel_matrix_scale,
-        "noise_std": base.synth.noise_std,
-        "seed": base.synth.seed,
-    }
-    splice_kwargs = {"left": base.splice.left, "right": base.splice.right}
-    net_kwargs = {
-        "source_hidden": base.net.source_hidden,
-        "domain_hidden": base.net.domain_hidden,
-        "private_hidden": base.net.private_hidden,
-        "recon_hidden": base.net.recon_hidden,
-    }
-    top: dict[str, object] = {}
-    synth_ints = {"num_classes", "base_dim", "utterances_per_domain", "frames_per_utterance", "seed"}
-    for key, raw in values.items():
-        if key.startswith("synth."):
-            name = key[len("synth."):]
-            if name not in synth_kwargs:
-                raise ConfigError(f"unknown config key {key!r}")
-            synth_kwargs[name] = _to_int(key, raw) if name in synth_ints else _to_float(key, raw)
-        elif key.startswith("splice."):
-            name = key[len("splice."):]
-            if name not in splice_kwargs:
-                raise ConfigError(f"unknown config key {key!r}")
-            splice_kwargs[name] = _to_int(key, raw)
-        elif key.startswith("net."):
-            name = key[len("net."):]
-            if name not in net_kwargs:
-                raise ConfigError(f"unknown config key {key!r}")
-            net_kwargs[name] = _to_int_list(key, raw)
-        elif key == "sweep.n_h":
-            top["sweep_n_h"] = _to_int_list(key, raw)
-        elif key == "sweep.alpha":
-            top["sweep_alpha"] = _to_float_list(key, raw)
-        elif key in ("n_h", "epochs", "batch", "seed"):
-            top[key] = _to_int(key, raw)
-        elif key in ("alpha", "beta", "gamma", "mu"):
-            top[key] = _to_float(key, raw)
-        elif key in ("data_dir", "pretrained_model", "model_path"):
-            top[key] = raw
+    keys: dict[str, tuple[str | None, str, object]] = {}  # key -> (section, field, default)
+    for f in fields(base):
+        value = getattr(base, f.name)
+        if is_dataclass(value):
+            for g in fields(value):
+                keys[f"{f.name}.{g.name}"] = (f.name, g.name, getattr(value, g.name))
         else:
+            keys[_ALIASES.get(f.name, f.name)] = (None, f.name, value)
+    top: dict[str, object] = {}
+    sections: dict[str, dict[str, object]] = {}
+    for key, raw in values.items():
+        if key not in keys:
             raise ConfigError(f"unknown config key {key!r}")
-    return ExperimentConfig(
-        synth=SynthConfig(**synth_kwargs),
-        splice=SpliceConfig(**splice_kwargs),
-        net=NetConfig(**net_kwargs),
-        **top,
-    )
+        section, name, default = keys[key]
+        target = top if section is None else sections.setdefault(section, {})
+        target[name] = _convert(key, raw, default)
+    for section, updates in sections.items():
+        top[section] = replace(getattr(base, section), **updates)
+    return ExperimentConfig(**top)
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> ExperimentConfig:
+    """Read a config file. `overrides` (CLI flag values, keyed like the
+    file) beat the file's values; the merged keys are validated once."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    return build_config(parse_config_text(path.read_text(), source=str(path)))
-
-
-def apply_overrides(
-    cfg: ExperimentConfig,
-    seed: int | None = None,
-    n_h: int | None = None,
-    alpha: float | None = None,
-    beta: float | None = None,
-    gamma: float | None = None,
-) -> ExperimentConfig:
-    """CLI flags beat config-file values; the synth seed follows --seed."""
-    updates: dict[str, object] = {}
-    if seed is not None:
-        updates["seed"] = seed
-        updates["synth"] = replace(cfg.synth, seed=seed)
-    if n_h is not None:
-        updates["n_h"] = n_h
-    if alpha is not None:
-        updates["alpha"] = alpha
-    if beta is not None:
-        updates["beta"] = beta
-    if gamma is not None:
-        updates["gamma"] = gamma
-    return replace(cfg, **updates) if updates else cfg
+    values = parse_config_text(path.read_text(), source=str(path))
+    return build_config({**values, **(overrides or {})})

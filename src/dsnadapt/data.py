@@ -16,7 +16,7 @@ import numpy as np
 
 from .dsn import DomainLabel
 from .errors import ConfigError, ContractError, DataError
-from .nn import Rng
+from .nn import Rng, read_lines
 
 VARIANCE_FLOOR = 1e-8
 
@@ -43,7 +43,6 @@ class Corpus:
     domains: np.ndarray  # DomainLabel values (1 = source, 2 = target)
     labels: np.ndarray
     features: np.ndarray
-    stats: CmvnStats | None = None
 
     def __post_init__(self):
         n = len(self.utt_ids)
@@ -164,7 +163,7 @@ def _gen_corpus(
     for u in range(n_utts):
         utt = f"{prefix}-{u:05d}"
         utt_ids.extend([utt] * f)
-        labels = np.array([rng.next_below(cfg.num_classes) for _ in range(f)], dtype=np.int64)
+        labels = (rng._raw_block(f) % np.uint64(cfg.num_classes)).astype(np.int64)
         base = means[labels] + rng.normals(f * d).reshape(f, d)
         if channel is not None:
             base = base @ channel.T + cfg.noise_std * rng.normals(f * d).reshape(f, d)
@@ -249,7 +248,7 @@ def apply_cmvn(corpus: Corpus, stats: CmvnStats) -> Corpus:
     if stats.mean.shape != (corpus.dim,):
         raise DataError("stats dim does not match corpus dim")
     scale = np.sqrt(np.maximum(stats.var, VARIANCE_FLOOR))
-    return replace(corpus, features=(corpus.features - stats.mean) / scale, stats=stats)
+    return replace(corpus, features=(corpus.features - stats.mean) / scale)
 
 
 def cmvn(stats_corpus: Corpus, apply_to: Sequence[Corpus]) -> tuple[list[Corpus], CmvnStats]:
@@ -290,8 +289,7 @@ def _parse_header(line: str, path: str) -> tuple[int, bool]:
 
 
 def _read_corpus(path: str | Path, parse_labels: bool) -> Corpus:
-    path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = read_lines(path)
     if not lines:
         raise DataError(f"{path}: empty file")
     dim, spliced = _parse_header(lines[0], str(path))
@@ -325,6 +323,9 @@ def _read_corpus(path: str | Path, parse_labels: bool) -> Corpus:
             features[i] = [float(v) for v in parts[4:]]
         except ValueError:
             raise DataError(f"{path}: line {lineno}: bad feature value") from None
+    bad = ~np.isfinite(features).all(axis=1)
+    if bad.any():
+        raise DataError(f"{path}: line {int(bad.argmax()) + 2}: non-finite feature value")
     return Corpus(dim, spliced, utt_ids, frame_indices, domains, labels, features)
 
 

@@ -46,6 +46,7 @@ from .nn import (
     mlp_from_cursor,
     mlp_to_lines,
     mse_loss,
+    read_lines,
     sgd_update,
 )
 
@@ -80,8 +81,9 @@ class DsnModel:
     n_h: int
 
     def __post_init__(self):
-        if not self.alpha >= 0:
-            raise ConfigError("alpha must be >= 0")
+        for name in ("alpha", "beta", "gamma"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         k = self.shared.out_dim
         if self.senone.in_dim != k or self.domain.in_dim != k:
             raise ConfigError("senone/domain heads must consume the shared dim")
@@ -294,7 +296,7 @@ def save_dsn_model(model: DsnModel, path: str | Path) -> None:
 
 
 def load_dsn_model(path: str | Path) -> DsnModel:
-    cursor = LineCursor(Path(path).read_text().splitlines(), source=str(path))
+    cursor = LineCursor(read_lines(path), source=str(path))
     header = cursor.take()
     if header.strip() != "dsn-model v1":
         raise cursor.error(f"expected 'dsn-model v1' header, found {header!r}")
@@ -304,6 +306,14 @@ def load_dsn_model(path: str | Path) -> DsnModel:
         if not value:
             raise cursor.error(f"malformed manifest entry {item!r}")
         manifest[key] = value
+    try:
+        coefficients = {key: float(manifest[key]) for key in ("alpha", "beta", "gamma")}
+        n_h = int(manifest["n_h"])
+        dims = {key: int(manifest[key]) for key in ("k", "q", "feature_dim") if key in manifest}
+    except KeyError as exc:
+        raise cursor.error(f"manifest is missing {exc}") from None
+    except ValueError as exc:
+        raise cursor.error(f"bad manifest value: {exc}") from None
     nets_line = cursor.take().split()
     if not nets_line or nets_line[0] != "nets":
         raise cursor.error("expected a 'nets' line")
@@ -314,25 +324,14 @@ def load_dsn_model(path: str | Path) -> DsnModel:
     for name in present:
         nets[name] = mlp_from_cursor(cursor)
     try:
-        model = DsnModel(
-            shared=nets["shared"],
-            senone=nets["senone"],
-            domain=nets["domain"],
-            private_src=nets["private_src"],
-            private_tgt=nets["private_tgt"],
-            recon=nets["recon"],
-            alpha=float(manifest["alpha"]),
-            beta=float(manifest["beta"]),
-            gamma=float(manifest["gamma"]),
-            n_h=int(manifest["n_h"]),
-        )
-    except KeyError as exc:
-        raise cursor.error(f"manifest is missing {exc}") from None
+        model = DsnModel(**nets, **coefficients, n_h=n_h)
+    except ConfigError as exc:
+        raise cursor.error(str(exc)) from None
     for key, expected in (
         ("k", model.shared_dim),
         ("q", model.num_classes),
         ("feature_dim", model.feature_dim),
     ):
-        if key in manifest and int(manifest[key]) != expected:
-            raise DataError(f"{path}: manifest {key}={manifest[key]} contradicts the nets ({expected})")
+        if dims.get(key, expected) != expected:
+            raise DataError(f"{path}: manifest {key}={dims[key]} contradicts the nets ({expected})")
     return model

@@ -49,7 +49,8 @@ class Rng:
       the pair yields r*cos(2 pi u2), r*sin(2 pi u2) with r = sqrt(-2 ln u1),
       emitted in that order
     * integer below n: ``z % n``
-    * shuffle: Fisher-Yates from the top index down with j = next_below(i + 1)
+    * shuffle: Fisher-Yates from the top index i = len - 1 down to 1, swapping
+      i with j = (next raw draw) % (i + 1)
 
     Identical seeds therefore produce identical value sequences on any
     platform with IEEE-754 doubles.
@@ -72,18 +73,6 @@ class Rng:
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
         return z ^ (z >> np.uint64(31))
 
-    def next_u64(self) -> int:
-        self._count += 1
-        z = (self._seed + self._count * _GOLDEN) & _MASK64
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
-
-    def next_below(self, n: int) -> int:
-        if n <= 0:
-            raise ValueError("n must be positive")
-        return self.next_u64() % n
-
     def uniforms(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
         u = (self._raw_block(n) >> np.uint64(11)).astype(np.float64) * _DOUBLE_UNIT
         return lo + (hi - lo) * u
@@ -101,9 +90,12 @@ class Rng:
         return out[:n]
 
     def shuffle(self, values: np.ndarray) -> None:
-        for i in range(len(values) - 1, 0, -1):
-            j = self.next_below(i + 1)
-            values[i], values[j] = values[j], values[i]
+        tops = np.arange(len(values) - 1, 0, -1)
+        js = (self._raw_block(len(tops)) % (tops + 1).astype(np.uint64)).tolist()
+        items = values.tolist()
+        for i, j in zip(tops.tolist(), js):
+            items[i], items[j] = items[j], items[i]
+        values[:] = items
 
     def permutation(self, n: int) -> np.ndarray:
         order = np.arange(n)
@@ -114,10 +106,7 @@ class Rng:
         """Independent child stream; uses only the original seed, not the
         draws made so far. Child seed = raw draw #(stream + 1) of a fresh
         generator over this seed."""
-        child = Rng(self._seed)
-        for _ in range(stream + 1):
-            value = child.next_u64()
-        return Rng(value)
+        return Rng(int(Rng(self._seed)._raw_block(stream + 1)[-1]))
 
 
 class Activation(str, Enum):
@@ -283,10 +272,6 @@ class ForwardCache:
     """Per-layer pre/post activations from one forward pass."""
 
     steps: list[_LayerStep]
-
-    @property
-    def output(self) -> Matrix:
-        return self.steps[-1].out
 
 
 def forward(net: Mlp, batch: Matrix) -> tuple[Matrix, ForwardCache]:
@@ -485,6 +470,15 @@ def mlp_to_lines(net: Mlp) -> list[str]:
     return lines
 
 
+def read_lines(path: str | Path) -> list[str]:
+    """The lines of a text file; a file that cannot be read is a DataError
+    naming it."""
+    try:
+        return Path(path).read_text().splitlines()
+    except (OSError, UnicodeError) as exc:
+        raise DataError(f"{path}: cannot read: {getattr(exc, 'strerror', None) or exc}") from None
+
+
 class LineCursor:
     """Line iterator with 1-based position tracking for parse errors."""
 
@@ -547,5 +541,4 @@ def save_mlp(net: Mlp, path: str | Path) -> None:
 
 
 def load_mlp(path: str | Path) -> Mlp:
-    lines = Path(path).read_text().splitlines()
-    return mlp_from_cursor(LineCursor(lines, source=str(path)))
+    return mlp_from_cursor(LineCursor(read_lines(path), source=str(path)))

@@ -292,6 +292,18 @@ def test_truncated_row_names_the_line(tmp_path):
         read_corpus(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_feature_names_the_line(tmp_path, value):
+    bundle = synth_corpus(toy_cfg(utterances_per_domain=1, frames_per_utterance=3))
+    path = tmp_path / "bad.csv"
+    write_corpus(bundle.source_train, path)
+    lines = path.read_text().splitlines()
+    lines[2] = ",".join(lines[2].split(",")[:-1] + [value])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=f"{path.name}: line 3: non-finite"):
+        read_corpus(path)
+
+
 def test_bad_header_rejected(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("not a header\n")

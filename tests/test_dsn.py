@@ -52,7 +52,7 @@ def tiny_batch(seed=10, n_s=4, n_t=5):
     rng = Rng(seed)
     return DsnBatch(
         rng.normals(n_s * D).reshape(n_s, D),
-        np.array([rng.next_below(Q) for _ in range(n_s)]),
+        (rng._raw_block(n_s) % Q).astype(np.int64),
         rng.normals(n_t * D).reshape(n_t, D),
     )
 

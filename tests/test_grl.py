@@ -41,18 +41,25 @@ def test_backward_is_exact_negation_scale():
 
 def test_alpha_must_be_nonnegative():
     # the reversal coefficient is validated where it is stored: on the model
-    def model(alpha):
+    def model(alpha, beta=0.0, gamma=0.0):
         rng = Rng(4)
         shared = init_mlp([(3, 2, "sigmoid")], rng)
         senone = init_mlp([(2, 3, "softmax")], rng)
         domain = init_mlp([(2, 2, "softmax")], rng)
-        return DsnModel(shared, senone, domain, None, None, None, alpha, 0.0, 0.0, n_h=1)
+        return DsnModel(shared, senone, domain, None, None, None, alpha, beta, gamma, n_h=1)
 
     assert model(0.0).alpha == 0.0
     with pytest.raises(ConfigError):
         model(-0.5)
     with pytest.raises(ConfigError):
         model(float("nan"))
+    # so are the difference and reconstruction weights: negative ones ascend
+    with pytest.raises(ConfigError, match="beta"):
+        model(1.0, beta=-1.0)
+    with pytest.raises(ConfigError, match="gamma"):
+        model(1.0, gamma=-0.5)
+    with pytest.raises(ConfigError, match="beta"):
+        model(1.0, beta=float("nan"))
 
 
 @given(hnp.arrays(np.float64, (3, 4), elements=finite_floats), coefficients, coefficients)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dsnadapt.data import SynthConfig, synth_corpus
 from dsnadapt.nn import Rng
 
 M64 = (1 << 64) - 1
@@ -26,22 +27,24 @@ def ref_raw(seed: int, k: int) -> int:
 def test_matches_published_test_vector():
     # first output of SplitMix64 for seed 0 from the reference implementation
     assert ref_raw(0, 1) == 0xE220A8397B1DCDAF
-    assert Rng(0).next_u64() == 0xE220A8397B1DCDAF
+    assert Rng(0)._raw_block(1).tolist() == [0xE220A8397B1DCDAF]
 
 
 @given(st.integers(min_value=0, max_value=M64))
 @settings(max_examples=50)
 def test_scalar_path_matches_oracle(seed):
+    # one draw at a time: each call continues the counter
     rng = Rng(seed)
-    assert [rng.next_u64() for _ in range(8)] == [ref_raw(seed, k) for k in range(1, 9)]
+    assert [int(rng._raw_block(1)[0]) for _ in range(8)] == [ref_raw(seed, k) for k in range(1, 9)]
 
 
-@given(st.integers(min_value=0, max_value=M64))
+@given(st.integers(min_value=0, max_value=M64), st.integers(min_value=0, max_value=16))
 @settings(max_examples=50)
-def test_vector_path_matches_scalar_path(seed):
-    vec = Rng(seed)._raw_block(16).tolist()
-    scalar = Rng(seed)
-    assert vec == [scalar.next_u64() for _ in range(16)]
+def test_vector_path_matches_scalar_path(seed, split):
+    # a block split anywhere yields the same draws as one block and the oracle
+    rng = Rng(seed)
+    parts = rng._raw_block(split).tolist() + rng._raw_block(16 - split).tolist()
+    assert parts == Rng(seed)._raw_block(16).tolist() == [ref_raw(seed, k) for k in range(1, 17)]
 
 
 def test_uniform_conversion_matches_oracle():
@@ -72,23 +75,29 @@ def test_uniform_range_mapping():
 
 
 def test_next_below_matches_modulo_rule():
-    rng = Rng(9)
-    values = [rng.next_below(7) for _ in range(20)]
-    assert values == [ref_raw(9, k) % 7 for k in range(1, 21)]
+    # synthetic frame labels are integers below num_classes: raw draw % q
+    cfg = SynthConfig(num_classes=5, base_dim=3, utterances_per_domain=1, frames_per_utterance=20,
+                      class_separation=1.0, channel_matrix_scale=0.0, noise_std=0.0, seed=9)
+    labels = synth_corpus(cfg).source_train.labels.tolist()
+    # corner class means draw nothing; the 3x3 channel matrix takes 10 raw draws
+    assert labels == [ref_raw(9, k) % 5 for k in range(11, 31)]
 
 
-def test_shuffle_is_fisher_yates():
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 1000])
+def test_shuffle_is_fisher_yates(n):
     rng = Rng(3)
-    arr = np.arange(5)
+    arr = np.arange(n)
     rng.shuffle(arr)
     # reference: same draws applied top-down
-    ref = list(range(5))
-    draws = iter(ref_raw(3, k) for k in range(1, 100))
-    for i in range(4, 0, -1):
+    ref = list(range(n))
+    draws = iter(ref_raw(3, k) for k in range(1, n + 1))
+    for i in range(n - 1, 0, -1):
         j = next(draws) % (i + 1)
         ref[i], ref[j] = ref[j], ref[i]
     assert arr.tolist() == ref
-    assert sorted(arr.tolist()) == list(range(5))
+    assert sorted(arr.tolist()) == list(range(n))
+    # the draw counter advanced by exactly n - 1 draws
+    assert int(rng._raw_block(1)[0]) == ref_raw(3, max(n - 1, 0) + 1)
 
 
 def test_same_seed_same_sequence():
@@ -103,6 +112,7 @@ def test_derive_is_independent_of_consumption():
     b = Rng(77)
     assert a.derive(2).seed == b.derive(2).seed
     assert a.derive(0).seed != a.derive(1).seed
+    assert [a.derive(s).seed for s in range(3)] == [ref_raw(77, s + 1) for s in range(3)]
 
 
 def test_normals_moments_are_sane():
