@@ -64,6 +64,8 @@ def _load_eval_nets(cfg: ExperimentConfig) -> tuple[Mlp, ...]:
 
 
 def _run_mode(mode: str, cfg: ExperimentConfig, out_dir: Path) -> None:
+    if mode not in MODES:
+        raise ConfigError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
     if mode == "sweep" and max(cfg.sweep_n_h) > len(cfg.net.source_hidden):  # before any compute
         raise ConfigError(f"sweep.n_h {cfg.sweep_n_h} exceeds the hidden layers {cfg.net.source_hidden}")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -105,8 +107,6 @@ def _run_mode(mode: str, cfg: ExperimentConfig, out_dir: Path) -> None:
             cfg, source_dnn, prepared.source_train, prepared.target_adapt, prepared.target_test
         )
         write_sweep_csv(result, out_dir / "sweep.csv")
-    else:
-        raise ConfigError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -234,13 +234,10 @@ def init_mlp(spec: Sequence[LayerSpec], rng: Rng) -> Mlp:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    neg = ~pos
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[neg])
-    out[neg] = ez / (1.0 + ez)
-    return out
+    # 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below, without branches:
+    # exp only ever sees -|z| <= 0, so it never overflows.
+    e = np.exp(-np.abs(z))
+    return np.maximum(e, z >= 0) / (1.0 + e)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -506,9 +503,12 @@ def _parse_floats(cursor: LineCursor, expected: int) -> np.ndarray:
     if len(parts) != expected:
         raise cursor.error(f"expected {expected} values, found {len(parts)}")
     try:
-        return np.array([float(p) for p in parts])
+        values = np.array([float(p) for p in parts])
     except ValueError as exc:
         raise cursor.error(f"bad float: {exc}") from None
+    if not np.isfinite(values).all():
+        raise cursor.error("non-finite value")
+    return values
 
 
 def mlp_from_cursor(cursor: LineCursor) -> Mlp:
@@ -528,6 +528,12 @@ def mlp_from_cursor(cursor: LineCursor) -> Mlp:
             act = Activation(parts[4])
         except ValueError as exc:
             raise cursor.error(str(exc)) from None
+        if din < 1 or dout < 1:
+            raise cursor.error("layer dimensions must be >= 1")
+        if layers and layers[-1].out_dim != din:
+            raise cursor.error(f"in_dim {din} does not chain from the previous out_dim {layers[-1].out_dim}")
+        if layers and layers[-1].activation is Activation.SOFTMAX:
+            raise cursor.error("softmax is only permitted as the final layer")
         rows = [_parse_floats(cursor, din) for _ in range(dout)]
         bias = _parse_floats(cursor, dout)
         layers.append(DenseLayer(np.vstack(rows).reshape(dout, din), bias, act))

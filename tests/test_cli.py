@@ -39,6 +39,16 @@ def test_seed_flag_sets_master_and_synth_seed(tmp_path, monkeypatch):
     assert (seen[0].seed, seen[0].synth.seed, seen[0].n_h) == (9, 9, 1)
 
 
+def test_unknown_mode_writes_nothing(tmp_path, capsys):
+    config = tmp_path / "c.cfg"
+    config.write_text("")
+    code = main(["bogus", "--config", str(config), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: unknown mode 'bogus'")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("line", ["sweep.alpha = 1, nan", "sweep.alpha = -1", "sweep.n_h = 1, 4"])
 def test_bad_sweep_grid_fails_before_any_compute(tmp_path, capsys, line):
     config = tmp_path / "run.cfg"
@@ -64,6 +74,12 @@ def _bad_model_file(tmp_path, manifest_edit):
     return "evaluate", f"model_path = {path}", path.name
 
 
+def _bad_mlp_file(tmp_path, body, line):
+    path = tmp_path / "source.mlp"
+    path.write_text("dsn-mlp v1\n" + body)
+    return "adapt_grl", f"pretrained_model = {path}", f"{path.name}: line {line}:"
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -71,8 +87,23 @@ def _bad_model_file(tmp_path, manifest_edit):
         lambda d: ("pretrain", f"data_dir = {d}", "source_train.csv"),
         lambda d: _bad_model_file(d, ("alpha=1", "alpha=abc")),
         lambda d: _bad_model_file(d, ("beta=0", "beta=-1")),
+        lambda d: _bad_mlp_file(d, "layer 0 2 1 linear\n1.0 nan\n0.0\n", 3),
+        lambda d: _bad_mlp_file(d, "layer 0 2 1 linear\n1.0 2.0\ninf\n", 4),
+        lambda d: _bad_mlp_file(d, "layer 0 2 1 sigmoid\n1 2\n0\nlayer 1 3 1 linear\n1 2 3\n0\n", 5),
+        lambda d: _bad_mlp_file(d, "layer 0 2 2 softmax\n1 2\n3 4\n0 0\nlayer 1 2 1 linear\n1 2\n0\n", 6),
+        lambda d: _bad_mlp_file(d, "layer 0 0 1 linear\n\n0\n", 2),
     ],
-    ids=["missing-pretrained-model", "missing-corpus", "bad-manifest-value", "negative-beta-in-model"],
+    ids=[
+        "missing-pretrained-model",
+        "missing-corpus",
+        "bad-manifest-value",
+        "negative-beta-in-model",
+        "nan-weight",
+        "inf-bias",
+        "layer-chain-mismatch",
+        "non-final-softmax",
+        "zero-width-layer",
+    ],
 )
 def test_loader_failure_is_a_data_error(tmp_path, capsys, case):
     mode, line, name = case(tmp_path)

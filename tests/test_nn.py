@@ -21,6 +21,7 @@ from dsnadapt.nn import (
     Gradients,
     Mlp,
     Rng,
+    _sigmoid,
     backward,
     cross_entropy_loss,
     finite_diff_check,
@@ -105,6 +106,40 @@ def test_softmax_symmetry():
     net = Mlp([DenseLayer(np.eye(2), np.zeros(2), Activation.SOFTMAX)])
     out, _ = forward(net, np.array([[0.0, 0.0]]))
     assert out.tolist() == [[0.5, 0.5]]
+
+
+def _masked_sigmoid(z):
+    """The two-branch masked sigmoid the kernel replaced, kept as its
+    bit-level oracle."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    neg = ~pos
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[neg])
+    out[neg] = ez / (1.0 + ez)
+    return out
+
+
+SIGMOID_SPECIALS = [0.0, -0.0, math.inf, -math.inf, 1e-20, -1e-20, 709.0, -709.0, 745.5, -745.5]
+
+
+@pytest.mark.parametrize("shape", [(256, 48), (7, 3), (0, 5)])
+@pytest.mark.parametrize("scale", [1e-9, 1.0, 5.0, 40.0, 800.0])
+def test_sigmoid_bitwise_matches_masked_oracle(shape, scale):
+    z = Rng(17).normals(math.prod(shape)) * scale
+    n = min(len(SIGMOID_SPECIALS), z.size)
+    z[:n] = SIGMOID_SPECIALS[:n]
+    z = z.reshape(shape)
+    out = _sigmoid(z)
+    assert out.shape == shape
+    # compared as bit patterns: array_equal would take -0.0 == 0.0
+    assert np.array_equal(out.view(np.uint64), _masked_sigmoid(z).view(np.uint64))
+
+
+def test_sigmoid_of_nan_is_nan():
+    out = _sigmoid(np.array([[math.nan, 0.0, -math.nan]]))
+    assert np.isnan(out[0, [0, 2]]).all()
+    assert out[0, 1] == 0.5
 
 
 def _forward_oracle(net, rows):
@@ -237,7 +272,8 @@ def test_backward_matches_handrolled_fd():
 def test_ce_gradients_match_fd(seed, spec):
     net = init_mlp(list(spec), Rng(seed))
     x = Rng(seed + 100).normals(5 * 6).reshape(5, 6)
-    y = np.full(5, int(Rng(seed + 200)._raw_block(1)[0] % 4))  # one label for all rows
+    y = (Rng(seed + 200)._raw_block(5) % np.uint64(4)).astype(np.int64)
+    assert len(set(y.tolist())) >= 2
 
     def loss(m):
         out, _ = forward(m, x)
