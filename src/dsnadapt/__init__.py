@@ -3,7 +3,6 @@
 from .config import ExperimentConfig, load_config
 from .data import Corpus, SynthConfig, read_corpus, splice, synth_corpus, write_corpus
 from .dsn import (
-    DomainLabel,
     DsnBatch,
     DsnModel,
     dsn_gradients,
@@ -18,7 +17,6 @@ from .pipeline import adapt_dsn, adapt_grl, evaluate, pretrain_source, run_trend
 __all__ = [
     "Activation",
     "Corpus",
-    "DomainLabel",
     "DsnBatch",
     "DsnModel",
     "ExperimentConfig",

@@ -54,40 +54,44 @@ def _load_pretrained(cfg: ExperimentConfig) -> Mlp:
 def _load_eval_nets(cfg: ExperimentConfig) -> tuple[Mlp, ...]:
     if cfg.model_path is None:
         raise ConfigError("evaluate mode needs 'model_path = <path>' in the config")
-    path = Path(cfg.model_path)
-    if not path.is_file():
-        raise ConfigError(f"model file not found: {path}")
-    lines = read_lines(path)
+    lines = read_lines(cfg.model_path)
     if lines and lines[0].strip() == "dsn-model v1":
-        return adapted_model(load_dsn_model(path))
-    return (load_mlp(path),)
+        return adapted_model(load_dsn_model(cfg.model_path))
+    return (load_mlp(cfg.model_path),)
 
 
 def _run_mode(mode: str, cfg: ExperimentConfig, out_dir: Path) -> None:
+    """Load and check the config, the model and the corpora, then make the
+    output directory, so a rejected input leaves nothing behind."""
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
     if mode == "sweep" and max(cfg.sweep_n_h) > len(cfg.net.source_hidden):  # before any compute
         raise ConfigError(f"sweep.n_h {cfg.sweep_n_h} exceeds the hidden layers {cfg.net.source_hidden}")
+    if mode == "evaluate":
+        nets, model_file = _load_eval_nets(cfg), cfg.model_path
+    elif mode in ("adapt_grl", "adapt_dsn") or (mode == "sweep" and cfg.pretrained_model is not None):
+        nets, model_file = (_load_pretrained(cfg),), cfg.pretrained_model
+    else:
+        nets = model_file = None
+    prepared = prepare_corpora(cfg, need_target_labels=mode in ("evaluate", "sweep"))
+    if nets is not None and nets[0].in_dim != prepared.source_train.dim:
+        raise DataError(f"{model_file}: the model takes {nets[0].in_dim} input features, "
+                        f"the spliced corpora have {prepared.source_train.dim}")
     out_dir.mkdir(parents=True, exist_ok=True)
     if mode == "pretrain":
-        prepared = prepare_corpora(cfg, need_target_labels=False)
         net, report = pretrain_source(cfg, prepared.source_train, prepared.source_test)
         save_mlp(net, out_dir / "model.dsn")
         write_trace_csv(report.trace, out_dir / "trace.csv")
         write_report_csv(report, out_dir / "report.csv")
     elif mode in ("adapt_grl", "adapt_dsn"):
-        source_dnn = _load_pretrained(cfg)
-        prepared = prepare_corpora(cfg, need_target_labels=False)
         runner = adapt_grl if mode == "adapt_grl" else adapt_dsn
         model, report = runner(
-            cfg, source_dnn, prepared.source_train, prepared.target_adapt, prepared.source_test
+            cfg, nets[0], prepared.source_train, prepared.target_adapt, prepared.source_test
         )
         save_dsn_model(model, out_dir / "model.dsn")
         write_trace_csv(report.trace, out_dir / "trace.csv")
         write_report_csv(report, out_dir / "report.csv")
     elif mode == "evaluate":
-        nets = _load_eval_nets(cfg)
-        prepared = prepare_corpora(cfg, need_target_labels=True)
         report = RunReport(
             "evaluate",
             [],
@@ -98,11 +102,7 @@ def _run_mode(mode: str, cfg: ExperimentConfig, out_dir: Path) -> None:
         )
         write_report_csv(report, out_dir / "report.csv")
     elif mode == "sweep":
-        prepared = prepare_corpora(cfg, need_target_labels=True)
-        if cfg.pretrained_model is not None:
-            source_dnn = _load_pretrained(cfg)
-        else:
-            source_dnn, _ = pretrain_source(cfg, prepared.source_train)
+        source_dnn = nets[0] if nets is not None else pretrain_source(cfg, prepared.source_train)[0]
         result = sweep(
             cfg, source_dnn, prepared.source_train, prepared.target_adapt, prepared.target_test
         )

@@ -14,77 +14,54 @@ from typing import Sequence
 
 import numpy as np
 
-from .dsn import DomainLabel
 from .errors import ConfigError, ContractError, DataError
 from .nn import Rng, read_lines
 
 VARIANCE_FLOOR = 1e-8
 
-_DOMAIN_TAGS = {DomainLabel.SOURCE: "src", DomainLabel.TARGET: "tgt"}
-_TAG_DOMAINS = {tag: dom for dom, tag in _DOMAIN_TAGS.items()}
-
-
-@dataclass
-class CmvnStats:
-    """Per-dimension mean and (population) variance of the stats corpus."""
-
-    mean: np.ndarray
-    var: np.ndarray
+_DOMAIN_TAGS = ("src", "tgt")  # indexed by Corpus.domain
 
 
 @dataclass
 class Corpus:
-    """Columnar frame store. labels uses -1 for "absent"."""
+    """One domain's frames, columnar. domain is the domain classifier's
+    column for every frame (0 source, 1 target); labels uses -1 for "absent".
+    An utterance is a run of consecutive rows sharing one utt_id."""
 
-    dim: int
-    spliced: bool
+    domain: int
     utt_ids: list[str]
-    frame_indices: np.ndarray
-    domains: np.ndarray  # DomainLabel values (1 = source, 2 = target)
     labels: np.ndarray
     features: np.ndarray
 
     def __post_init__(self):
         n = len(self.utt_ids)
-        if self.features.shape != (n, self.dim):
-            raise DataError(f"features shape {self.features.shape} != ({n}, {self.dim})")
-        for arr, name in ((self.frame_indices, "frame_indices"), (self.domains, "domains"), (self.labels, "labels")):
-            if arr.shape != (n,):
-                raise DataError(f"{name} length {arr.shape} != {n}")
+        if self.domain not in (0, 1):
+            raise DataError(f"domain must be 0 (source) or 1 (target), got {self.domain!r}")
+        if self.features.ndim != 2 or len(self.features) != n:
+            raise DataError(f"features shape {self.features.shape} does not hold {n} frames")
+        if self.labels.shape != (n,):
+            raise DataError(f"labels length {self.labels.shape} != {n}")
 
     def __len__(self) -> int:
         return len(self.utt_ids)
 
     @property
+    def dim(self) -> int:
+        return self.features.shape[1]
+
+    @property
     def is_labeled(self) -> bool:
         return len(self) > 0 and bool((self.labels >= 0).all())
 
-    def utterance_slices(self) -> list[tuple[int, int]]:
-        """(start, end) row ranges of consecutive frames sharing an utterance id."""
-        slices = []
-        start = 0
-        for i in range(1, len(self) + 1):
-            if i == len(self) or self.utt_ids[i] != self.utt_ids[start]:
-                slices.append((start, i))
-                start = i
-        return slices
 
-
-def concat_corpora(corpora: Sequence[Corpus]) -> Corpus:
-    if not corpora:
-        raise ContractError("cannot concatenate zero corpora")
-    first = corpora[0]
-    if any(c.dim != first.dim or c.spliced != first.spliced for c in corpora):
-        raise DataError("corpora disagree on dim or spliced flag")
-    return Corpus(
-        dim=first.dim,
-        spliced=first.spliced,
-        utt_ids=[u for c in corpora for u in c.utt_ids],
-        frame_indices=np.concatenate([c.frame_indices for c in corpora]),
-        domains=np.concatenate([c.domains for c in corpora]),
-        labels=np.concatenate([c.labels for c in corpora]),
-        features=np.vstack([c.features for c in corpora]),
-    )
+def _utterance_bounds(utt_ids: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """First and last row of each row's utterance (run of equal utt_ids)."""
+    ids = np.asarray(utt_ids)
+    first = np.ones(len(ids), dtype=bool)
+    first[1:] = ids[1:] != ids[:-1]
+    starts = np.flatnonzero(first)
+    run = np.cumsum(first) - 1
+    return starts[run], np.append(starts[1:], len(ids))[run] - 1
 
 
 @dataclass(frozen=True)
@@ -109,11 +86,14 @@ class SynthConfig:
 
 
 @dataclass
-class SynthCorpora:
+class Corpora:
+    """The four corpora of one experiment. target_test is None when the
+    caller did not ask for the labeled target test set."""
+
     source_train: Corpus
     target_adapt: Corpus
-    target_test: Corpus
     source_test: Corpus
+    target_test: Corpus | None
 
 
 def class_means(cfg: SynthConfig, rng: Rng) -> np.ndarray:
@@ -147,17 +127,16 @@ def _gen_corpus(
     rng: Rng,
     means: np.ndarray,
     channel: np.ndarray | None,
-    domain: DomainLabel,
     prefix: str,
     n_utts: int,
     labeled: bool,
 ) -> Corpus:
     """Draw order per utterance: frame labels first, then the base feature
-    normals row-major, then (target only) the additive noise normals."""
+    normals row-major, then (target only) the additive noise normals. A
+    corpus drawn through the channel is the target domain."""
     d = cfg.base_dim
     f = cfg.frames_per_utterance
     utt_ids: list[str] = []
-    frame_indices = np.tile(np.arange(f), n_utts)
     all_labels = np.empty(n_utts * f, dtype=np.int64)
     feats = np.empty((n_utts * f, d))
     for u in range(n_utts):
@@ -171,17 +150,14 @@ def _gen_corpus(
         all_labels[row : row + f] = labels
         feats[row : row + f] = base
     return Corpus(
-        dim=d,
-        spliced=False,
+        domain=0 if channel is None else 1,
         utt_ids=utt_ids,
-        frame_indices=frame_indices,
-        domains=np.full(n_utts * f, domain.value, dtype=np.int64),
         labels=all_labels if labeled else np.full(n_utts * f, -1, dtype=np.int64),
         features=feats,
     )
 
 
-def synth_corpus(cfg: SynthConfig) -> SynthCorpora:
+def synth_corpus(cfg: SynthConfig) -> Corpora:
     """Four deterministic corpora from one seed.
 
     Test sets get max(1, utterances_per_domain // 4) utterances each. Draw
@@ -194,16 +170,12 @@ def synth_corpus(cfg: SynthConfig) -> SynthCorpora:
     means = class_means(cfg, rng)
     d = cfg.base_dim
     channel = np.eye(d) + cfg.channel_matrix_scale * rng.normals(d * d).reshape(d, d)
-    n_test = max(1, cfg.utterances_per_domain // 4)
-    src_train = _gen_corpus(cfg, rng, means, None, DomainLabel.SOURCE, "src-train",
-                            cfg.utterances_per_domain, labeled=True)
-    src_test = _gen_corpus(cfg, rng, means, None, DomainLabel.SOURCE, "src-test",
-                           n_test, labeled=True)
-    tgt_adapt = _gen_corpus(cfg, rng, means, channel, DomainLabel.TARGET, "tgt-adapt",
-                            cfg.utterances_per_domain, labeled=False)
-    tgt_test = _gen_corpus(cfg, rng, means, channel, DomainLabel.TARGET, "tgt-test",
-                           n_test, labeled=True)
-    return SynthCorpora(src_train, tgt_adapt, tgt_test, src_test)
+    n, n_test = cfg.utterances_per_domain, max(1, cfg.utterances_per_domain // 4)
+    source_train = _gen_corpus(cfg, rng, means, None, "src-train", n, labeled=True)
+    source_test = _gen_corpus(cfg, rng, means, None, "src-test", n_test, labeled=True)
+    target_adapt = _gen_corpus(cfg, rng, means, channel, "tgt-adapt", n, labeled=False)
+    target_test = _gen_corpus(cfg, rng, means, channel, "tgt-test", n_test, labeled=True)
+    return Corpora(source_train, target_adapt, source_test, target_test)
 
 
 def splice(corpus: Corpus, left: int, right: int) -> Corpus:
@@ -212,93 +184,80 @@ def splice(corpus: Corpus, left: int, right: int) -> Corpus:
     Edge frames repeat the boundary frame. Frame counts and utterance
     boundaries are unchanged; the new feature dim is dim * (left + 1 + right).
     """
-    if corpus.spliced:
-        raise ContractError("corpus is already spliced")
     if left < 0 or right < 0:
         raise ConfigError("context sizes must be >= 0")
-    width = left + 1 + right
-    out = np.empty((len(corpus), corpus.dim * width))
-    offsets = np.arange(-left, right + 1)
-    for start, end in corpus.utterance_slices():
-        rows = np.arange(start, end)
-        idx = np.clip(rows[:, None] + offsets[None, :], start, end - 1)
-        out[rows] = corpus.features[idx].reshape(len(rows), -1)
-    return Corpus(
-        dim=corpus.dim * width,
-        spliced=True,
-        utt_ids=list(corpus.utt_ids),
-        frame_indices=corpus.frame_indices.copy(),
-        domains=corpus.domains.copy(),
-        labels=corpus.labels.copy(),
-        features=out,
-    )
+    n, width = len(corpus), left + 1 + right
+    first, last = _utterance_bounds(corpus.utt_ids)
+    rows = np.arange(n)[:, None] + np.arange(-left, right + 1)
+    idx = np.clip(rows, first[:, None], last[:, None])  # one gather of every context window
+    return replace(corpus, features=corpus.features[idx].reshape(n, corpus.dim * width))
 
 
-def compute_cmvn(stats_corpus: Corpus) -> CmvnStats:
-    if len(stats_corpus) == 0:
-        raise ContractError("stats corpus is empty")
-    return CmvnStats(
-        mean=stats_corpus.features.mean(axis=0),
-        var=stats_corpus.features.var(axis=0),
-    )
-
-
-def apply_cmvn(corpus: Corpus, stats: CmvnStats) -> Corpus:
-    """Pure affine map x -> (x - mean) / sqrt(max(var, floor))."""
-    if stats.mean.shape != (corpus.dim,):
-        raise DataError("stats dim does not match corpus dim")
-    scale = np.sqrt(np.maximum(stats.var, VARIANCE_FLOOR))
-    return replace(corpus, features=(corpus.features - stats.mean) / scale)
-
-
-def cmvn(stats_corpus: Corpus, apply_to: Sequence[Corpus]) -> tuple[list[Corpus], CmvnStats]:
-    """Global mean/variance normalization: stats from one corpus, the same
-    affine map applied to every corpus in apply_to."""
-    stats = compute_cmvn(stats_corpus)
-    return [apply_cmvn(c, stats) for c in apply_to], stats
+def cmvn(stats_from: Sequence[Corpus], apply_to: Sequence[Corpus]) -> list[Corpus]:
+    """Global mean/variance normalization: one per-dimension mean and
+    (population) variance over the pooled frames of stats_from, and the same
+    affine map x -> (x - mean) / sqrt(max(var, floor)) applied to every
+    corpus in apply_to."""
+    if len({c.dim for c in (*stats_from, *apply_to)}) > 1:
+        raise DataError("corpora disagree on feature dim")
+    if sum(len(c) for c in stats_from) == 0:
+        raise ContractError("stats corpora are empty")
+    pooled = np.vstack([c.features for c in stats_from])
+    mean = pooled.mean(axis=0)
+    scale = np.sqrt(np.maximum(pooled.var(axis=0), VARIANCE_FLOOR))
+    return [replace(c, features=(c.features - mean) / scale) for c in apply_to]
 
 
 # ---------------------------------------------------------------------------
-# Corpus files: UTF-8 text, one record per line,
-#   utt_id,frame_idx,src|tgt,label,v1,...,vDim
-# with label -1 when absent. The header pins the per-line feature dim.
+# Corpus files: UTF-8 text, a header line
+#   dsn-corpus v1 dim=<D> spliced=0
+# then one record per frame,
+#   utt_id,frame_idx,src|tgt,label,v1,...,vD
+# with label -1 when absent. The header pins the per-line feature dim; files
+# hold unspliced frames, so spliced is always 0. frame_idx is the frame's
+# 0-based position in its run of consecutive records sharing the utt_id, and
+# every record carries the file's one domain tag (a file without records
+# reads as source). The reader rejects any other header flag, tag or
+# frame_idx, so writing a loaded corpus reproduces all three.
 # ---------------------------------------------------------------------------
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
-    lines = [f"dsn-corpus v1 dim={corpus.dim} spliced={1 if corpus.spliced else 0}"]
-    for i in range(len(corpus)):
-        head = (
-            f"{corpus.utt_ids[i]},{corpus.frame_indices[i]},"
-            f"{_DOMAIN_TAGS[DomainLabel(int(corpus.domains[i]))]},{corpus.labels[i]}"
-        )
-        feats = ",".join(f"{v:.17g}" for v in corpus.features[i])
-        lines.append(f"{head},{feats}")
+    frame_idx = np.arange(len(corpus)) - _utterance_bounds(corpus.utt_ids)[0]
+    tag = _DOMAIN_TAGS[corpus.domain]
+    lines = [f"dsn-corpus v1 dim={corpus.dim} spliced=0"]
+    for utt, idx, label, row in zip(corpus.utt_ids, frame_idx, corpus.labels, corpus.features):
+        feats = ",".join(f"{v:.17g}" for v in row)
+        lines.append(f"{utt},{idx},{tag},{label},{feats}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _parse_header(line: str, path: str) -> tuple[int, bool]:
+def _parse_header(line: str, path: str) -> int:
     parts = line.split()
     if len(parts) != 4 or parts[0] != "dsn-corpus" or parts[1] != "v1":
         raise DataError(f"{path}: line 1: not a dsn-corpus v1 header")
     attrs = dict(p.split("=", 1) for p in parts[2:] if "=" in p)
     try:
-        return int(attrs["dim"]), bool(int(attrs["spliced"]))
+        dim, spliced = int(attrs["dim"]), int(attrs["spliced"])
     except (KeyError, ValueError):
-        raise DataError(f"{path}: line 1: header needs dim=<n> spliced=<0|1>") from None
+        dim = spliced = 0  # reported as a malformed header below
+    if dim < 1:
+        raise DataError(f"{path}: line 1: header needs dim=<n >= 1> spliced=0")
+    if spliced != 0:
+        raise DataError(f"{path}: line 1: spliced={spliced}; corpus files hold unspliced frames (spliced=0)")
+    return dim
 
 
 def _read_corpus(path: str | Path, parse_labels: bool) -> Corpus:
     lines = read_lines(path)
     if not lines:
         raise DataError(f"{path}: empty file")
-    dim, spliced = _parse_header(lines[0], str(path))
+    dim = _parse_header(lines[0], str(path))
     n = len(lines) - 1
     utt_ids: list[str] = []
-    frame_indices = np.empty(n, dtype=np.int64)
-    domains = np.empty(n, dtype=np.int64)
     labels = np.full(n, -1, dtype=np.int64)
     features = np.empty((n, dim))
+    tag, pos = None, 0
     for i, line in enumerate(lines[1:]):
         lineno = i + 2
         parts = line.split(",")
@@ -306,14 +265,18 @@ def _read_corpus(path: str | Path, parse_labels: bool) -> Corpus:
             raise DataError(
                 f"{path}: line {lineno}: expected {4 + dim} fields, found {len(parts)}"
             )
+        pos = pos + 1 if utt_ids and parts[0] == utt_ids[-1] else 0
+        if parts[1] != str(pos):
+            raise DataError(f"{path}: line {lineno}: frame index {parts[1]!r}; this record "
+                            f"is frame {pos} of utterance {parts[0]!r}")
         utt_ids.append(parts[0])
-        try:
-            frame_indices[i] = int(parts[1])
-        except ValueError:
-            raise DataError(f"{path}: line {lineno}: bad frame index {parts[1]!r}") from None
-        if parts[2] not in _TAG_DOMAINS:
-            raise DataError(f"{path}: line {lineno}: bad domain tag {parts[2]!r}")
-        domains[i] = _TAG_DOMAINS[parts[2]].value
+        if parts[2] != tag:
+            if tag is not None:
+                raise DataError(f"{path}: line {lineno}: domain tag {parts[2]!r} after {tag!r}; "
+                                "a file holds one domain")
+            if parts[2] not in _DOMAIN_TAGS:
+                raise DataError(f"{path}: line {lineno}: bad domain tag {parts[2]!r}")
+            tag = parts[2]
         if parse_labels:
             try:
                 labels[i] = int(parts[3])
@@ -326,7 +289,7 @@ def _read_corpus(path: str | Path, parse_labels: bool) -> Corpus:
     bad = ~np.isfinite(features).all(axis=1)
     if bad.any():
         raise DataError(f"{path}: line {int(bad.argmax()) + 2}: non-finite feature value")
-    return Corpus(dim, spliced, utt_ids, frame_indices, domains, labels, features)
+    return Corpus(_DOMAIN_TAGS.index(tag) if tag else 0, utt_ids, labels, features)
 
 
 def read_corpus(path: str | Path) -> Corpus:

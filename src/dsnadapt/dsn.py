@@ -27,7 +27,6 @@ gamma*recon; alpha only flips and scales gradients, never the scalar.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -49,16 +48,6 @@ from .nn import (
     read_lines,
     sgd_update,
 )
-
-
-class DomainLabel(Enum):
-    SOURCE = 1
-    TARGET = 2
-
-    @property
-    def column(self) -> int:
-        """Softmax column of this domain: source -> 0, target -> 1."""
-        return self.value - 1
 
 
 @dataclass
@@ -170,9 +159,9 @@ def split_pretrained(source_dnn: Mlp, n_h: int) -> tuple[Mlp, Mlp]:
 
 
 def _domain_targets(n_source: int, n_target: int) -> np.ndarray:
-    labels = np.empty(n_source + n_target, dtype=np.int64)
-    labels[:n_source] = DomainLabel.SOURCE.column
-    labels[n_source:] = DomainLabel.TARGET.column
+    """Domain-classifier columns of the stacked batch: source 0, target 1."""
+    labels = np.zeros(n_source + n_target, dtype=np.int64)
+    labels[n_source:] = 1
     return labels
 
 

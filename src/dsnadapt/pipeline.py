@@ -20,15 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import ExperimentConfig
-from .data import (
-    Corpus,
-    cmvn,
-    concat_corpora,
-    read_corpus,
-    read_corpus_unlabeled,
-    splice,
-    synth_corpus,
-)
+from .data import Corpora, Corpus, cmvn, read_corpus, read_corpus_unlabeled, splice, synth_corpus
 from .dsn import (
     DsnBatch,
     DsnModel,
@@ -70,18 +62,7 @@ def _stream(seed: int, stream_id: int) -> Rng:
     return Rng(seed).derive(stream_id)
 
 
-@dataclass
-class PreparedData:
-    """Spliced, globally normalized corpora ready for training."""
-
-    source_train: Corpus
-    target_adapt: Corpus
-    source_test: Corpus
-    target_test: Corpus | None
-    feature_dim: int
-
-
-def prepare_corpora(cfg: ExperimentConfig, need_target_labels: bool) -> PreparedData:
+def prepare_corpora(cfg: ExperimentConfig, need_target_labels: bool) -> Corpora:
     """Load or synthesize corpora, splice, and apply pooled normalization.
 
     Stats are computed over source_train plus target_adapt (the data an
@@ -90,27 +71,20 @@ def prepare_corpora(cfg: ExperimentConfig, need_target_labels: bool) -> Prepared
     """
     if cfg.data_dir is not None:
         root = Path(cfg.data_dir)
-        src_train = read_corpus(root / DATA_FILES["source_train"])
-        tgt_adapt = read_corpus_unlabeled(root / DATA_FILES["target_adapt"])
-        src_test = read_corpus(root / DATA_FILES["source_test"])
-        tgt_test = read_corpus(root / DATA_FILES["target_test"]) if need_target_labels else None
+        raw = Corpora(
+            source_train=read_corpus(root / DATA_FILES["source_train"]),
+            target_adapt=read_corpus_unlabeled(root / DATA_FILES["target_adapt"]),
+            source_test=read_corpus(root / DATA_FILES["source_test"]),
+            target_test=read_corpus(root / DATA_FILES["target_test"]) if need_target_labels else None,
+        )
     else:
-        bundle = synth_corpus(cfg.synth)
-        src_train = bundle.source_train
-        tgt_adapt = bundle.target_adapt
-        src_test = bundle.source_test
-        tgt_test = bundle.target_test if need_target_labels else None
-    corpora = [src_train, tgt_adapt, src_test] + ([tgt_test] if tgt_test is not None else [])
+        raw = synth_corpus(cfg.synth)
+    corpora = [raw.source_train, raw.target_adapt, raw.source_test]
+    if need_target_labels:
+        corpora.append(raw.target_test)
     corpora = [splice(c, cfg.splice.left, cfg.splice.right) for c in corpora]
-    normalized, _ = cmvn(concat_corpora(corpora[:2]), corpora)
-    tgt_test_norm = normalized[3] if tgt_test is not None else None
-    return PreparedData(
-        source_train=normalized[0],
-        target_adapt=normalized[1],
-        source_test=normalized[2],
-        target_test=tgt_test_norm,
-        feature_dim=normalized[0].dim,
-    )
+    corpora = cmvn(corpora[:2], corpora)
+    return Corpora(*corpora) if need_target_labels else Corpora(*corpora, target_test=None)
 
 
 class EpochSampler:

@@ -3,7 +3,7 @@ import pytest
 from dsnadapt import cli
 from dsnadapt.cli import main
 from dsnadapt.dsn import DsnModel, save_dsn_model
-from dsnadapt.nn import Rng, init_mlp
+from dsnadapt.nn import Rng, init_mlp, save_mlp
 
 
 @pytest.mark.parametrize("flag, value", [("--alpha", "nan"), ("--beta", "nan"), ("--gamma", "inf")])
@@ -74,6 +74,17 @@ def _bad_model_file(tmp_path, manifest_edit):
     return "evaluate", f"model_path = {path}", path.name
 
 
+def _narrow_model(tmp_path, mode, key):
+    path = tmp_path / "narrow.mlp"
+    save_mlp(init_mlp([(7, 3, "softmax")], Rng(1)), path)  # the default corpora have 8 * 5 = 40 columns
+    return mode, f"{key} = {path}", f"{path.name}: the model takes 7 input features, the spliced corpora have 40"
+
+
+def _spliced_data_dir(tmp_path):
+    (tmp_path / "source_train.csv").write_text("dsn-corpus v1 dim=1 spliced=1\nu,0,src,0,1.5\n")
+    return "pretrain", f"data_dir = {tmp_path}", "source_train.csv: line 1: spliced=1"
+
+
 def _bad_mlp_file(tmp_path, body, line):
     path = tmp_path / "source.mlp"
     path.write_text("dsn-mlp v1\n" + body)
@@ -85,6 +96,10 @@ def _bad_mlp_file(tmp_path, body, line):
     [
         lambda d: ("adapt_grl", f"pretrained_model = {d / 'missing.mlp'}", "missing.mlp"),
         lambda d: ("pretrain", f"data_dir = {d}", "source_train.csv"),
+        lambda d: ("evaluate", f"model_path = {d / 'missing.dsn'}", "missing.dsn"),
+        _spliced_data_dir,
+        lambda d: _narrow_model(d, "adapt_grl", "pretrained_model"),
+        lambda d: _narrow_model(d, "evaluate", "model_path"),
         lambda d: _bad_model_file(d, ("alpha=1", "alpha=abc")),
         lambda d: _bad_model_file(d, ("beta=0", "beta=-1")),
         lambda d: _bad_mlp_file(d, "layer 0 2 1 linear\n1.0 nan\n0.0\n", 3),
@@ -96,6 +111,10 @@ def _bad_mlp_file(tmp_path, body, line):
     ids=[
         "missing-pretrained-model",
         "missing-corpus",
+        "missing-model-path",
+        "spliced-data-dir",
+        "narrow-pretrained-model",
+        "narrow-model-path",
         "bad-manifest-value",
         "negative-beta-in-model",
         "nan-weight",
@@ -114,3 +133,4 @@ def test_loader_failure_is_a_data_error(tmp_path, capsys, case):
     assert code == 2
     assert err.startswith("data error:") and name in err
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()  # rejected before the output directory is made

@@ -8,14 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsnadapt.data import (
-    CmvnStats,
     Corpus,
     SynthConfig,
-    apply_cmvn,
     class_means,
     cmvn,
-    compute_cmvn,
-    concat_corpora,
     nearest_class_mean_error,
     read_corpus,
     read_corpus_unlabeled,
@@ -23,8 +19,7 @@ from dsnadapt.data import (
     synth_corpus,
     write_corpus,
 )
-from dsnadapt.dsn import DomainLabel
-from dsnadapt.errors import ConfigError, ContractError, DataError
+from dsnadapt.errors import ConfigError, DataError
 from dsnadapt.nn import Rng
 
 
@@ -67,8 +62,8 @@ def test_synth_shapes_and_labeling():
     assert bundle.target_test.is_labeled
     assert not bundle.target_adapt.is_labeled
     assert (bundle.target_adapt.labels == -1).all()
-    assert (bundle.source_train.domains == DomainLabel.SOURCE.value).all()
-    assert (bundle.target_adapt.domains == DomainLabel.TARGET.value).all()
+    assert bundle.source_train.domain == bundle.source_test.domain == 0
+    assert bundle.target_adapt.domain == bundle.target_test.domain == 1
 
 
 def test_null_shift_matches_source_law():
@@ -131,7 +126,6 @@ def test_splice_zero_context_keeps_features():
     bundle = synth_corpus(toy_cfg(utterances_per_domain=2, frames_per_utterance=5))
     spliced = splice(bundle.source_train, 0, 0)
     assert np.array_equal(spliced.features, bundle.source_train.features)
-    assert spliced.spliced
 
 
 def test_splice_paper_shape_dim():
@@ -144,51 +138,56 @@ def test_splice_paper_shape_dim():
 
 def test_splice_boundary_repeats_edge_frame():
     feats = np.array([[0.0], [1.0], [2.0]])
-    corpus = Corpus(
-        dim=1,
-        spliced=False,
-        utt_ids=["u"] * 3,
-        frame_indices=np.arange(3),
-        domains=np.full(3, 1, dtype=np.int64),
-        labels=np.zeros(3, dtype=np.int64),
-        features=feats,
-    )
+    corpus = Corpus(domain=0, utt_ids=["u"] * 3, labels=np.zeros(3, dtype=np.int64), features=feats)
     spliced = splice(corpus, 1, 1)
     assert spliced.features.tolist() == [[0, 0, 1], [0, 1, 2], [1, 2, 2]]
 
 
 def test_splice_never_crosses_utterances():
     feats = np.array([[1.0], [2.0], [10.0], [20.0]])
-    corpus = Corpus(
-        dim=1,
-        spliced=False,
-        utt_ids=["a", "a", "b", "b"],
-        frame_indices=np.array([0, 1, 0, 1]),
-        domains=np.full(4, 1, dtype=np.int64),
-        labels=np.zeros(4, dtype=np.int64),
-        features=feats,
-    )
-    spliced = splice(corpus, 1, 1)
-    assert spliced.features.tolist() == [[1, 1, 2], [1, 2, 2], [10, 10, 20], [10, 20, 20]]
-    assert len(spliced) == len(corpus)
-    assert spliced.utt_ids == corpus.utt_ids
+    cases = [
+        (["a", "a", "b", "b"], [[1, 1, 2], [1, 2, 2], [10, 10, 20], [10, 20, 20]]),
+        # an utterance is a run of equal ids: the second "a" run is its own utterance
+        (["a", "a", "b", "a"], [[1, 1, 2], [1, 2, 2], [10, 10, 10], [20, 20, 20]]),
+    ]
+    for utt_ids, expected in cases:
+        corpus = Corpus(domain=0, utt_ids=utt_ids, labels=np.zeros(4, dtype=np.int64), features=feats)
+        spliced = splice(corpus, 1, 1)
+        assert spliced.features.tolist() == expected
+        assert len(spliced) == len(corpus)
+        assert spliced.utt_ids == corpus.utt_ids
 
 
-def test_splice_rejects_double_splice():
-    bundle = synth_corpus(toy_cfg(utterances_per_domain=1, frames_per_utterance=5))
-    spliced = splice(bundle.source_train, 1, 1)
-    with pytest.raises(ContractError):
-        splice(spliced, 1, 1)
+def splice_oracle(corpus, left, right):
+    """Row-by-row reference: each frame followed by its context, clamped to
+    the frame's own run of equal utt_ids."""
+    ids, rows = corpus.utt_ids, []
+    for i in range(len(corpus)):
+        start = end = i
+        while start > 0 and ids[start - 1] == ids[i]:
+            start -= 1
+        while end + 1 < len(ids) and ids[end + 1] == ids[i]:
+            end += 1
+        rows.append([corpus.features[min(max(j, start), end)] for j in range(i - left, i + right + 1)])
+    return np.array(rows).reshape(len(corpus), corpus.dim * (left + 1 + right))
 
 
-@given(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3))
+@given(
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=3),
+    st.lists(st.sampled_from("abc"), max_size=12),
+)
 @settings(max_examples=20, deadline=None)
-def test_splice_preserves_counts(left, right):
+def test_splice_preserves_counts(left, right, utt_ids):
     bundle = synth_corpus(toy_cfg(utterances_per_domain=3, frames_per_utterance=7))
     spliced = splice(bundle.source_train, left, right)
     assert len(spliced) == len(bundle.source_train)
     assert spliced.dim == 8 * (left + 1 + right)
     assert np.array_equal(spliced.labels, bundle.source_train.labels)
+    assert np.array_equal(spliced.features, splice_oracle(bundle.source_train, left, right))
+    feats = Rng(len(utt_ids)).normals(2 * len(utt_ids)).reshape(-1, 2)
+    irregular = Corpus(domain=1, utt_ids=utt_ids, labels=np.full(len(utt_ids), -1), features=feats)
+    assert np.array_equal(splice(irregular, left, right).features, splice_oracle(irregular, left, right))
 
 
 # ---------------------------------------------------------------------------
@@ -199,48 +198,33 @@ def test_splice_preserves_counts(left, right):
 def test_cmvn_self_normalization():
     bundle = synth_corpus(toy_cfg())
     corpus = bundle.source_train
-    (normalized,), stats = cmvn(corpus, [corpus])
+    (normalized,) = cmvn([corpus], [corpus])
     assert np.abs(normalized.features.mean(axis=0)).max() < 1e-9
     assert np.abs(normalized.features.var(axis=0) - 1.0).max() < 1e-6
 
 
 def test_cmvn_heldout_stats_differ():
     bundle = synth_corpus(toy_cfg())
-    (normalized_tgt,), _ = cmvn(bundle.source_train, [bundle.target_adapt])
+    (normalized_tgt,) = cmvn([bundle.source_train], [bundle.target_adapt])
     assert np.abs(normalized_tgt.features.mean(axis=0)).max() > 0.01
 
 
 def test_cmvn_degenerate_dimension():
     feats = np.hstack([np.full((10, 1), 3.25), Rng(1).normals(10).reshape(10, 1)])
-    corpus = Corpus(
-        dim=2,
-        spliced=False,
-        utt_ids=["u"] * 10,
-        frame_indices=np.arange(10),
-        domains=np.full(10, 1, dtype=np.int64),
-        labels=np.zeros(10, dtype=np.int64),
-        features=feats,
-    )
-    (normalized,), stats = cmvn(corpus, [corpus])
+    corpus = Corpus(domain=0, utt_ids=["u"] * 10, labels=np.zeros(10, dtype=np.int64), features=feats)
+    (normalized,) = cmvn([corpus], [corpus])
     assert np.isfinite(normalized.features).all()
     assert np.abs(normalized.features[:, 0]).max() == 0.0
 
 
 def test_cmvn_application_is_pure_affine():
     bundle = synth_corpus(toy_cfg())
-    stats = compute_cmvn(bundle.source_train)
-    scale = np.sqrt(np.maximum(stats.var, 1e-8))
-    applied = apply_cmvn(bundle.target_adapt, stats)
-    manual = (bundle.target_adapt.features - stats.mean) / scale
-    assert np.array_equal(applied.features, manual)
-
-
-def test_concat_corpora_stacks_in_order():
-    bundle = synth_corpus(toy_cfg(utterances_per_domain=2, frames_per_utterance=3))
-    both = concat_corpora([bundle.source_train, bundle.target_adapt])
-    n = len(bundle.source_train)
-    assert len(both) == n + len(bundle.target_adapt)
-    assert np.array_equal(both.features[:n], bundle.source_train.features)
+    pooled = np.vstack([bundle.source_train.features, bundle.target_adapt.features])
+    scale = np.sqrt(np.maximum(pooled.var(axis=0), 1e-8))
+    applied = cmvn([bundle.source_train, bundle.target_adapt], [bundle.target_test, bundle.source_train])
+    for corpus, out in zip((bundle.target_test, bundle.source_train), applied):
+        assert np.array_equal(out.features, (corpus.features - pooled.mean(axis=0)) / scale)
+        assert out.utt_ids == corpus.utt_ids and out.domain == corpus.domain
 
 
 # ---------------------------------------------------------------------------
@@ -251,16 +235,16 @@ def test_concat_corpora_stacks_in_order():
 def test_corpus_roundtrip_bitwise(tmp_path):
     bundle = synth_corpus(toy_cfg(utterances_per_domain=3, frames_per_utterance=4))
     for corpus in (bundle.source_train, bundle.target_adapt):
-        path = tmp_path / "c.csv"
+        path, again = tmp_path / "c.csv", tmp_path / "again.csv"
         write_corpus(corpus, path)
         loaded = read_corpus(path)
         assert loaded.dim == corpus.dim
-        assert loaded.spliced == corpus.spliced
+        assert loaded.domain == corpus.domain
         assert loaded.utt_ids == corpus.utt_ids
-        assert np.array_equal(loaded.frame_indices, corpus.frame_indices)
-        assert np.array_equal(loaded.domains, corpus.domains)
         assert np.array_equal(loaded.labels, corpus.labels)
         assert np.array_equal(loaded.features, corpus.features)
+        write_corpus(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
 
 
 def test_unlabeled_reader_skips_label_field(tmp_path):
@@ -302,6 +286,27 @@ def test_non_finite_feature_names_the_line(tmp_path, value):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataError, match=f"{path.name}: line 3: non-finite"):
         read_corpus(path)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("dsn-corpus v1 dim=1 spliced=1\nu,0,src,0,1.5\n", "line 1: spliced=1"),
+        ("dsn-corpus v1 dim=-1 spliced=0\nu,0,src,0\n", "line 1: header needs dim"),
+        ("dsn-corpus v1 dim=1 spliced=0\nu,0,src,0,1.5\nv,0,tgt,0,2.5\n", "line 3: domain tag 'tgt' after 'src'"),
+        ("dsn-corpus v1 dim=1 spliced=0\nu,0,src,0,1.5\nu,2,src,0,2.5\n", "line 3: frame index '2'"),
+        ("dsn-corpus v1 dim=1 spliced=0\nu,0,src,0,1.5\nv,1,src,0,2.5\n", "line 3: frame index '1'"),
+        ("dsn-corpus v1 dim=1 spliced=0\nu,1,src,0,1.5\n", "line 2: frame index '1'"),
+    ],
+    ids=["spliced-header", "negative-dim", "second-domain-tag", "frame-idx-skips", "frame-idx-across-utterances",
+         "frame-idx-not-from-zero"],
+)
+def test_reader_rejection_names_the_line(tmp_path, body, message):
+    path = tmp_path / "c.csv"
+    path.write_text(body)
+    for reader in (read_corpus, read_corpus_unlabeled):
+        with pytest.raises(DataError, match=f"{path.name}: {message}"):
+            reader(path)
 
 
 def test_bad_header_rejected(tmp_path):

@@ -8,7 +8,6 @@ import pytest
 
 from dsnadapt import dsn
 from dsnadapt.dsn import (
-    DomainLabel,
     DsnBatch,
     DsnModel,
     adapted_model,
@@ -544,8 +543,15 @@ def test_trace_fields_are_finite_and_nonnegative():
 
 
 def test_domain_label_convention():
-    assert DomainLabel.SOURCE.column == 0
-    assert DomainLabel.TARGET.column == 1
+    # source rows are domain-classifier column 0 and target rows column 1,
+    # the numbers data.Corpus.domain carries (source 0, target 1)
+    model = tiny_model(seed=15)
+    model.domain = zero_head(K, 2)
+    batch = tiny_batch(seed=16, n_s=4, n_t=5)
+    model.domain.layers[0].bias[:] = (1.0, 0.0)  # every row called column 0
+    assert step_trace(model, batch).domain_accuracy == 4 / 9
+    model.domain.layers[0].bias[:] = (0.0, 1.0)  # every row called column 1
+    assert step_trace(model, batch).domain_accuracy == 5 / 9
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,8 @@ def test_prepare_normalizes_over_train_plus_adapt(prepared):
     pooled = np.vstack([prepared.source_train.features, prepared.target_adapt.features])
     assert np.abs(pooled.mean(axis=0)).max() < 1e-9
     assert np.abs(pooled.var(axis=0) - 1.0).max() < 1e-6
-    assert prepared.feature_dim == 5 * 3
+    for corpus in (prepared.source_train, prepared.target_adapt, prepared.source_test, prepared.target_test):
+        assert corpus.dim == 5 * 3
 
 
 def test_prepare_skips_target_test_when_not_needed():
