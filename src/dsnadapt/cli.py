@@ -65,7 +65,7 @@ def _run_mode(mode: str, cfg: ExperimentConfig, out_dir: Path) -> None:
     output directory, so a rejected input leaves nothing behind."""
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
-    if mode == "sweep" and max(cfg.sweep_n_h) > len(cfg.net.source_hidden):  # before any compute
+    if mode == "sweep" and cfg.pretrained_model is None and max(cfg.sweep_n_h) > len(cfg.net.source_hidden):
         raise ConfigError(f"sweep.n_h {cfg.sweep_n_h} exceeds the hidden layers {cfg.net.source_hidden}")
     if mode == "evaluate":
         nets, model_file = _load_eval_nets(cfg), cfg.model_path
@@ -74,9 +74,19 @@ def _run_mode(mode: str, cfg: ExperimentConfig, out_dir: Path) -> None:
     else:
         nets = model_file = None
     prepared = prepare_corpora(cfg, need_target_labels=mode in ("evaluate", "sweep"))
-    if nets is not None and nets[0].in_dim != prepared.source_train.dim:
-        raise DataError(f"{model_file}: the model takes {nets[0].in_dim} input features, "
-                        f"the spliced corpora have {prepared.source_train.dim}")
+    if nets is not None:
+        if nets[0].in_dim != prepared.source_train.dim:
+            raise DataError(f"{model_file}: the model takes {nets[0].in_dim} input features, "
+                            f"the spliced corpora have {prepared.source_train.dim}")
+        key, n_h = ("sweep.n_h", max(cfg.sweep_n_h)) if mode == "sweep" else ("n_h", cfg.n_h)
+        hidden = len(nets[0].layers) - 1
+        if mode != "evaluate" and n_h > hidden:
+            raise ConfigError(f"{key} {n_h} exceeds the {hidden} hidden layers of {model_file}")
+        labeled = (prepared.source_train, prepared.source_test, prepared.target_test)
+        top = max(int(c.labels.max()) for c in labeled if c is not None)
+        if top >= nets[-1].out_dim:
+            raise DataError(f"{model_file}: the model has {nets[-1].out_dim} classes, "
+                            f"the corpora have label {top}")
     out_dir.mkdir(parents=True, exist_ok=True)
     if mode == "pretrain":
         net, report = pretrain_source(cfg, prepared.source_train, prepared.source_test)

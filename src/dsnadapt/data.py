@@ -198,8 +198,6 @@ def cmvn(stats_from: Sequence[Corpus], apply_to: Sequence[Corpus]) -> list[Corpu
     (population) variance over the pooled frames of stats_from, and the same
     affine map x -> (x - mean) / sqrt(max(var, floor)) applied to every
     corpus in apply_to."""
-    if len({c.dim for c in (*stats_from, *apply_to)}) > 1:
-        raise DataError("corpora disagree on feature dim")
     if sum(len(c) for c in stats_from) == 0:
         raise ContractError("stats corpora are empty")
     pooled = np.vstack([c.features for c in stats_from])
@@ -300,17 +298,3 @@ def read_corpus_unlabeled(path: str | Path) -> Corpus:
     """Unlabeled view: the label field is skipped, never parsed. Adaptation
     always loads target corpora through this reader."""
     return _read_corpus(path, parse_labels=False)
-
-
-def nearest_class_mean_error(train: Corpus, test: Corpus) -> float:
-    """Error rate of a nearest-class-mean classifier fit on train labels.
-
-    Independent sanity oracle; ties go to the lowest class index.
-    """
-    if not train.is_labeled or not test.is_labeled:
-        raise ContractError("nearest_class_mean_error needs labeled corpora")
-    classes = np.unique(train.labels)
-    means = np.vstack([train.features[train.labels == c].mean(axis=0) for c in classes])
-    d2 = ((test.features[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
-    pred = classes[np.argmin(d2, axis=1)]
-    return float((pred != test.labels).mean())

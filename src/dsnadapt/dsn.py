@@ -67,7 +67,6 @@ class DsnModel:
     alpha: float
     beta: float
     gamma: float
-    n_h: int
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma"):
@@ -95,6 +94,11 @@ class DsnModel:
                 raise ConfigError("reconstructor must emit the input feature dim")
             if self.recon.layers[-1].activation is not Activation.LINEAR:
                 raise ConfigError("reconstructor output must be linear")
+
+    @property
+    def n_h(self) -> int:
+        """Hidden layers of the pretrained net that the shared extractor took."""
+        return len(self.shared.layers)
 
     @property
     def shared_dim(self) -> int:
@@ -136,6 +140,9 @@ class DsnBatch:
 
 @dataclass
 class StepTrace:
+    """One step's loss terms and domain-classifier accuracy. Training keeps
+    one per epoch, the field-wise mean over that epoch's steps."""
+
     loss_senone: float
     loss_domain: float
     loss_diff: float
@@ -297,8 +304,8 @@ def load_dsn_model(path: str | Path) -> DsnModel:
         manifest[key] = value
     try:
         coefficients = {key: float(manifest[key]) for key in ("alpha", "beta", "gamma")}
-        n_h = int(manifest["n_h"])
-        dims = {key: int(manifest[key]) for key in ("k", "q", "feature_dim") if key in manifest}
+        dims = {"n_h": int(manifest["n_h"])}
+        dims.update({key: int(manifest[key]) for key in ("k", "q", "feature_dim") if key in manifest})
     except KeyError as exc:
         raise cursor.error(f"manifest is missing {exc}") from None
     except ValueError as exc:
@@ -313,10 +320,11 @@ def load_dsn_model(path: str | Path) -> DsnModel:
     for name in present:
         nets[name] = mlp_from_cursor(cursor)
     try:
-        model = DsnModel(**nets, **coefficients, n_h=n_h)
+        model = DsnModel(**nets, **coefficients)
     except ConfigError as exc:
         raise cursor.error(str(exc)) from None
     for key, expected in (
+        ("n_h", model.n_h),
         ("k", model.shared_dim),
         ("q", model.num_classes),
         ("feature_dim", model.feature_dim),

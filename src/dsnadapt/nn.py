@@ -8,10 +8,10 @@ models and training runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -183,28 +183,10 @@ class Gradients:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
-    @classmethod
-    def zeros_like(cls, net: Mlp) -> "Gradients":
-        return cls(
-            [np.zeros_like(layer.weights) for layer in net.layers],
-            [np.zeros_like(layer.bias) for layer in net.layers],
-        )
-
-    def add_scaled(self, other: "Gradients", scale: float = 1.0) -> "Gradients":
-        for w, ow in zip(self.weights, other.weights):
-            w += scale * ow
-        for b, ob in zip(self.biases, other.biases):
-            b += scale * ob
-        return self
-
     def all_finite(self) -> bool:
         return all(np.isfinite(w).all() for w in self.weights) and all(
             np.isfinite(b).all() for b in self.biases
         )
-
-    def flatten(self) -> np.ndarray:
-        parts = [w.ravel() for w in self.weights] + [b.ravel() for b in self.biases]
-        return np.concatenate(parts)
 
 
 LayerSpec = tuple[int, int, "Activation | str"]
@@ -257,93 +239,60 @@ def _activate(act: Activation, z: np.ndarray) -> np.ndarray:
     return z
 
 
-@dataclass
-class _LayerStep:
-    x_in: Matrix
-    z: Matrix
-    out: Matrix
-
-
-@dataclass
-class ForwardCache:
-    """Per-layer pre/post activations from one forward pass."""
-
-    steps: list[_LayerStep]
-
-
-def forward(net: Mlp, batch: Matrix) -> tuple[Matrix, ForwardCache]:
+def forward(net: Mlp, batch: Matrix) -> tuple[Matrix, list[Matrix]]:
+    """The net's output and its activation list [input, output of layer 1,
+    ..., output]; the list is the cache that backward() reads."""
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2:
         raise ShapeError("batch must be 2-D (rows, features)")
     if batch.shape[1] != net.in_dim:
         raise ShapeError(f"batch has {batch.shape[1]} columns, net expects {net.in_dim}")
-    steps = []
-    a = batch
+    acts = [batch]
     for layer in net.layers:
-        z = a @ layer.weights.T + layer.bias
-        out = _activate(layer.activation, z)
-        steps.append(_LayerStep(a, z, out))
-        a = out
-    return a, ForwardCache(steps)
+        acts.append(_activate(layer.activation, acts[-1] @ layer.weights.T + layer.bias))
+    return acts[-1], acts
 
 
-def _check_cache(net: Mlp, cache: ForwardCache, upstream: Matrix) -> None:
-    if len(cache.steps) != len(net.layers):
-        raise ContractError("cache does not match this net (layer count differs)")
-    for step, layer in zip(cache.steps, net.layers):
-        if step.x_in.shape[1] != layer.in_dim or step.out.shape[1] != layer.out_dim:
-            raise ContractError("cache does not match this net (layer shapes differ)")
-    if upstream.shape != cache.steps[-1].out.shape:
-        raise ContractError(
-            f"upstream shape {upstream.shape} != output shape {cache.steps[-1].out.shape}"
-        )
+def _check_cache(net: Mlp, acts: list[Matrix], upstream: Matrix) -> None:
+    if [a.shape[1] for a in acts] != [net.in_dim] + [layer.out_dim for layer in net.layers]:
+        raise ContractError("cache does not match this net (layer widths differ)")
+    if upstream.shape != acts[-1].shape:
+        raise ContractError(f"upstream shape {upstream.shape} != output shape {acts[-1].shape}")
 
 
 def backward(
-    net: Mlp, cache: ForwardCache, upstream: Matrix, at_logits: bool = False
+    net: Mlp, acts: list[Matrix], upstream: Matrix, at_logits: bool = False
 ) -> tuple[Gradients, Matrix]:
-    """Exact gradients of sum(upstream * output) w.r.t. parameters and input.
+    """Exact gradients of sum(upstream * output) w.r.t. parameters and input,
+    from the activation list forward() returned for this net.
 
-    With at_logits=True the upstream is taken w.r.t. the final layer's
-    pre-activation instead of its output, which is how the fused softmax +
-    cross-entropy gradient enters.
+    Every activation derivative is taken from the layer's cached output
+    (ReLU's from out > 0, which is z > 0). With at_logits=True the upstream
+    is taken w.r.t. the final layer's pre-activation instead of its output,
+    which is how the fused softmax + cross-entropy gradient enters.
     """
-    _check_cache(net, cache, upstream)
-    n_layers = len(net.layers)
-    wgrads: list[np.ndarray] = [np.empty(0)] * n_layers
-    bgrads: list[np.ndarray] = [np.empty(0)] * n_layers
+    _check_cache(net, acts, upstream)
+    last = len(net.layers) - 1
+    wgrads: list[np.ndarray] = [np.empty(0)] * (last + 1)
+    bgrads: list[np.ndarray] = [np.empty(0)] * (last + 1)
     g = upstream
-    for k in range(n_layers - 1, -1, -1):
-        layer = net.layers[k]
-        step = cache.steps[k]
-        if k == n_layers - 1 and at_logits:
+    for k in range(last, -1, -1):
+        act, out = net.layers[k].activation, acts[k + 1]
+        if act is Activation.LINEAR or (k == last and at_logits):
             dz = g
-        else:
-            act = layer.activation
-            if act is Activation.SIGMOID:
-                dz = g * step.out * (1.0 - step.out)
-            elif act is Activation.RELU:
-                dz = g * (step.z > 0.0)
-            elif act is Activation.SOFTMAX:
-                dz = step.out * (g - (g * step.out).sum(axis=1, keepdims=True))
-            else:
-                dz = g
-        wgrads[k] = dz.T @ step.x_in
+        elif act is Activation.SIGMOID:
+            dz = g * out * (1.0 - out)
+        elif act is Activation.RELU:
+            dz = g * (out > 0.0)
+        else:  # softmax
+            dz = out * (g - (g * out).sum(axis=1, keepdims=True))
+        wgrads[k] = dz.T @ acts[k]
         bgrads[k] = dz.sum(axis=0)
-        g = dz @ layer.weights
+        g = dz @ net.layers[k].weights
     return Gradients(wgrads, bgrads), g
 
 
-@dataclass
-class ClampCounter:
-    """Counts posterior clamping events in cross_entropy_loss."""
-
-    events: int = 0
-
-
-def cross_entropy_loss(
-    posteriors: Matrix, labels: np.ndarray, clamp_counter: ClampCounter | None = None
-) -> tuple[float, Matrix]:
+def cross_entropy_loss(posteriors: Matrix, labels: np.ndarray) -> tuple[float, Matrix]:
     """Mean negative log-posterior of the reference labels.
 
     The returned gradient is w.r.t. the pre-softmax logits (fused softmax +
@@ -358,9 +307,6 @@ def cross_entropy_loss(
     if n == 0:
         raise ContractError("cross_entropy_loss on an empty batch")
     p = posteriors[np.arange(n), labels]
-    clamped = p < LOG_CLAMP
-    if clamp_counter is not None:
-        clamp_counter.events += int(clamped.sum())
     loss = float(-np.log(np.maximum(p, LOG_CLAMP)).mean())
     grad = posteriors.copy()
     grad[np.arange(n), labels] -= 1.0
@@ -398,52 +344,6 @@ def sgd_update(net: Mlp, grads: Gradients, mu: float) -> Mlp:
         layer.weights -= mu * gw
         layer.bias -= mu * gb
     return net
-
-
-@dataclass
-class FiniteDiffReport:
-    """Central-difference gradient estimates and their per-entry relative
-    errors against the supplied analytic gradients."""
-
-    fd: Gradients
-    relative: Gradients
-    max_rel_error: float
-    mean_rel_error: float
-
-
-def finite_diff_check(
-    loss_fn: Callable[[Mlp], float], net: Mlp, analytic: Gradients, h: float = 1e-4
-) -> FiniteDiffReport:
-    """Compare analytic gradients against (L(t+h) - L(t-h)) / 2h per entry.
-
-    Relative error per entry is |a - f| / max(|a|, |f|, 1e-8). Report-only:
-    nothing here raises on a mismatch. loss_fn must be deterministic; the net
-    is perturbed in place and restored exactly.
-    """
-    if h <= 0:
-        raise ConfigError("step h must be > 0")
-    fd = Gradients.zeros_like(net)
-    for k, layer in enumerate(net.layers):
-        for arr, out in ((layer.weights, fd.weights[k]), (layer.bias, fd.biases[k])):
-            flat = arr.ravel()
-            out_flat = out.ravel()
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + h
-                lp = loss_fn(net)
-                flat[i] = orig - h
-                lm = loss_fn(net)
-                flat[i] = orig
-                out_flat[i] = (lp - lm) / (2.0 * h)
-    rel = Gradients.zeros_like(net)
-    for holder, a_list, f_list in (
-        (rel.weights, analytic.weights, fd.weights),
-        (rel.biases, analytic.biases, fd.biases),
-    ):
-        for j, (a, f) in enumerate(zip(a_list, f_list)):
-            holder[j][...] = np.abs(a - f) / np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-8)
-    flat_rel = rel.flatten()
-    return FiniteDiffReport(fd, rel, float(flat_rel.max()), float(flat_rel.mean()))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -70,13 +70,7 @@ def prepare_corpora(cfg: ExperimentConfig, need_target_labels: bool) -> Corpora:
     The labeled target test corpus is only touched when the caller asks.
     """
     if cfg.data_dir is not None:
-        root = Path(cfg.data_dir)
-        raw = Corpora(
-            source_train=read_corpus(root / DATA_FILES["source_train"]),
-            target_adapt=read_corpus_unlabeled(root / DATA_FILES["target_adapt"]),
-            source_test=read_corpus(root / DATA_FILES["source_test"]),
-            target_test=read_corpus(root / DATA_FILES["target_test"]) if need_target_labels else None,
-        )
+        raw = _read_data_dir(Path(cfg.data_dir), need_target_labels)
     else:
         raw = synth_corpus(cfg.synth)
     corpora = [raw.source_train, raw.target_adapt, raw.source_test]
@@ -85,6 +79,27 @@ def prepare_corpora(cfg: ExperimentConfig, need_target_labels: bool) -> Corpora:
     corpora = [splice(c, cfg.splice.left, cfg.splice.right) for c in corpora]
     corpora = cmvn(corpora[:2], corpora)
     return Corpora(*corpora) if need_target_labels else Corpora(*corpora, target_test=None)
+
+
+def _read_data_dir(root: Path, need_target_labels: bool) -> Corpora:
+    """The corpus files of a data_dir. Each must hold records of source_train's
+    dim, and every record of a labeled role (all but target_adapt) a label."""
+    corpora: dict[str, Corpus | None] = {"target_test": None}
+    for name, filename in DATA_FILES.items():
+        if name == "target_test" and not need_target_labels:
+            continue
+        path = root / filename
+        corpus = read_corpus_unlabeled(path) if name == "target_adapt" else read_corpus(path)
+        if len(corpus) == 0:
+            raise DataError(f"{path}: no records")
+        if name != "target_adapt" and not corpus.is_labeled:
+            row = int(np.argmax(corpus.labels < 0))
+            raise DataError(f"{path}: line {row + 2}: label {corpus.labels[row]}; every {name} record needs one")
+        first = corpora.get("source_train")
+        if first is not None and corpus.dim != first.dim:
+            raise DataError(f"{path}: dim={corpus.dim}, but {root / DATA_FILES['source_train']} has dim={first.dim}")
+        corpora[name] = corpus
+    return Corpora(**corpora)
 
 
 class EpochSampler:
@@ -172,23 +187,12 @@ def build_dsn(cfg: ExperimentConfig, source_dnn: Mlp, with_private: bool) -> Dsn
         alpha=cfg.alpha,
         beta=beta,
         gamma=gamma,
-        n_h=cfg.n_h,
     )
 
 
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class EpochTrace:
-    epoch: int
-    loss_senone: float
-    loss_domain: float
-    loss_diff: float
-    loss_recon: float
-    loss_total: float
 
 
 @dataclass
@@ -202,7 +206,7 @@ class EvalResult:
 @dataclass
 class RunReport:
     mode: str
-    trace: list[EpochTrace]
+    trace: list[StepTrace]  # epoch e's mean step record is trace[e - 1]
     evals: dict[str, EvalResult]
 
 
@@ -229,47 +233,57 @@ def evaluate(nets: Sequence[Mlp], corpus: Corpus) -> EvalResult:
 # ---------------------------------------------------------------------------
 
 
-def _steps_per_epoch(n: int, batch: int) -> int:
-    steps = n // batch
+def _train(cfg: ExperimentConfig, stream_id: int, sizes: Sequence[int],
+           step: Callable[..., StepTrace]) -> list[StepTrace]:
+    """The epoch loop of every training phase. Each of cfg.epochs records is
+    the field-wise mean of max(sizes) // batch step records, each step given
+    one index batch per corpus from EpochSamplers drawn in order from schedule
+    stream stream_id. A divergence is re-raised naming its epoch."""
+    if cfg.epochs < 1:
+        return []
+    steps = max(sizes) // cfg.batch
     if steps < 1:
-        raise ConfigError(f"batch size {batch} exceeds corpus size {n}")
-    return steps
+        raise ConfigError(f"batch size {cfg.batch} exceeds corpus size {max(sizes)}")
+    schedule = _stream(cfg.seed, stream_id)
+    samplers = [EpochSampler(n, schedule) for n in sizes]
+    trace = []
+    for epoch in range(1, cfg.epochs + 1):
+        sums = np.zeros(6)
+        try:
+            for _ in range(steps):
+                t = step(*(sampler.take(cfg.batch) for sampler in samplers))
+                sums += (t.loss_senone, t.loss_domain, t.loss_diff, t.loss_recon, t.loss_total,
+                         t.domain_accuracy)
+        except TrainingDivergedError as exc:
+            raise TrainingDivergedError(f"epoch {epoch}: {exc}") from None
+        trace.append(StepTrace(*(sums / steps)))
+    return trace
 
 
 def pretrain_source(
     cfg: ExperimentConfig, source_train: Corpus, source_test: Corpus | None = None
 ) -> tuple[Mlp, RunReport]:
-    """Minibatch cross-entropy training of the source classifier."""
+    """Minibatch cross-entropy training of the source classifier. A record's
+    senone and total loss are the cross-entropy; its domain accuracy is nan."""
     if not source_train.is_labeled:
         raise ContractError("pretraining needs a labeled source corpus")
-    net = _init_source_net(cfg, source_train.dim)
-    schedule = _stream(cfg.seed, STREAM_BATCH_PRETRAIN)
-    trace: list[EpochTrace] = []
+    net = init_mlp(source_net_spec(cfg, source_train.dim), _stream(cfg.seed, STREAM_SOURCE_INIT))
     x_all, y_all = source_train.features, source_train.labels
-    if cfg.epochs > 0:
-        steps = _steps_per_epoch(len(source_train), cfg.batch)
-        sampler = EpochSampler(len(source_train), schedule)
-        for epoch in range(1, cfg.epochs + 1):
-            total = 0.0
-            for _ in range(steps):
-                idx = sampler.take(cfg.batch)
-                post, cache = forward(net, x_all[idx])
-                loss, g_logits = cross_entropy_loss(post, y_all[idx])
-                if not np.isfinite(loss):
-                    raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
-                grads, _ = backward(net, cache, g_logits, at_logits=True)
-                sgd_update(net, grads, cfg.mu)
-                total += loss
-            mean = total / steps
-            trace.append(EpochTrace(epoch, mean, 0.0, 0.0, 0.0, mean))
+
+    def step(idx: np.ndarray) -> StepTrace:
+        post, acts = forward(net, x_all[idx])
+        loss, g_logits = cross_entropy_loss(post, y_all[idx])
+        if not np.isfinite(loss):
+            raise TrainingDivergedError(f"non-finite loss_senone={loss}")
+        grads, _ = backward(net, acts, g_logits, at_logits=True)
+        sgd_update(net, grads, cfg.mu)
+        return StepTrace(loss, 0.0, 0.0, 0.0, loss, np.nan)
+
+    trace = _train(cfg, STREAM_BATCH_PRETRAIN, (len(source_train),), step)
     evals = {}
     if source_test is not None:
         evals["source_test"] = evaluate((net,), source_test)
     return net, RunReport("pretrain", trace, evals)
-
-
-def _init_source_net(cfg: ExperimentConfig, feature_dim: int) -> Mlp:
-    return init_mlp(source_net_spec(cfg, feature_dim), _stream(cfg.seed, STREAM_SOURCE_INIT))
 
 
 def _adapt(
@@ -285,30 +299,10 @@ def _adapt(
     if source_train.dim != target_adapt.dim:
         raise DataError("source and target corpora disagree on feature dim")
     model = build_dsn(cfg, source_dnn, with_private)
-    schedule = _stream(cfg.seed, STREAM_BATCH_ADAPT)
-    trace: list[EpochTrace] = []
     xs, ys = source_train.features, source_train.labels
     xt = target_adapt.features
-    if cfg.epochs > 0:
-        steps = _steps_per_epoch(max(len(source_train), len(target_adapt)), cfg.batch)
-        src_sampler = EpochSampler(len(source_train), schedule)
-        tgt_sampler = EpochSampler(len(target_adapt), schedule)
-        for epoch in range(1, cfg.epochs + 1):
-            sums = np.zeros(5)
-            for _ in range(steps):
-                si = src_sampler.take(cfg.batch)
-                ti = tgt_sampler.take(cfg.batch)
-                batch = DsnBatch(xs[si], ys[si], xt[ti])
-                _, step_trace = dsn_step(model, batch, cfg.mu)
-                sums += (
-                    step_trace.loss_senone,
-                    step_trace.loss_domain,
-                    step_trace.loss_diff,
-                    step_trace.loss_recon,
-                    step_trace.loss_total,
-                )
-            means = sums / steps
-            trace.append(EpochTrace(epoch, *means))
+    trace = _train(cfg, STREAM_BATCH_ADAPT, (len(source_train), len(target_adapt)),
+                   lambda si, ti: dsn_step(model, DsnBatch(xs[si], ys[si], xt[ti]), cfg.mu)[1])
     evals = {}
     if source_test is not None:
         evals["source_test"] = evaluate(adapted_model(model), source_test)
@@ -382,11 +376,11 @@ def sweep(
 # ---------------------------------------------------------------------------
 
 
-def write_trace_csv(trace: Sequence[EpochTrace], path: str | Path) -> None:
+def write_trace_csv(trace: Sequence[StepTrace], path: str | Path) -> None:
     lines = ["epoch,loss_senone,loss_domain,loss_diff,loss_recon,loss_total"]
-    for row in trace:
+    for epoch, row in enumerate(trace, 1):
         lines.append(
-            f"{row.epoch},{row.loss_senone:.17g},{row.loss_domain:.17g},"
+            f"{epoch},{row.loss_senone:.17g},{row.loss_domain:.17g},"
             f"{row.loss_diff:.17g},{row.loss_recon:.17g},{row.loss_total:.17g}"
         )
     Path(path).write_text("\n".join(lines) + "\n")

@@ -1,0 +1,91 @@
+"""Test-only oracles and gradient arithmetic: a finite-difference checker, a
+nearest-class-mean classifier and Gradients helpers. Imported by the test
+modules, never by dsnadapt."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from dsnadapt.data import Corpus
+from dsnadapt.nn import Gradients, Mlp
+
+
+def zeros_like(net: Mlp) -> Gradients:
+    return Gradients(
+        [np.zeros_like(layer.weights) for layer in net.layers],
+        [np.zeros_like(layer.bias) for layer in net.layers],
+    )
+
+
+def add_scaled(grads: Gradients, other: Gradients, scale: float = 1.0) -> Gradients:
+    """grads += scale * other, in place; returns grads."""
+    for w, ow in zip(grads.weights, other.weights):
+        w += scale * ow
+    for b, ob in zip(grads.biases, other.biases):
+        b += scale * ob
+    return grads
+
+
+def flatten(grads: Gradients) -> np.ndarray:
+    return np.concatenate([w.ravel() for w in grads.weights] + [b.ravel() for b in grads.biases])
+
+
+@dataclass
+class FiniteDiffReport:
+    """Central-difference gradient estimates and their per-entry relative
+    errors against the supplied analytic gradients."""
+
+    fd: Gradients
+    relative: Gradients
+    max_rel_error: float
+    mean_rel_error: float
+
+
+def finite_diff_check(
+    loss_fn: Callable[[Mlp], float], net: Mlp, analytic: Gradients, h: float = 1e-4
+) -> FiniteDiffReport:
+    """Compare analytic gradients against (L(t+h) - L(t-h)) / 2h per entry.
+
+    Relative error per entry is |a - f| / max(|a|, |f|, 1e-8). Report-only:
+    nothing here raises on a mismatch. loss_fn must be deterministic; the net
+    is perturbed in place and restored exactly.
+    """
+    assert h > 0, "step h must be > 0"
+    fd = zeros_like(net)
+    for k, layer in enumerate(net.layers):
+        for arr, out in ((layer.weights, fd.weights[k]), (layer.bias, fd.biases[k])):
+            flat = arr.ravel()
+            out_flat = out.ravel()
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + h
+                lp = loss_fn(net)
+                flat[i] = orig - h
+                lm = loss_fn(net)
+                flat[i] = orig
+                out_flat[i] = (lp - lm) / (2.0 * h)
+    rel = zeros_like(net)
+    for holder, a_list, f_list in (
+        (rel.weights, analytic.weights, fd.weights),
+        (rel.biases, analytic.biases, fd.biases),
+    ):
+        for j, (a, f) in enumerate(zip(a_list, f_list)):
+            holder[j][...] = np.abs(a - f) / np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-8)
+    flat_rel = flatten(rel)
+    return FiniteDiffReport(fd, rel, float(flat_rel.max()), float(flat_rel.mean()))
+
+
+def nearest_class_mean_error(train: Corpus, test: Corpus) -> float:
+    """Error rate of a nearest-class-mean classifier fit on train labels.
+
+    Independent sanity oracle; ties go to the lowest class index.
+    """
+    assert train.is_labeled and test.is_labeled, "nearest_class_mean_error needs labeled corpora"
+    classes = np.unique(train.labels)
+    means = np.vstack([train.features[train.labels == c].mean(axis=0) for c in classes])
+    d2 = ((test.features[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+    pred = classes[np.argmin(d2, axis=1)]
+    return float((pred != test.labels).mean())

@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
 
 from dsnadapt import cli
 from dsnadapt.cli import main
 from dsnadapt.dsn import DsnModel, save_dsn_model
 from dsnadapt.nn import Rng, init_mlp, save_mlp
+from dsnadapt.pipeline import SweepResult
 
 
 @pytest.mark.parametrize("flag, value", [("--alpha", "nan"), ("--beta", "nan"), ("--gamma", "inf")])
@@ -60,11 +62,62 @@ def test_bad_sweep_grid_fails_before_any_compute(tmp_path, capsys, line):
     assert not (tmp_path / "out").exists()
 
 
+def _shallow_model(tmp_path):
+    path = tmp_path / "shallow.mlp"
+    save_mlp(init_mlp([(40, 8, "sigmoid"), (8, 10, "softmax")], Rng(1)), path)  # one hidden layer
+    return path
+
+
+@pytest.mark.parametrize("mode, line", [("adapt_grl", ""), ("sweep", "sweep.n_h = 1, 2\n")])
+def test_n_h_deeper_than_the_model_is_a_config_error(tmp_path, capsys, mode, line):
+    config = tmp_path / "run.cfg"
+    config.write_text(line + f"pretrained_model = {_shallow_model(tmp_path)}\n")
+    code = main([mode, "--config", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error:") and "exceeds the 1 hidden layers of" in err and "shallow.mlp" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_depth_is_checked_against_the_pretrained_model(tmp_path, monkeypatch):
+    # a 4-hidden-layer model takes sweep.n_h = 4 although net.source_hidden has 3 widths
+    path = tmp_path / "deep.mlp"
+    save_mlp(init_mlp([(40, 4, "sigmoid")] + [(4, 4, "sigmoid")] * 3 + [(4, 10, "softmax")], Rng(1)), path)
+    config = tmp_path / "run.cfg"
+    config.write_text(f"sweep.n_h = 1, 4\npretrained_model = {path}\n")
+    seen = []
+    monkeypatch.setattr(cli, "sweep", lambda cfg, *corpora: seen.append(cfg.sweep_n_h) or SweepResult(
+        cfg.sweep_n_h, cfg.sweep_alpha, np.zeros((2, len(cfg.sweep_alpha)))))
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert seen == [(1, 4)]
+
+
+_TINY = "synth.utterances_per_domain = 4\nsynth.frames_per_utterance = 20\nsynth.base_dim = 3\nepochs = 2\nbatch = 16\n"
+
+
+# At mu = 1e150 pretraining's sigmoid layers saturate (zero derivative) and its
+# loss is clamped, so it never overflows; at 1e308 the output layer's logits do.
+# Adaptation overflows its reconstruction path at 1e150.
+@pytest.mark.parametrize("mode, mu", [("pretrain", "1e308"), ("adapt_dsn", "1e150")])
+def test_divergence_exits_3_naming_the_epoch(tmp_path, capsys, mode, mu):
+    model = tmp_path / "source.mlp"
+    save_mlp(init_mlp([(15, 6, "sigmoid"), (6, 6, "sigmoid"), (6, 10, "softmax")], Rng(1)), model)
+    config = tmp_path / "run.cfg"
+    config.write_text(_TINY + f"mu = {mu}\npretrained_model = {model}\n")
+    with np.errstate(all="ignore"):
+        code = main([mode, "--config", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("training diverged: epoch 1:")
+    assert "Traceback" not in err
+
+
 def _bad_model_file(tmp_path, manifest_edit):
     rng = Rng(1)
     model = DsnModel(
         init_mlp([(10, 4, "sigmoid")], rng), init_mlp([(4, 3, "softmax")], rng),
-        init_mlp([(4, 2, "softmax")], rng), None, None, None, alpha=1.0, beta=0.0, gamma=0.0, n_h=1,
+        init_mlp([(4, 2, "softmax")], rng), None, None, None, alpha=1.0, beta=0.0, gamma=0.0,
     )
     path = tmp_path / "model.dsn"
     save_dsn_model(model, path)
@@ -83,6 +136,24 @@ def _narrow_model(tmp_path, mode, key):
 def _spliced_data_dir(tmp_path):
     (tmp_path / "source_train.csv").write_text("dsn-corpus v1 dim=1 spliced=1\nu,0,src,0,1.5\n")
     return "pretrain", f"data_dir = {tmp_path}", "source_train.csv: line 1: spliced=1"
+
+
+_HEADER = "dsn-corpus v1 dim={} spliced=0\n"
+
+
+def _data_dir(tmp_path, mode, name, **files):
+    for stem, text in files.items():
+        (tmp_path / f"{stem}.csv").write_text(text)
+    line = f"data_dir = {tmp_path}"
+    if mode != "pretrain":
+        line += f"\npretrained_model = {_shallow_model(tmp_path)}"
+    return mode, line, name
+
+
+def _few_classes_model(tmp_path):
+    path = tmp_path / "three.mlp"
+    save_mlp(init_mlp([(40, 8, "sigmoid"), (8, 8, "sigmoid"), (8, 3, "softmax")], Rng(1)), path)
+    return "adapt_grl", f"pretrained_model = {path}", f"{path.name}: the model has 3 classes, the corpora have label 9"
 
 
 def _bad_mlp_file(tmp_path, body, line):
@@ -107,6 +178,16 @@ def _bad_mlp_file(tmp_path, body, line):
         lambda d: _bad_mlp_file(d, "layer 0 2 1 sigmoid\n1 2\n0\nlayer 1 3 1 linear\n1 2 3\n0\n", 5),
         lambda d: _bad_mlp_file(d, "layer 0 2 2 softmax\n1 2\n3 4\n0 0\nlayer 1 2 1 linear\n1 2\n0\n", 6),
         lambda d: _bad_mlp_file(d, "layer 0 0 1 linear\n\n0\n", 2),
+        lambda d: _data_dir(d, "pretrain", "source_train.csv: no records", source_train=_HEADER.format(1)),
+        lambda d: _data_dir(d, "pretrain", "source_train.csv: line 3: label -1",
+                            source_train=_HEADER.format(1) + "u,0,src,0,1.5\nu,1,src,-1,2.5\n"),
+        lambda d: _data_dir(d, "adapt_dsn", "target_adapt.csv: no records",
+                            source_train=_HEADER.format(1) + "u,0,src,0,1.5\n", target_adapt=_HEADER.format(1)),
+        lambda d: _data_dir(d, "pretrain", "source_train.csv has dim=2",
+                            source_train=_HEADER.format(2) + "u,0,src,0,1.5,2.5\n",
+                            target_adapt=_HEADER.format(1) + "v,0,tgt,-1,1.5\n"),
+        _few_classes_model,
+        lambda d: _bad_model_file(d, ("n_h=1", "n_h=5")),
     ],
     ids=[
         "missing-pretrained-model",
@@ -122,6 +203,12 @@ def _bad_mlp_file(tmp_path, body, line):
         "layer-chain-mismatch",
         "non-final-softmax",
         "zero-width-layer",
+        "empty-source-train",
+        "unlabeled-source-train",
+        "empty-target-adapt",
+        "different-dims",
+        "too-few-classes",
+        "manifest-n-h-contradicts-nets",
     ],
 )
 def test_loader_failure_is_a_data_error(tmp_path, capsys, case):

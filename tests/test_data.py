@@ -12,7 +12,6 @@ from dsnadapt.data import (
     SynthConfig,
     class_means,
     cmvn,
-    nearest_class_mean_error,
     read_corpus,
     read_corpus_unlabeled,
     splice,
@@ -21,6 +20,7 @@ from dsnadapt.data import (
 )
 from dsnadapt.errors import ConfigError, DataError
 from dsnadapt.nn import Rng
+from oracles import nearest_class_mean_error
 
 
 def toy_cfg(**overrides):

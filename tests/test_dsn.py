@@ -25,11 +25,11 @@ from dsnadapt.nn import (
     Mlp,
     Rng,
     cross_entropy_loss,
-    finite_diff_check,
     forward,
     init_mlp,
     sgd_update,
 )
+from oracles import finite_diff_check, flatten
 
 D, K, Q = 6, 5, 3
 
@@ -44,7 +44,7 @@ def tiny_model(seed=0, alpha=1.0, beta=0.25, gamma=0.25, with_private=True):
         private_tgt = init_mlp([(D, 4, "relu"), (4, K, "sigmoid")], Rng(seed + 4))
         recon = init_mlp([(2 * K, 4, "relu"), (4, D, "linear")], Rng(seed + 5))
     return DsnModel(shared, senone, domain, private_src, private_tgt, recon,
-                    alpha=alpha, beta=beta, gamma=gamma, n_h=2)
+                    alpha=alpha, beta=beta, gamma=gamma)
 
 
 def tiny_batch(seed=10, n_s=4, n_t=5):
@@ -177,7 +177,7 @@ def test_loss_senone_perfect_model_is_zero():
     shared = Mlp([DenseLayer(np.eye(Q), np.zeros(Q), Activation.LINEAR)])
     senone = Mlp([DenseLayer(1e4 * np.eye(Q), np.zeros(Q), Activation.SOFTMAX)])
     domain = init_mlp([(Q, 4, "relu"), (4, 2, "softmax")], Rng(0))
-    model = DsnModel(shared, senone, domain, None, None, None, 1.0, 0.0, 0.0, n_h=1)
+    model = DsnModel(shared, senone, domain, None, None, None, 1.0, 0.0, 0.0)
     x = np.eye(Q)
     trace = step_trace(model, DsnBatch(x, np.arange(Q), x))
     assert trace.loss_senone == 0.0
@@ -312,10 +312,10 @@ def test_reconstruct_shapes_and_domain_selection():
     batch = DsnBatch(x, np.zeros(3), x)
     _, grads = dsn_gradients(model, batch)
     assert grads["private_src"].weights[0].shape == model.private_src.layers[0].weights.shape
-    assert not np.array_equal(grads["private_src"].flatten(), grads["private_tgt"].flatten())
+    assert not np.array_equal(flatten(grads["private_src"]), flatten(grads["private_tgt"]))
     model.private_tgt = copy.deepcopy(model.private_src)
     _, grads = dsn_gradients(model, batch)
-    assert np.array_equal(grads["private_src"].flatten(), grads["private_tgt"].flatten())
+    assert np.array_equal(flatten(grads["private_src"]), flatten(grads["private_tgt"]))
 
 
 def test_loss_recon_perfect_reconstructor():
@@ -326,7 +326,7 @@ def test_loss_recon_perfect_reconstructor():
     private_src = init_mlp([(D, 4, "relu"), (4, D, "sigmoid")], Rng(1))
     private_tgt = init_mlp([(D, 4, "relu"), (4, D, "sigmoid")], Rng(2))
     recon = Mlp([DenseLayer(np.hstack([np.eye(D), np.zeros((D, D))]), np.zeros(D), Activation.LINEAR)])
-    model = DsnModel(shared, senone, domain, private_src, private_tgt, recon, 1.0, 0.25, 0.25, n_h=1)
+    model = DsnModel(shared, senone, domain, private_src, private_tgt, recon, 1.0, 0.25, 0.25)
     x_s = Rng(3).normals(4 * D).reshape(4, D)
     x_t = Rng(4).normals(3 * D).reshape(3, D)
     trace = step_trace(model, DsnBatch(x_s, np.zeros(4), x_t))
@@ -430,8 +430,8 @@ def test_alpha_zero_keeps_domain_out_of_shared_grads():
     m_other.domain = init_mlp([(K, 4, "relu"), (4, 2, "softmax")], Rng(199))
     _, grads = dsn_gradients(m_zero, batch)
     _, other = dsn_gradients(m_other, batch)
-    assert not np.array_equal(grads["domain"].flatten(), other["domain"].flatten())
-    assert np.array_equal(grads["shared"].flatten(), other["shared"].flatten())
+    assert not np.array_equal(flatten(grads["domain"]), flatten(other["domain"]))
+    assert np.array_equal(flatten(grads["shared"]), flatten(other["shared"]))
 
 
 ROUTED_GROUPS = ["shared", "senone", "domain", "private_src", "private_tgt", "recon"]

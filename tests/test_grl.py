@@ -46,7 +46,7 @@ def test_alpha_must_be_nonnegative():
         shared = init_mlp([(3, 2, "sigmoid")], rng)
         senone = init_mlp([(2, 3, "softmax")], rng)
         domain = init_mlp([(2, 2, "softmax")], rng)
-        return DsnModel(shared, senone, domain, None, None, None, alpha, beta, gamma, n_h=1)
+        return DsnModel(shared, senone, domain, None, None, None, alpha, beta, gamma)
 
     assert model(0.0).alpha == 0.0
     with pytest.raises(ConfigError):

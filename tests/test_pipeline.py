@@ -1,13 +1,15 @@
 """Training orchestration: determinism, reductions, evaluation, sweeps."""
 
-from dataclasses import replace
+import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from dsnadapt.config import ExperimentConfig, NetConfig, SpliceConfig, build_config
 from dsnadapt.data import SynthConfig, write_corpus
-from dsnadapt.dsn import adapted_model
+from dsnadapt import pipeline
+from dsnadapt.dsn import StepTrace, adapted_model
 from dsnadapt.errors import ConfigError, ContractError, DataError
 from dsnadapt.nn import Activation, DenseLayer, Mlp, Rng, forward
 from dsnadapt.pipeline import (
@@ -202,6 +204,33 @@ def test_adapt_reports_only_source_metrics(prepared, source_dnn):
     )
     assert set(report.evals) == {"source_test"}
     assert len(report.trace) == 2
+
+
+def test_epoch_records_are_step_means(prepared, source_dnn, monkeypatch):
+    steps = []
+    inner = pipeline.dsn_step
+
+    def recording(model, batch, mu):
+        steps.append(inner(model, batch, mu)[1])
+        return model, steps[-1]
+
+    monkeypatch.setattr(pipeline, "dsn_step", recording)
+    cfg = tiny_cfg(epochs=3)
+    _, report = adapt_dsn(cfg, source_dnn, prepared.source_train, prepared.target_adapt)
+    per_epoch = max(len(prepared.source_train), len(prepared.target_adapt)) // cfg.batch
+    assert len(report.trace) == 3 and len(steps) == 3 * per_epoch
+    for epoch, record in enumerate(report.trace):
+        chunk = steps[epoch * per_epoch : (epoch + 1) * per_epoch]
+        for f in fields(StepTrace):
+            total = 0.0
+            for step in chunk:
+                total += getattr(step, f.name)
+            assert getattr(record, f.name) == total / per_epoch, f.name
+        assert 0.0 <= record.domain_accuracy <= 1.0
+    _, pre = pretrain_source(cfg, prepared.source_train)
+    assert len(pre.trace) == 3
+    assert all(math.isnan(r.domain_accuracy) for r in pre.trace)
+    assert all(r.loss_total == r.loss_senone and r.loss_domain == 0.0 for r in pre.trace)
 
 
 def test_adapt_grl_has_no_private_nets(prepared, source_dnn):
