@@ -20,6 +20,7 @@ from .dsn import adapted_model, load_dsn_model, save_dsn_model
 from .errors import ConfigError, DataError, TrainingDivergedError
 from .nn import Mlp, load_mlp, read_lines, save_mlp
 from .pipeline import (
+    DATA_FILES,
     adapt_dsn,
     adapt_grl,
     evaluate,
@@ -65,7 +66,7 @@ def _run_mode(mode: str, cfg: ExperimentConfig, out_dir: Path) -> None:
     output directory, so a rejected input leaves nothing behind."""
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
-    if mode == "sweep" and cfg.pretrained_model is None and max(cfg.sweep_n_h) > len(cfg.net.source_hidden):
+    if mode == "sweep" and max(cfg.sweep_n_h) > len(cfg.net.source_hidden):
         raise ConfigError(f"sweep.n_h {cfg.sweep_n_h} exceeds the hidden layers {cfg.net.source_hidden}")
     if mode == "evaluate":
         nets, model_file = _load_eval_nets(cfg), cfg.model_path
@@ -82,11 +83,14 @@ def _run_mode(mode: str, cfg: ExperimentConfig, out_dir: Path) -> None:
         hidden = len(nets[0].layers) - 1
         if mode != "evaluate" and n_h > hidden:
             raise ConfigError(f"{key} {n_h} exceeds the {hidden} hidden layers of {model_file}")
-        labeled = (prepared.source_train, prepared.source_test, prepared.target_test)
-        top = max(int(c.labels.max()) for c in labeled if c is not None)
-        if top >= nets[-1].out_dim:
-            raise DataError(f"{model_file}: the model has {nets[-1].out_dim} classes, "
-                            f"the corpora have label {top}")
+    labeled = {name: getattr(prepared, name) for name in ("source_train", "source_test", "target_test")}
+    top, name = max((int(c.labels.max()), name) for name, c in labeled.items() if c is not None)
+    if nets is not None and top >= nets[-1].out_dim:
+        raise DataError(f"{model_file}: the model has {nets[-1].out_dim} classes, "
+                        f"the corpora have label {top}")
+    if nets is None and top >= cfg.synth.num_classes:  # the new net gets synth.num_classes outputs
+        raise DataError(f"{Path(cfg.data_dir or '.') / DATA_FILES[name]}: label {top}, "
+                        f"but synth.num_classes is {cfg.synth.num_classes}")
     out_dir.mkdir(parents=True, exist_ok=True)
     if mode == "pretrain":
         net, report = pretrain_source(cfg, prepared.source_train, prepared.source_test)

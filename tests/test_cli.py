@@ -5,7 +5,6 @@ from dsnadapt import cli
 from dsnadapt.cli import main
 from dsnadapt.dsn import DsnModel, save_dsn_model
 from dsnadapt.nn import Rng, init_mlp, save_mlp
-from dsnadapt.pipeline import SweepResult
 
 
 @pytest.mark.parametrize("flag, value", [("--alpha", "nan"), ("--beta", "nan"), ("--gamma", "inf")])
@@ -80,17 +79,18 @@ def test_n_h_deeper_than_the_model_is_a_config_error(tmp_path, capsys, mode, lin
     assert not (tmp_path / "out").exists()
 
 
-def test_sweep_depth_is_checked_against_the_pretrained_model(tmp_path, monkeypatch):
-    # a 4-hidden-layer model takes sweep.n_h = 4 although net.source_hidden has 3 widths
+def test_sweep_depth_is_checked_against_the_config_widths(tmp_path, capsys):
+    # every sweep cell re-checks n_h against net.source_hidden (3 widths), so a
+    # 4-hidden-layer model does not let sweep.n_h = 4 through
     path = tmp_path / "deep.mlp"
     save_mlp(init_mlp([(40, 4, "sigmoid")] + [(4, 4, "sigmoid")] * 3 + [(4, 10, "softmax")], Rng(1)), path)
     config = tmp_path / "run.cfg"
     config.write_text(f"sweep.n_h = 1, 4\npretrained_model = {path}\n")
-    seen = []
-    monkeypatch.setattr(cli, "sweep", lambda cfg, *corpora: seen.append(cfg.sweep_n_h) or SweepResult(
-        cfg.sweep_n_h, cfg.sweep_alpha, np.zeros((2, len(cfg.sweep_alpha)))))
-    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
-    assert seen == [(1, 4)]
+    code = main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: sweep.n_h (1, 4) exceeds the hidden layers")
+    assert not (tmp_path / "out").exists()
 
 
 _TINY = "synth.utterances_per_domain = 4\nsynth.frames_per_utterance = 20\nsynth.base_dim = 3\nepochs = 2\nbatch = 16\n"
@@ -187,6 +187,10 @@ def _bad_mlp_file(tmp_path, body, line):
                             source_train=_HEADER.format(2) + "u,0,src,0,1.5,2.5\n",
                             target_adapt=_HEADER.format(1) + "v,0,tgt,-1,1.5\n"),
         _few_classes_model,
+        lambda d: _data_dir(d, "pretrain", "source_test.csv: label 12, but synth.num_classes is 10",
+                            source_train=_HEADER.format(1) + "u,0,src,0,1.5\nu,1,src,1,2.5\n",
+                            target_adapt=_HEADER.format(1) + "v,0,tgt,-1,1.5\n",
+                            source_test=_HEADER.format(1) + "w,0,src,12,1.5\n"),
         lambda d: _bad_model_file(d, ("n_h=1", "n_h=5")),
     ],
     ids=[
@@ -208,6 +212,7 @@ def _bad_mlp_file(tmp_path, body, line):
         "empty-target-adapt",
         "different-dims",
         "too-few-classes",
+        "label-beyond-synth-num-classes",
         "manifest-n-h-contradicts-nets",
     ],
 )
