@@ -293,3 +293,52 @@ def test_sweep_marks_diverged_cell_nan(prepared, source_dnn):
     assert result.grid.shape == (2, 1)
     assert np.isnan(result.grid).all()
     assert np.isnan(result.row_averages()).all()
+
+
+# ---------------------------------------------------------------------------
+# CSV reports
+# ---------------------------------------------------------------------------
+
+
+def test_report_files_are_pinned_byte_for_byte(tmp_path):
+    trace = [StepTrace(2.5, 0.6931471805599453, 0.0, 0.0, 2.5, np.nan), StepTrace(0.1, 0.2, 0.3, 0.4, 1.0, 0.5)]
+    pipeline.write_trace_csv(trace, tmp_path / "trace.csv")
+    confusion = np.array([[3, 0], [2, 0]])
+    report = pipeline.RunReport("adapt_dsn", trace, {"source_test": pipeline.EvalResult(5, 2, 0.4, confusion)})
+    pipeline.write_report_csv(report, tmp_path / "report.csv")
+    grid = np.array([[0.25, np.nan], [0.1, 0.3]])
+    pipeline.write_sweep_csv(pipeline.SweepResult((1, 2), (1.0, 4.5), grid), tmp_path / "sweep.csv")
+    rows = [
+        pipeline.TrendSeedResult(1, 0.1, 0.35, 0.1, 0.3, 0.125, 0.25, 3.0, 1.5),
+        pipeline.TrendSeedResult(2, 0.2, 0.45, 0.2, 0.4, 0.375, 0.3, 2.0, 0.5),
+    ]
+    pipeline.write_trend_csv(pipeline.TrendResult(rows), tmp_path / "trend.csv")
+    assert (tmp_path / "trace.csv").read_text() == (
+        "epoch,loss_senone,loss_domain,loss_diff,loss_recon,loss_total\n"
+        "1,2.5,0.69314718055994529,0,0,2.5\n"
+        "2,0.10000000000000001,0.20000000000000001,0.29999999999999999,0.40000000000000002,1\n"
+    )
+    assert (tmp_path / "report.csv").read_text() == (
+        "kind,corpus,a,b,value\n"
+        "mode,,,,adapt_dsn\n"
+        "frames,source_test,,,5\n"
+        "errors,source_test,,,2\n"
+        "error_rate,source_test,,,0.40000000000000002\n"
+        "confusion,source_test,0,0,3\n"
+        "confusion,source_test,1,0,2\n"
+        "final_loss,,senone,,0.10000000000000001\n"
+        "final_loss,,total,,1\n"
+    )
+    assert (tmp_path / "sweep.csv").read_text() == (
+        "n_h,1,4.5,avg\n"
+        "1,0.25,nan,nan\n"
+        "2,0.10000000000000001,0.29999999999999999,0.20000000000000001\n"
+    )
+    assert (tmp_path / "trend.csv").read_text() == (
+        "seed,unadapted_src,unadapted_tgt,grl_src,grl_tgt,dsn_src,dsn_tgt,dsn_recon_first,dsn_recon_last\n"
+        "1,0.10000000000000001,0.34999999999999998,0.10000000000000001,0.29999999999999999,0.125,0.25,3,1.5\n"
+        "2,0.20000000000000001,0.45000000000000001,0.20000000000000001,0.40000000000000002,0.375,"
+        "0.29999999999999999,2,0.5\n"
+        "median,0.15000000000000002,0.40000000000000002,0.15000000000000002,0.34999999999999998,0.25,"
+        "0.27500000000000002,2.5,1\n"
+    )
