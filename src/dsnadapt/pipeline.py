@@ -13,9 +13,9 @@ labeled target test corpus at all.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -343,9 +343,6 @@ class SweepResult:
     alpha_values: tuple[float, ...]
     grid: np.ndarray  # target test error per (n_h, alpha); NaN marks a failed cell
 
-    def row_averages(self) -> np.ndarray:
-        return self.grid.mean(axis=1)
-
 
 def sweep(
     cfg: ExperimentConfig,
@@ -376,42 +373,36 @@ def sweep(
 # ---------------------------------------------------------------------------
 
 
-def write_trace_csv(trace: Sequence[StepTrace], path: str | Path) -> None:
-    lines = ["epoch,loss_senone,loss_domain,loss_diff,loss_recon,loss_total"]
-    for epoch, row in enumerate(trace, 1):
-        lines.append(
-            f"{epoch},{row.loss_senone:.17g},{row.loss_domain:.17g},"
-            f"{row.loss_diff:.17g},{row.loss_recon:.17g},{row.loss_total:.17g}"
-        )
+def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    """The header line, then one line per row; a str is written as is and a
+    number to 17 significant digits, which for an int are its own digits."""
+    lines = [",".join(header)]
+    lines += [",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_trace_csv(trace: Sequence[StepTrace], path: str | Path) -> None:
+    columns = ("loss_senone", "loss_domain", "loss_diff", "loss_recon", "loss_total")
+    rows = [(epoch, *(getattr(t, c) for c in columns)) for epoch, t in enumerate(trace, 1)]
+    _write_csv(path, ("epoch", *columns), rows)
 
 
 def write_report_csv(report: RunReport, path: str | Path) -> None:
     """Long-format metrics: kind,corpus,a,b,value."""
-    lines = ["kind,corpus,a,b,value"]
-    lines.append(f"mode,,,,{report.mode}")
+    rows: list[tuple] = [("mode", "", "", "", report.mode)]
     for name, result in report.evals.items():
-        lines.append(f"frames,{name},,,{result.frames}")
-        lines.append(f"errors,{name},,,{result.errors}")
-        lines.append(f"error_rate,{name},,,{result.error_rate:.17g}")
-        true_idx, pred_idx = np.nonzero(result.confusion)
-        for t, p in zip(true_idx, pred_idx):
-            lines.append(f"confusion,{name},{t},{p},{result.confusion[t, p]}")
+        rows += [(kind, name, "", "", getattr(result, kind)) for kind in ("frames", "errors", "error_rate")]
+        rows += [("confusion", name, t, p, result.confusion[t, p]) for t, p in zip(*np.nonzero(result.confusion))]
     if report.trace:
         last = report.trace[-1]
-        lines.append(f"final_loss,,senone,,{last.loss_senone:.17g}")
-        lines.append(f"final_loss,,total,,{last.loss_total:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+        rows += [("final_loss", "", "senone", "", last.loss_senone), ("final_loss", "", "total", "", last.loss_total)]
+    _write_csv(path, ("kind", "corpus", "a", "b", "value"), rows)
 
 
 def write_sweep_csv(result: SweepResult, path: str | Path) -> None:
-    header = "n_h," + ",".join(f"{a:g}" for a in result.alpha_values) + ",avg"
-    lines = [header]
-    avgs = result.row_averages()
-    for i, n_h in enumerate(result.n_h_values):
-        cells = ",".join(f"{v:.17g}" for v in result.grid[i])
-        lines.append(f"{n_h},{cells},{avgs[i]:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = ("n_h", *(f"{a:g}" for a in result.alpha_values), "avg")
+    rows = [(n_h, *cells, cells.mean()) for n_h, cells in zip(result.n_h_values, result.grid)]
+    _write_csv(path, header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -432,71 +423,37 @@ class TrendSeedResult:
     dsn_recon_last: float
 
 
-@dataclass
-class TrendResult:
-    rows: list[TrendSeedResult]
-
-    def median(self, field_name: str) -> float:
-        return statistics.median(getattr(r, field_name) for r in self.rows)
-
-
 def trend_profile(seed: int) -> ExperimentConfig:
     """Canonical toy trend profile: 10k source frames, 10k target frames,
     channel scale 0.3, noise std 1.0, 30 epochs."""
     cfg = ExperimentConfig()
-    return replace(
-        cfg,
-        synth=replace(cfg.synth, seed=seed),
-        seed=seed,
-    )
+    return replace(cfg, synth=replace(cfg.synth, seed=seed), seed=seed)
 
 
-def run_trend(
-    seeds: Sequence[int] = (1, 2, 3, 4, 5),
-    pretrain_mu: float = 1.0,
-    adapt_mu: float = 0.2,
-    alpha: float = 1.0,
-    beta: float = 0.25,
-    gamma: float = 0.25,
-    out_dir: str | Path | None = None,
-) -> TrendResult:
+def run_trend(seeds: Sequence[int] = (1, 2, 3, 4, 5), pretrain_mu: float = 1.0,
+              out_dir: str | Path | None = None) -> list[TrendSeedResult]:
+    """Per seed of trend_profile: frame error on source_test and target_test of
+    the pretrained, reversal-only and full models, and DSN's first and last
+    epoch reconstruction loss."""
     rows = []
     for seed in seeds:
         cfg = trend_profile(seed)
         prepared = prepare_corpora(cfg, need_target_labels=True)
         dnn, _ = pretrain_source(replace(cfg, mu=pretrain_mu), prepared.source_train)
-        una_src = evaluate((dnn,), prepared.source_test).error_rate
-        una_tgt = evaluate((dnn,), prepared.target_test).error_rate
-        adapt_cfg = replace(cfg, mu=adapt_mu, alpha=alpha, beta=beta, gamma=gamma)
-        grl_model, _ = adapt_grl(adapt_cfg, dnn, prepared.source_train, prepared.target_adapt)
-        dsn_model, dsn_report = adapt_dsn(adapt_cfg, dnn, prepared.source_train, prepared.target_adapt)
-        rows.append(
-            TrendSeedResult(
-                seed=seed,
-                unadapted_src=una_src,
-                unadapted_tgt=una_tgt,
-                grl_src=evaluate(adapted_model(grl_model), prepared.source_test).error_rate,
-                grl_tgt=evaluate(adapted_model(grl_model), prepared.target_test).error_rate,
-                dsn_src=evaluate(adapted_model(dsn_model), prepared.source_test).error_rate,
-                dsn_tgt=evaluate(adapted_model(dsn_model), prepared.target_test).error_rate,
-                dsn_recon_first=dsn_report.trace[0].loss_recon,
-                dsn_recon_last=dsn_report.trace[-1].loss_recon,
-            )
-        )
-    result = TrendResult(rows)
+        grl_model, _ = adapt_grl(cfg, dnn, prepared.source_train, prepared.target_adapt)
+        dsn_model, dsn_report = adapt_dsn(cfg, dnn, prepared.source_train, prepared.target_adapt)
+        models = ((dnn,), adapted_model(grl_model), adapted_model(dsn_model))
+        errors = [evaluate(nets, c).error_rate for nets in models for c in (prepared.source_test, prepared.target_test)]
+        recon = dsn_report.trace[0].loss_recon, dsn_report.trace[-1].loss_recon
+        rows.append(TrendSeedResult(seed, *errors, *recon))
     if out_dir is not None:
-        write_trend_csv(result, Path(out_dir) / "trend.csv")
-    return result
+        write_trend_csv(rows, Path(out_dir) / "trend.csv")
+    return rows
 
 
-def write_trend_csv(result: TrendResult, path: str | Path) -> None:
-    fields = (
-        "unadapted_src", "unadapted_tgt", "grl_src", "grl_tgt",
-        "dsn_src", "dsn_tgt", "dsn_recon_first", "dsn_recon_last",
-    )
-    lines = ["seed," + ",".join(fields)]
-    for row in result.rows:
-        lines.append(str(row.seed) + "," + ",".join(f"{getattr(row, f):.17g}" for f in fields))
-    lines.append("median," + ",".join(f"{result.median(f):.17g}" for f in fields))
+def write_trend_csv(rows: Sequence[TrendSeedResult], path: str | Path) -> None:
+    """One line per seed, then the median of each column."""
+    names = [f.name for f in fields(TrendSeedResult)]
+    medians = [statistics.median(getattr(r, name) for r in rows) for name in names[1:]]
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, names, [astuple(r) for r in rows] + [("median", *medians)])

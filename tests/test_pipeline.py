@@ -292,7 +292,7 @@ def test_sweep_marks_diverged_cell_nan(prepared, source_dnn):
     # every cell was attempted and recorded; the failures did not abort the loop
     assert result.grid.shape == (2, 1)
     assert np.isnan(result.grid).all()
-    assert np.isnan(result.row_averages()).all()
+    assert np.isnan(result.grid.mean(axis=1)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +312,7 @@ def test_report_files_are_pinned_byte_for_byte(tmp_path):
         pipeline.TrendSeedResult(1, 0.1, 0.35, 0.1, 0.3, 0.125, 0.25, 3.0, 1.5),
         pipeline.TrendSeedResult(2, 0.2, 0.45, 0.2, 0.4, 0.375, 0.3, 2.0, 0.5),
     ]
-    pipeline.write_trend_csv(pipeline.TrendResult(rows), tmp_path / "trend.csv")
+    pipeline.write_trend_csv(rows, tmp_path / "trend.csv")
     assert (tmp_path / "trace.csv").read_text() == (
         "epoch,loss_senone,loss_domain,loss_diff,loss_recon,loss_total\n"
         "1,2.5,0.69314718055994529,0,0,2.5\n"
