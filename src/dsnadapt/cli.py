@@ -18,7 +18,7 @@ from pathlib import Path
 from .config import MODES, ExperimentConfig, load_config
 from .dsn import adapted_model, load_dsn_model, save_dsn_model
 from .errors import ConfigError, DataError, TrainingDivergedError
-from .nn import Mlp, load_mlp, read_lines, save_mlp
+from .nn import Activation, Mlp, load_mlp, read_lines, save_mlp
 from .pipeline import (
     DATA_FILES,
     adapt_dsn,
@@ -79,6 +79,9 @@ def _run_mode(mode: str, cfg: ExperimentConfig, out_dir: Path) -> None:
         if nets[0].in_dim != prepared.source_train.dim:
             raise DataError(f"{model_file}: the model takes {nets[0].in_dim} input features, "
                             f"the spliced corpora have {prepared.source_train.dim}")
+        last = nets[-1].layers[-1].activation
+        if mode != "evaluate" and last is not Activation.SOFTMAX:
+            raise DataError(f"{model_file}: the model's last layer is {last.value}, not softmax")
         key, n_h = ("sweep.n_h", max(cfg.sweep_n_h)) if mode == "sweep" else ("n_h", cfg.n_h)
         hidden = len(nets[0].layers) - 1
         if mode != "evaluate" and n_h > hidden:
@@ -91,7 +94,10 @@ def _run_mode(mode: str, cfg: ExperimentConfig, out_dir: Path) -> None:
     if nets is None and top >= cfg.synth.num_classes:  # the new net gets synth.num_classes outputs
         raise DataError(f"{Path(cfg.data_dir or '.') / DATA_FILES[name]}: label {top}, "
                         f"but synth.num_classes is {cfg.synth.num_classes}")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out_dir}: cannot make the output directory: {exc.strerror}") from None
     if mode == "pretrain":
         net, report = pretrain_source(cfg, prepared.source_train, prepared.source_test)
         save_mlp(net, out_dir / "model.dsn")

@@ -73,7 +73,7 @@ class ExperimentConfig:
     alpha: float = 1.0
     beta: float = 0.25
     gamma: float = 0.25
-    mu: float = 0.2
+    mu: float = 1.0
     epochs: int = 30
     batch: int = 128
     seed: int = 1
@@ -161,5 +161,9 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Ex
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    values = parse_config_text(path.read_text(), source=str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    values = parse_config_text(text, source=str(path))
     return build_config({**values, **(overrides or {})})

@@ -8,6 +8,7 @@ preserved but the feature distribution shifts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -79,6 +80,9 @@ class SynthConfig:
         for name in ("num_classes", "base_dim", "utterances_per_domain", "frames_per_utterance"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        for name in ("class_separation", "channel_matrix_scale", "noise_std"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"synth.{name} must be finite, got {getattr(self, name)}")
         if self.noise_std < 0:
             raise ConfigError("noise_std must be >= 0")
         if self.class_separation < 0:

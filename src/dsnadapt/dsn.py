@@ -198,9 +198,10 @@ def dsn_gradients(model: DsnModel, batch: DsnBatch) -> tuple[StepTrace, dict[str
     Source and target rows are stacked through the shared extractor, the
     domain classifier and the reconstructor; the class head sees the source
     rows and each private extractor its own domain's rows. The difference and
-    reconstruction terms are sums of per-domain terms; the domain
-    cross-entropy is one mean over both domains. The returned dict holds an
-    entry only for the sub-networks that receive an update this step.
+    reconstruction terms are sums of per-domain terms, a reconstruction term
+    being the squared error averaged over all of its domain's entries; the
+    domain cross-entropy is one mean over both domains. The returned dict
+    holds an entry only for the sub-networks that receive an update this step.
     """
     xs, xt = batch.source_x, batch.target_x
     n_s = xs.shape[0]
@@ -316,6 +317,8 @@ def load_dsn_model(path: str | Path) -> DsnModel:
     present = nets_line[1:]
     if set(present) - set(_NET_ORDER):
         raise cursor.error(f"unknown sub-network names {present}")
+    if len(set(present)) < len(present) or not {"shared", "senone", "domain"} <= set(present):
+        raise cursor.error(f"'nets' must list shared, senone and domain, and no name twice; found {present}")
     nets: dict[str, Mlp | None] = {name: None for name in _NET_ORDER}
     for name in present:
         nets[name] = mlp_from_cursor(cursor)

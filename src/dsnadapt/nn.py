@@ -315,15 +315,14 @@ def cross_entropy_loss(posteriors: Matrix, labels: np.ndarray) -> tuple[float, M
 
 
 def mse_loss(pred: Matrix, target: Matrix) -> tuple[float, Matrix]:
-    """Mean over rows of the squared Euclidean distance; grad is w.r.t. pred."""
+    """Mean over all entries of the squared difference; grad is w.r.t. pred."""
     if pred.shape != target.shape:
         raise ShapeError(f"pred shape {pred.shape} != target shape {target.shape}")
-    rows = pred.shape[0]
-    if rows == 0:
+    if pred.size == 0:
         raise ContractError("mse_loss on an empty batch")
     diff = pred - target
-    loss = float((diff * diff).sum() / rows)
-    return loss, (2.0 / rows) * diff
+    loss = float((diff * diff).sum() / diff.size)
+    return loss, (2.0 / diff.size) * diff
 
 
 def sgd_update(net: Mlp, grads: Gradients, mu: float) -> Mlp:

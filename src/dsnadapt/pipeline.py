@@ -430,8 +430,7 @@ def trend_profile(seed: int) -> ExperimentConfig:
     return replace(cfg, synth=replace(cfg.synth, seed=seed), seed=seed)
 
 
-def run_trend(seeds: Sequence[int] = (1, 2, 3, 4, 5), pretrain_mu: float = 1.0,
-              out_dir: str | Path | None = None) -> list[TrendSeedResult]:
+def run_trend(seeds: Sequence[int] = (1, 2, 3, 4, 5), out_dir: str | Path | None = None) -> list[TrendSeedResult]:
     """Per seed of trend_profile: frame error on source_test and target_test of
     the pretrained, reversal-only and full models, and DSN's first and last
     epoch reconstruction loss."""
@@ -439,7 +438,7 @@ def run_trend(seeds: Sequence[int] = (1, 2, 3, 4, 5), pretrain_mu: float = 1.0,
     for seed in seeds:
         cfg = trend_profile(seed)
         prepared = prepare_corpora(cfg, need_target_labels=True)
-        dnn, _ = pretrain_source(replace(cfg, mu=pretrain_mu), prepared.source_train)
+        dnn, _ = pretrain_source(cfg, prepared.source_train)
         grl_model, _ = adapt_grl(cfg, dnn, prepared.source_train, prepared.target_adapt)
         dsn_model, dsn_report = adapt_dsn(cfg, dnn, prepared.source_train, prepared.target_adapt)
         models = ((dnn,), adapted_model(grl_model), adapted_model(dsn_model))

@@ -61,6 +61,34 @@ def test_bad_sweep_grid_fails_before_any_compute(tmp_path, capsys, line):
     assert not (tmp_path / "out").exists()
 
 
+_KEEP = "not a directory\n"
+
+
+@pytest.mark.parametrize(
+    "text, out_is_file, name",
+    [
+        (b"seed = 1  # caf\xe9\n", False, "run.cfg"),
+        (b"synth.noise_std = nan\n", False, "synth.noise_std"),
+        (b"synth.class_separation = inf\n", False, "synth.class_separation"),
+        (b"synth.channel_matrix_scale = nan\n", False, "synth.channel_matrix_scale"),
+        (b"", True, "taken"),
+    ],
+    ids=["config-not-utf8", "nan-noise-std", "inf-class-separation", "nan-channel-scale", "out-is-a-file"],
+)
+def test_bad_input_is_a_config_error(tmp_path, capsys, text, out_is_file, name):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(text)
+    out = tmp_path / "taken"
+    if out_is_file:
+        out.write_text(_KEEP)
+    code = main(["pretrain", "--config", str(config), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error:") and name in err
+    assert "Traceback" not in err
+    assert out.read_text() == _KEEP if out_is_file else not out.exists()  # the file is left untouched
+
+
 def _shallow_model(tmp_path):
     path = tmp_path / "shallow.mlp"
     save_mlp(init_mlp([(40, 8, "sigmoid"), (8, 10, "softmax")], Rng(1)), path)  # one hidden layer
@@ -125,6 +153,21 @@ def _bad_model_file(tmp_path, manifest_edit):
     lines[1] = lines[1].replace(*manifest_edit)
     path.write_text("\n".join(lines) + "\n")
     return "evaluate", f"model_path = {path}", path.name
+
+
+def _bad_nets_line(tmp_path, nets):
+    mode, line, name = _bad_model_file(tmp_path, ("", ""))  # a valid reversal-only model
+    path = tmp_path / name
+    lines = path.read_text().splitlines()
+    lines[2] = nets
+    path.write_text("\n".join(lines) + "\n")
+    return mode, line, f"{name}: line 3:"
+
+
+def _sigmoid_output_model(tmp_path):
+    path = tmp_path / "sigmoid.mlp"
+    save_mlp(init_mlp([(40, 8, "sigmoid"), (8, 8, "sigmoid"), (8, 10, "sigmoid")], Rng(1)), path)
+    return "adapt_grl", f"pretrained_model = {path}", f"{path.name}: the model's last layer is sigmoid, not softmax"
 
 
 def _narrow_model(tmp_path, mode, key):
@@ -192,6 +235,9 @@ def _bad_mlp_file(tmp_path, body, line):
                             target_adapt=_HEADER.format(1) + "v,0,tgt,-1,1.5\n",
                             source_test=_HEADER.format(1) + "w,0,src,12,1.5\n"),
         lambda d: _bad_model_file(d, ("n_h=1", "n_h=5")),
+        lambda d: _bad_nets_line(d, "nets shared"),
+        lambda d: _bad_nets_line(d, "nets shared senone domain domain"),
+        _sigmoid_output_model,
     ],
     ids=[
         "missing-pretrained-model",
@@ -214,6 +260,9 @@ def _bad_mlp_file(tmp_path, body, line):
         "too-few-classes",
         "label-beyond-synth-num-classes",
         "manifest-n-h-contradicts-nets",
+        "nets-line-lacks-heads",
+        "nets-line-repeats-a-name",
+        "pretrained-model-without-softmax",
     ],
 )
 def test_loader_failure_is_a_data_error(tmp_path, capsys, case):

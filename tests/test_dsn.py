@@ -340,7 +340,7 @@ def test_loss_recon_zero_output_reconstructor():
         layer.bias[...] = 0.0
     batch = tiny_batch(seed=89)
     loss = step_trace(model, batch).loss_recon
-    want = float((batch.source_x**2).sum(axis=1).mean() + (batch.target_x**2).sum(axis=1).mean())
+    want = float((batch.source_x**2).mean() + (batch.target_x**2).mean())
     assert abs(loss - want) < 1e-12
 
 
@@ -349,9 +349,7 @@ def test_loss_recon_matches_mse_oracle():
     batch = tiny_batch(seed=91)
     out_s = recon_oracle(model, batch.source_x, model.private_src)
     out_t = recon_oracle(model, batch.target_x, model.private_tgt)
-    want = float(((out_s - batch.source_x) ** 2).sum(axis=1).mean()) + float(
-        ((out_t - batch.target_x) ** 2).sum(axis=1).mean()
-    )
+    want = float(((out_s - batch.source_x) ** 2).mean()) + float(((out_t - batch.target_x) ** 2).mean())
     got = step_trace(model, batch).loss_recon
     assert abs(got - want) < 1e-12
 
@@ -369,7 +367,7 @@ def test_reconstruct_matches_explicit_concatenation():
     def recon_error(left_s, right_s, left_t, right_t):
         out_s, _ = forward(model.recon, np.hstack([left_s, right_s]))
         out_t, _ = forward(model.recon, np.hstack([left_t, right_t]))
-        return float(((out_s - x) ** 2).sum(axis=1).mean()) + float(((out_t - x) ** 2).sum(axis=1).mean())
+        return float(((out_s - x) ** 2).mean()) + float(((out_t - x) ** 2).mean())
 
     got = step_trace(model, batch).loss_recon
     # the step forwards both domains as one stacked batch, so sums may differ in the last bit
@@ -394,7 +392,7 @@ def test_total_equals_sum_of_terms():
         for x, p in ((xs, model.private_src), (xt, model.private_tgt))
     )
     l_rec = sum(
-        float(((recon_oracle(model, x, p) - x) ** 2).sum(axis=1).mean())
+        float(((recon_oracle(model, x, p) - x) ** 2).mean())
         for x, p in ((xs, model.private_src), (xt, model.private_tgt))
     )
     trace = step_trace(model, batch)

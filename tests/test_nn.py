@@ -360,16 +360,16 @@ def test_mse_zero_when_equal():
 
 def test_mse_single_row_value():
     loss, _ = mse_loss(np.array([[0.0, 0.0]]), np.array([[1.0, 2.0]]))
-    assert loss == 5.0
+    assert loss == 2.5
 
 
 def test_mse_matches_brute_force():
     pred = np.array([[1.0, 2.0], [3.0, -1.0]])
     target = np.array([[0.0, 0.5], [1.0, 1.0]])
     loss, grad = mse_loss(pred, target)
-    want = ((1 - 0) ** 2 + (2 - 0.5) ** 2 + (3 - 1) ** 2 + (-1 - 1) ** 2) / 2
+    want = ((1 - 0) ** 2 + (2 - 0.5) ** 2 + (3 - 1) ** 2 + (-1 - 1) ** 2) / 4
     assert abs(loss - want) < 1e-15
-    assert np.allclose(grad, 2 * (pred - target) / 2, rtol=0, atol=0)
+    assert np.allclose(grad, 2 * (pred - target) / 4, rtol=0, atol=0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Training orchestration: determinism, reductions, evaluation, sweeps."""
 
 import math
+import statistics
 from dataclasses import fields, replace
 
 import numpy as np
@@ -293,6 +294,19 @@ def test_sweep_marks_diverged_cell_nan(prepared, source_dnn):
     assert result.grid.shape == (2, 1)
     assert np.isnan(result.grid).all()
     assert np.isnan(result.grid.mean(axis=1)).all()
+
+
+# ---------------------------------------------------------------------------
+# trend
+# ---------------------------------------------------------------------------
+
+
+def test_trend_shows_the_papers_ordering():
+    # median target frame error over the canonical profile's seeds 1-5:
+    # full model < reversal-only baseline < unadapted source model
+    rows = pipeline.run_trend(seeds=(1, 2, 3, 4, 5))
+    medians = [statistics.median(getattr(r, f) for r in rows) for f in ("dsn_tgt", "grl_tgt", "unadapted_tgt")]
+    assert medians[0] < medians[1] < medians[2], medians
 
 
 # ---------------------------------------------------------------------------
