@@ -66,8 +66,6 @@ def _run_mode(mode: str, cfg: ExperimentConfig, out_dir: Path) -> None:
     output directory, so a rejected input leaves nothing behind."""
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
-    if mode == "sweep" and max(cfg.sweep_n_h) > len(cfg.net.source_hidden):
-        raise ConfigError(f"sweep.n_h {cfg.sweep_n_h} exceeds the hidden layers {cfg.net.source_hidden}")
     if mode == "evaluate":
         nets, model_file = _load_eval_nets(cfg), cfg.model_path
     elif mode in ("adapt_grl", "adapt_dsn") or (mode == "sweep" and cfg.pretrained_model is not None):
@@ -82,10 +80,12 @@ def _run_mode(mode: str, cfg: ExperimentConfig, out_dir: Path) -> None:
         last = nets[-1].layers[-1].activation
         if mode != "evaluate" and last is not Activation.SOFTMAX:
             raise DataError(f"{model_file}: the model's last layer is {last.value}, not softmax")
+    if mode in ("adapt_grl", "adapt_dsn", "sweep"):  # n_h splits the pretrained net, or the one built here
         key, n_h = ("sweep.n_h", max(cfg.sweep_n_h)) if mode == "sweep" else ("n_h", cfg.n_h)
-        hidden = len(nets[0].layers) - 1
-        if mode != "evaluate" and n_h > hidden:
-            raise ConfigError(f"{key} {n_h} exceeds the {hidden} hidden layers of {model_file}")
+        hidden, net_name = ((len(cfg.net.source_hidden), "net.source_hidden") if nets is None
+                            else (len(nets[0].layers) - 1, model_file))
+        if n_h > hidden:
+            raise ConfigError(f"{key} {n_h} exceeds the {hidden} hidden layers of {net_name}")
     labeled = {name: getattr(prepared, name) for name in ("source_train", "source_test", "target_test")}
     top, name = max((int(c.labels.max()), name) for name, c in labeled.items() if c is not None)
     if nets is not None and top >= nets[-1].out_dim:

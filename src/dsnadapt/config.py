@@ -84,9 +84,9 @@ class ExperimentConfig:
     sweep_alpha: tuple[float, ...] = (1.0, 4.0, 8.0)
 
     def __post_init__(self):
-        n_hidden = len(self.net.source_hidden)
-        if not 1 <= self.n_h <= n_hidden:
-            raise ConfigError(f"n_h must be in [1, {n_hidden}], got {self.n_h}")
+        # the upper bound is the depth of the net being split, checked by the mode
+        if self.n_h < 1:
+            raise ConfigError(f"n_h must be >= 1, got {self.n_h}")
         if any(n < 1 for n in self.sweep_n_h):
             raise ConfigError(f"sweep.n_h entries must be >= 1, got {self.sweep_n_h}")
         coefficients = [(name, getattr(self, name)) for name in ("alpha", "beta", "gamma", "mu")]

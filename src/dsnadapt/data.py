@@ -221,17 +221,29 @@ def cmvn(stats_from: Sequence[Corpus], apply_to: Sequence[Corpus]) -> list[Corpu
 # every record carries the file's one domain tag (a file without records
 # reads as source). The reader rejects any other header flag, tag or
 # frame_idx, so writing a loaded corpus reproduces all three.
+#
+# Both directions work on BLOCK_RECORDS records at a time, so a file costs a
+# few numpy calls per block rather than Python work per value, and memory
+# beyond the file's lines and the result stays one block's worth. The reader
+# checks a whole block before it keeps any of it: field counts, frame_idx
+# (carried across block edges), the domain tag, labels, then feature values
+# and their finiteness. A faulty file is a DataError naming its earliest
+# faulty line; a line with several faults reports the first in that order.
 # ---------------------------------------------------------------------------
+
+BLOCK_RECORDS = 2048
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
     frame_idx = np.arange(len(corpus)) - _utterance_bounds(corpus.utt_ids)[0]
-    tag = _DOMAIN_TAGS[corpus.domain]
-    lines = [f"dsn-corpus v1 dim={corpus.dim} spliced=0"]
-    for utt, idx, label, row in zip(corpus.utt_ids, frame_idx, corpus.labels, corpus.features):
-        feats = ",".join(f"{v:.17g}" for v in row)
-        lines.append(f"{utt},{idx},{tag},{label},{feats}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    record = "%s,%d," + _DOMAIN_TAGS[corpus.domain] + ",%d" + ",%.17g" * corpus.dim + "\n"
+    with Path(path).open("w") as f:
+        f.write(f"dsn-corpus v1 dim={corpus.dim} spliced=0\n")
+        for start in range(0, len(corpus), BLOCK_RECORDS):
+            block = slice(start, start + BLOCK_RECORDS)
+            rows = zip(corpus.utt_ids[block], frame_idx[block].tolist(),
+                       corpus.labels[block].tolist(), *corpus.features[block].T.tolist())
+            f.write("".join([record % row for row in rows]))
 
 
 def _parse_header(line: str, path: str) -> int:
@@ -250,6 +262,20 @@ def _parse_header(line: str, path: str) -> int:
     return dim
 
 
+def _cast(fields: np.ndarray, dtype: type) -> np.ndarray | None:
+    """An object array of field strings parsed as int() or float() parses
+    each one, or None when one does not parse."""
+    try:
+        return fields.astype(dtype)
+    except (ValueError, OverflowError):
+        return None
+
+
+def _first_uncastable(fields: np.ndarray, dtype: type) -> int:
+    flat = fields.ravel()
+    return next(i for i in range(flat.size) if _cast(flat[i : i + 1], dtype) is None)
+
+
 def _read_corpus(path: str | Path, parse_labels: bool) -> Corpus:
     lines = read_lines(path)
     if not lines:
@@ -259,38 +285,63 @@ def _read_corpus(path: str | Path, parse_labels: bool) -> Corpus:
     utt_ids: list[str] = []
     labels = np.full(n, -1, dtype=np.int64)
     features = np.empty((n, dim))
-    tag, pos = None, 0
-    for i, line in enumerate(lines[1:]):
-        lineno = i + 2
-        parts = line.split(",")
-        if len(parts) != 4 + dim:
-            raise DataError(
-                f"{path}: line {lineno}: expected {4 + dim} fields, found {len(parts)}"
-            )
-        pos = pos + 1 if utt_ids and parts[0] == utt_ids[-1] else 0
-        if parts[1] != str(pos):
-            raise DataError(f"{path}: line {lineno}: frame index {parts[1]!r}; this record "
-                            f"is frame {pos} of utterance {parts[0]!r}")
-        utt_ids.append(parts[0])
-        if parts[2] != tag:
-            if tag is not None:
-                raise DataError(f"{path}: line {lineno}: domain tag {parts[2]!r} after {tag!r}; "
-                                "a file holds one domain")
-            if parts[2] not in _DOMAIN_TAGS:
-                raise DataError(f"{path}: line {lineno}: bad domain tag {parts[2]!r}")
-            tag = parts[2]
+    tag, last_utt, last_pos = None, None, -1
+    for start in range(0, n, BLOCK_RECORDS):
+        block = lines[1 + start : 1 + start + BLOCK_RECORDS]
+        # (row, message) of the earliest fault found so far; each later check
+        # looks only at the m rows above it
+        fault, m = None, len(block)
+        commas = np.array([line.count(",") for line in block])
+        found = np.flatnonzero(commas != dim + 3)
+        if found.size:
+            m = int(found[0])
+            fault = (m, f"expected {dim + 4} fields, found {commas[m] + 1}")
+        rows = np.array(",".join(block[:m]).split(",") if m else [], dtype=object).reshape(m, dim + 4)
+
+        utt, idx = rows[:, 0], np.arange(m)
+        previous = np.empty(m, dtype=object)
+        previous[:1], previous[1:] = last_utt, utt[:-1]
+        new = utt != previous
+        run_start = np.maximum.accumulate(np.where(new, idx, -1 - last_pos))  # < 0: run began in an earlier block
+        pos = idx - run_start
+        found = np.flatnonzero(rows[:, 1] != np.array(list(map(str, pos.tolist())), dtype=object))
+        if found.size:
+            m = int(found[0])
+            fault = (m, f"frame index {rows[m, 1]!r}; this record is frame {pos[m]} of utterance {rows[m, 0]!r}")
+
+        if tag is None and m:
+            if rows[0, 2] in _DOMAIN_TAGS:
+                tag = rows[0, 2]
+            else:
+                m, fault = 0, (0, f"bad domain tag {rows[0, 2]!r}")
+        found = np.flatnonzero(rows[:m, 2] != tag)
+        if found.size:
+            m = int(found[0])
+            fault = (m, f"domain tag {rows[m, 2]!r} after {tag!r}; a file holds one domain")
+
         if parse_labels:
-            try:
-                labels[i] = int(parts[3])
-            except ValueError:
-                raise DataError(f"{path}: line {lineno}: bad label {parts[3]!r}") from None
-        try:
-            features[i] = [float(v) for v in parts[4:]]
-        except ValueError:
-            raise DataError(f"{path}: line {lineno}: bad feature value") from None
-    bad = ~np.isfinite(features).all(axis=1)
-    if bad.any():
-        raise DataError(f"{path}: line {int(bad.argmax()) + 2}: non-finite feature value")
+            block_labels = _cast(rows[:m, 3], np.int64)
+            if block_labels is None:
+                m = _first_uncastable(rows[:m, 3], np.int64)
+                fault = (m, f"bad label {rows[m, 3]!r}")
+        block_features = _cast(rows[:m, 4:], np.float64)
+        if block_features is None:
+            m = _first_uncastable(rows[:m, 4:], np.float64) // dim
+            fault = (m, "bad feature value")
+            block_features = rows[:m, 4:].astype(np.float64)
+        found = np.flatnonzero(~np.isfinite(block_features).all(axis=1))
+        if found.size:
+            fault = (int(found[0]), "non-finite feature value")
+        if fault is not None:
+            raise DataError(f"{path}: line {start + 2 + fault[0]}: {fault[1]}")
+
+        if parse_labels:
+            labels[start : start + m] = block_labels
+        features[start : start + m] = block_features
+        if not new[0]:
+            utt[0] = last_utt
+        utt_ids += utt[np.maximum(run_start, 0)].tolist()  # one str per utterance, shared by its records
+        last_utt, last_pos = utt_ids[-1], int(pos[-1])
     return Corpus(_DOMAIN_TAGS.index(tag) if tag else 0, utt_ids, labels, features)
 
 

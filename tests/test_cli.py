@@ -33,7 +33,7 @@ def test_unparsable_flag_is_a_config_error(tmp_path, capsys, flag, value, key):
 
 def test_seed_flag_sets_master_and_synth_seed(tmp_path, monkeypatch):
     config = tmp_path / "run.cfg"
-    config.write_text("seed = 3\nsynth.seed = 4\nn_h = 7\n")  # n_h = 7 is repaired by --n-h
+    config.write_text("seed = 3\nsynth.seed = 4\nn_h = 0\n")  # n_h = 0 is repaired by --n-h
     seen = []
     monkeypatch.setattr(cli, "_run_mode", lambda mode, cfg, out: seen.append(cfg))
     assert main(["pretrain", "--config", str(config), "--seed", "9", "--n-h", "1"]) == 0
@@ -107,21 +107,54 @@ def test_n_h_deeper_than_the_model_is_a_config_error(tmp_path, capsys, mode, lin
     assert not (tmp_path / "out").exists()
 
 
-def test_sweep_depth_is_checked_against_the_config_widths(tmp_path, capsys):
-    # every sweep cell re-checks n_h against net.source_hidden (3 widths), so a
-    # 4-hidden-layer model does not let sweep.n_h = 4 through
-    path = tmp_path / "deep.mlp"
-    save_mlp(init_mlp([(40, 4, "sigmoid")] + [(4, 4, "sigmoid")] * 3 + [(4, 10, "softmax")], Rng(1)), path)
-    config = tmp_path / "run.cfg"
-    config.write_text(f"sweep.n_h = 1, 4\npretrained_model = {path}\n")
-    code = main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith("config error: sweep.n_h (1, 4) exceeds the hidden layers")
-    assert not (tmp_path / "out").exists()
-
-
 _TINY = "synth.utterances_per_domain = 4\nsynth.frames_per_utterance = 20\nsynth.base_dim = 3\nepochs = 2\nbatch = 16\n"
+
+
+def _deep_model(tmp_path, hidden):
+    """A model for the _TINY corpora (3 * 5 = 15 spliced columns) with the
+    given number of 4-wide hidden layers."""
+    path = tmp_path / "deep.mlp"
+    save_mlp(init_mlp([(15, 4, "sigmoid")] + [(4, 4, "sigmoid")] * (hidden - 1) + [(4, 10, "softmax")], Rng(1)), path)
+    return path
+
+
+@pytest.mark.parametrize("hidden, n_h", [(3, 7), (4, 4)], ids=["deeper-than-the-model", "as-deep-as-the-model"])
+def test_n_h_is_bounded_by_the_pretrained_model(tmp_path, capsys, hidden, n_h):
+    # the model sets the depth, not net.source_hidden (3 widths by default)
+    config = tmp_path / "run.cfg"
+    config.write_text(_TINY + f"n_h = {n_h}\npretrained_model = {_deep_model(tmp_path, hidden)}\n")
+    code = main(["adapt_grl", "--config", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    if n_h > hidden:
+        assert code == 1
+        assert err.startswith(f"config error: n_h {n_h} exceeds the {hidden} hidden layers of") and "deep.mlp" in err
+        assert not (tmp_path / "out").exists()
+    else:
+        assert code == 0 and err == ""
+        assert (tmp_path / "out" / "model.dsn").is_file()
+
+
+def test_sweep_depth_is_checked_against_the_model(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    model = _deep_model(tmp_path, 4)
+    config.write_text(_TINY + f"sweep.n_h = 1, 5\nsweep.alpha = 1\npretrained_model = {model}\n")
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: sweep.n_h 5 exceeds the 4 hidden layers of") and "deep.mlp" in err
+    assert not (tmp_path / "out").exists()
+    # a 4-hidden-layer model lets sweep.n_h = 4 through, past the 3 widths of net.source_hidden
+    config.write_text(_TINY + f"sweep.n_h = 4\nsweep.alpha = 1\npretrained_model = {model}\n")
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "sweep.csv").read_text().startswith("n_h,1,avg\n4,")
+
+
+def test_sweep_without_a_model_is_bounded_by_the_config_widths(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("sweep.n_h = 1, 4\n")  # net.source_hidden has 3 widths by default
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: sweep.n_h 4 exceeds the 3 hidden layers of net.source_hidden")
+    assert not (tmp_path / "out").exists()
 
 
 # At mu = 1e150 pretraining's sigmoid layers saturate (zero derivative) and its

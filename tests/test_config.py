@@ -93,8 +93,10 @@ def test_bad_value_types():
 
 
 def test_semantic_validation():
-    with pytest.raises(ConfigError):
-        build_config({"n_h": "7"})  # only 3 hidden layers by default
+    with pytest.raises(ConfigError, match="n_h must be >= 1"):
+        build_config({"n_h": "0"})
+    # the depth bound belongs to the net being split and is checked by the mode
+    assert build_config({"n_h": "7"}).n_h == 7
     with pytest.raises(ConfigError):
         build_config({"alpha": "-1"})
     with pytest.raises(ConfigError):
@@ -131,7 +133,7 @@ def test_overrides_beat_file_values(tmp_path):
 
 def test_overrides_are_validated_with_the_file(tmp_path):
     path = tmp_path / "c.cfg"
-    path.write_text("n_h = 7\n")
+    path.write_text("n_h = 0\n")
     with pytest.raises(ConfigError):
         load_config(path)
     assert load_config(path, {"n_h": "2"}).n_h == 2  # the merged config is what counts

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsnadapt.data import (
+    BLOCK_RECORDS,
     Corpus,
     SynthConfig,
     class_means,
@@ -232,6 +233,172 @@ def test_cmvn_application_is_pure_affine():
 # ---------------------------------------------------------------------------
 
 
+_GOLDEN_FEATURES = np.array(
+    [[-0.0, 5e-324], [1.7976931348623157e308, 0.1], [-2.5, 1e-7], [123456789.125, -1.0 / 3]]
+)
+
+
+@pytest.mark.parametrize(
+    "corpus, text",
+    [
+        (
+            Corpus(0, ["a", "a", "b", "c"], np.array([3, -1, 0, 9]), _GOLDEN_FEATURES),
+            "dsn-corpus v1 dim=2 spliced=0\n"
+            "a,0,src,3,-0,4.9406564584124654e-324\n"
+            "a,1,src,-1,1.7976931348623157e+308,0.10000000000000001\n"
+            "b,0,src,0,-2.5,9.9999999999999995e-08\n"
+            "c,0,src,9,123456789.125,-0.33333333333333331\n",
+        ),
+        (
+            Corpus(1, ["t", "t", "u", "u"], np.full(4, -1), _GOLDEN_FEATURES[::-1].copy()),
+            "dsn-corpus v1 dim=2 spliced=0\n"
+            "t,0,tgt,-1,123456789.125,-0.33333333333333331\n"
+            "t,1,tgt,-1,-2.5,9.9999999999999995e-08\n"
+            "u,0,tgt,-1,1.7976931348623157e+308,0.10000000000000001\n"
+            "u,1,tgt,-1,-0,4.9406564584124654e-324\n",
+        ),
+    ],
+    ids=["source", "target"],
+)
+def test_writer_bytes_are_pinned(tmp_path, corpus, text):
+    path = tmp_path / "c.csv"
+    write_corpus(corpus, path)
+    assert path.read_bytes() == text.encode()
+
+
+def _same_bits(a, b):
+    """Bit-for-bit equality; unlike array_equal it tells -0.0 from 0.0."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+_EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+             1.7976931348623157e308, -1.7976931348623157e308, 0.1, -1.0 / 3]
+
+
+@given(
+    dim=st.integers(min_value=1, max_value=4),
+    lengths=st.lists(st.integers(min_value=1, max_value=BLOCK_RECORDS + 3), min_size=1, max_size=3),
+    domain=st.sampled_from([0, 1]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    drawn=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8),
+)
+@settings(max_examples=25, deadline=None)
+def test_corpus_file_roundtrip_is_bit_exact(tmp_path_factory, dim, lengths, domain, seed, drawn):
+    rng = np.random.default_rng(seed)
+    n = sum(lengths)
+    # random bit patterns (every exponent, subnormals included), with about a
+    # third of the entries and every non-finite pattern replaced by a
+    # hand-picked or hypothesis-drawn finite value
+    feats = np.frombuffer(rng.bytes(8 * n * dim), dtype=np.float64).reshape(n, dim)
+    pool = np.array(_EXTREMES + drawn)
+    picked = pool[rng.integers(len(pool), size=(n, dim))]
+    feats = np.where((rng.random((n, dim)) < 0.3) | ~np.isfinite(feats), picked, feats)
+    # two names, so adjacent utterances sometimes merge into one run
+    utt_ids = [f"u{rng.integers(2)}" for length in lengths for _ in range(length)]
+    corpus = Corpus(domain, utt_ids, rng.integers(-1, 10, size=n), feats)
+    work = tmp_path_factory.mktemp("roundtrip")
+    write_corpus(corpus, work / "c.csv")
+    loaded = read_corpus(work / "c.csv")
+    assert loaded.domain == domain and loaded.utt_ids == utt_ids
+    assert np.array_equal(loaded.labels, corpus.labels)
+    assert _same_bits(loaded.features, feats)
+    write_corpus(loaded, work / "again.csv")
+    assert (work / "again.csv").read_bytes() == (work / "c.csv").read_bytes()
+
+
+def test_utterance_straddling_block_edges_reads_back(tmp_path):
+    lengths = [BLOCK_RECORDS - 2, 5, 1, BLOCK_RECORDS]  # the 2nd and 4th cross a block edge
+    utt_ids = [f"u{k}" for k, length in enumerate(lengths) for _ in range(length)]
+    n = len(utt_ids)
+    corpus = Corpus(1, utt_ids, np.arange(n) % 7 - 1, Rng(2).normals(2 * n).reshape(n, 2))
+    path = tmp_path / "c.csv"
+    write_corpus(corpus, path)
+    for reader, labels in ((read_corpus, corpus.labels), (read_corpus_unlabeled, np.full(n, -1))):
+        loaded = reader(path)
+        assert loaded.domain == 1 and loaded.utt_ids == utt_ids
+        assert np.array_equal(loaded.labels, labels)
+        assert _same_bits(loaded.features, corpus.features)
+        assert len({id(u) for u in loaded.utt_ids}) == len(lengths)  # one str per utterance
+
+
+def test_header_only_file_is_an_empty_source_corpus(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text("dsn-corpus v1 dim=3 spliced=0\n")
+    for reader in (read_corpus, read_corpus_unlabeled):
+        corpus = reader(path)
+        assert (len(corpus), corpus.domain, corpus.features.shape, corpus.labels.shape) == (0, 0, (0, 3), (0,))
+
+
+# Each fault edits one record's fields and gives the reader's message for it.
+_FAULTS = {
+    "short-record": lambda f: (f[:-1], f"expected {len(f)} fields, found {len(f) - 1}"),
+    "frame-index": lambda f: (
+        [f[0], str(int(f[1]) + 1), *f[2:]],
+        f"frame index '{int(f[1]) + 1}'; this record is frame {f[1]} of utterance '{f[0]}'",
+    ),
+    "domain-tag": lambda f: ([*f[:2], "tgt", *f[3:]], "domain tag 'tgt' after 'src'; a file holds one domain"),
+    "bad-label": lambda f: ([*f[:3], "x", *f[4:]], "bad label 'x'"),
+    "label-overflow": lambda f: ([*f[:3], "9" * 20, *f[4:]], f"bad label '{'9' * 20}'"),
+    "bad-float": lambda f: ([*f[:5], "1.5.2", *f[6:]], "bad feature value"),
+    "non-finite": lambda f: ([*f[:-1], "-inf"], "non-finite feature value"),
+}
+
+
+def _faulty_file(tmp_path, faults: dict[int, str]):
+    """A 3-frames-per-utterance source file of BLOCK_RECORDS + 5 records with
+    the named faults at the given records; returns it and each fault's line
+    and message."""
+    n, dim = BLOCK_RECORDS + 5, 2
+    corpus = Corpus(0, [f"u{i // 3:04d}" for i in range(n)], np.arange(n) % 10, np.arange(n * dim).reshape(n, dim) / 7)
+    path = tmp_path / "c.csv"
+    write_corpus(corpus, path)
+    lines = path.read_text().splitlines()
+    expected = {}
+    for record, kind in faults.items():
+        fields, message = _FAULTS[kind](lines[record + 1].split(","))
+        lines[record + 1] = ",".join(fields)
+        expected[record + 2] = message
+    path.write_text("\n".join(lines) + "\n")
+    return path, expected
+
+
+@pytest.mark.parametrize("record", [BLOCK_RECORDS - 1, BLOCK_RECORDS],
+                         ids=["last-of-first-block", "first-of-second-block"])
+@pytest.mark.parametrize("kind", list(_FAULTS))
+def test_one_fault_at_a_block_edge_names_its_line(tmp_path, kind, record):
+    path, expected = _faulty_file(tmp_path, {record: kind})
+    ((line, message),) = expected.items()
+    label_fault = "label" in kind
+    for reader in (read_corpus, read_corpus_unlabeled):
+        if reader is read_corpus_unlabeled and label_fault:
+            assert len(reader(path)) == BLOCK_RECORDS + 5  # the label field is never parsed
+            continue
+        with pytest.raises(DataError) as exc:
+            reader(path)
+        assert str(exc.value) == f"{path}: line {line}: {message}"
+
+
+@pytest.mark.parametrize(
+    "faults",
+    [
+        {3: "bad-float", 7: "non-finite"},
+        {4: "non-finite", 10: "bad-float"},
+        {2: "short-record", 9: "frame-index"},
+        {9: "short-record", 2: "bad-label"},
+        {BLOCK_RECORDS - 1: "bad-label", BLOCK_RECORDS: "domain-tag"},
+        {BLOCK_RECORDS + 2: "short-record", 1: "non-finite"},
+    ],
+    ids=["bad-float-first", "non-finite-first", "short-record-first", "bad-label-first",
+         "either-side-of-a-block-edge", "in-two-blocks"],
+)
+def test_several_faults_name_the_earliest(tmp_path, faults):
+    path, expected = _faulty_file(tmp_path, faults)
+    line = min(expected)
+    with pytest.raises(DataError) as exc:
+        read_corpus(path)
+    assert str(exc.value) == f"{path}: line {line}: {expected[line]}"
+
+
 def test_corpus_roundtrip_bitwise(tmp_path):
     bundle = synth_corpus(toy_cfg(utterances_per_domain=3, frames_per_utterance=4))
     for corpus in (bundle.source_train, bundle.target_adapt):
@@ -297,9 +464,10 @@ def test_non_finite_feature_names_the_line(tmp_path, value):
         ("dsn-corpus v1 dim=1 spliced=0\nu,0,src,0,1.5\nu,2,src,0,2.5\n", "line 3: frame index '2'"),
         ("dsn-corpus v1 dim=1 spliced=0\nu,0,src,0,1.5\nv,1,src,0,2.5\n", "line 3: frame index '1'"),
         ("dsn-corpus v1 dim=1 spliced=0\nu,1,src,0,1.5\n", "line 2: frame index '1'"),
+        ("dsn-corpus v1 dim=1 spliced=0\nu,0,foo,0,1.5\n", "line 2: bad domain tag 'foo'"),
     ],
     ids=["spliced-header", "negative-dim", "second-domain-tag", "frame-idx-skips", "frame-idx-across-utterances",
-         "frame-idx-not-from-zero"],
+         "frame-idx-not-from-zero", "unknown-domain-tag"],
 )
 def test_reader_rejection_names_the_line(tmp_path, body, message):
     path = tmp_path / "c.csv"
