@@ -7,6 +7,10 @@ Modes: pretrain, adapt_grl, adapt_dsn, evaluate, sweep. Each flag sets the
 config key it names (`--n-h` sets `n_h`; `--seed` also sets `synth.seed`) over
 the file's value; see config.py for the key scheme. Exit codes: 0 success,
 1 config error, 2 data error, 3 training divergence.
+
+A `data_dir` gains hidden `.<file>.labeled.npz` and `.<file>.unlabeled.npz`
+sidecars: each corpus file's parsed frames, which later runs load instead of
+parsing the file again while its bytes are unchanged (see data.py).
 """
 
 from __future__ import annotations
@@ -57,8 +61,8 @@ def _load_eval_nets(cfg: ExperimentConfig) -> tuple[Mlp, ...]:
         raise ConfigError("evaluate mode needs 'model_path = <path>' in the config")
     lines = read_lines(cfg.model_path)
     if lines and lines[0].strip() == "dsn-model v1":
-        return adapted_model(load_dsn_model(cfg.model_path))
-    return (load_mlp(cfg.model_path),)
+        return adapted_model(load_dsn_model(cfg.model_path, lines))
+    return (load_mlp(cfg.model_path, lines),)
 
 
 def _run_mode(mode: str, cfg: ExperimentConfig, out_dir: Path) -> None:

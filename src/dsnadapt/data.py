@@ -8,7 +8,10 @@ preserved but the feature distribution shifts.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import os
+import secrets
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -16,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, ContractError, DataError
-from .nn import Rng, read_lines
+from .nn import Rng, read_bytes, read_lines
 
 VARIANCE_FLOOR = 1e-8
 
@@ -57,7 +60,7 @@ class Corpus:
 
 def _utterance_bounds(utt_ids: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """First and last row of each row's utterance (run of equal utt_ids)."""
-    ids = np.asarray(utt_ids)
+    ids = np.array(utt_ids, dtype=object)  # not a U array, which drops trailing NULs
     first = np.ones(len(ids), dtype=bool)
     first[1:] = ids[1:] != ids[:-1]
     starts = np.flatnonzero(first)
@@ -229,15 +232,34 @@ def cmvn(stats_from: Sequence[Corpus], apply_to: Sequence[Corpus]) -> list[Corpu
 # (carried across block edges), the domain tag, labels, then feature values
 # and their finiteness. A faulty file is a DataError naming its earliest
 # faulty line; a line with several faults reports the first in that order.
+#
+# Each file is parsed once per reader mode. A successful parse is saved beside
+# the file as the hidden sidecar .<file name>.<labeled|unlabeled>.npz, keyed by
+# the SHA-256 of the file's bytes, the reader mode and SIDECAR_VERSION. A read
+# whose key matches the sidecar's loads it (numpy arrays only, no pickle, with
+# dtypes, shapes and finiteness checked) instead of parsing; any other sidecar,
+# or one that does not load, is a miss, and the read parses the file and
+# replaces it. Bump SIDECAR_VERSION whenever the reader's checks or output
+# change, so no sidecar written before serves a read after. The sidecar is
+# written to a unique temporary name and moved into place with os.replace, so
+# a reader never sees half of one; where the directory cannot be written, the
+# read skips the sidecar and the next read parses again. The labeled and
+# unlabeled reads of a file never share a sidecar, so an unlabeled read never
+# returns labels.
 # ---------------------------------------------------------------------------
 
 BLOCK_RECORDS = 2048
+SIDECAR_VERSION = 1
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
+    # a comma or any character str.splitlines breaks on would split a record
+    bad = next((u for u in dict.fromkeys(corpus.utt_ids) if "," in u or len((u + ".").splitlines()) > 1), None)
+    if bad is not None:
+        raise DataError(f"{path}: utt id {bad!r} holds a comma or a line break, which would split its record")
     frame_idx = np.arange(len(corpus)) - _utterance_bounds(corpus.utt_ids)[0]
     record = "%s,%d," + _DOMAIN_TAGS[corpus.domain] + ",%d" + ",%.17g" * corpus.dim + "\n"
-    with Path(path).open("w") as f:
+    with Path(path).open("w", encoding="utf-8") as f:
         f.write(f"dsn-corpus v1 dim={corpus.dim} spliced=0\n")
         for start in range(0, len(corpus), BLOCK_RECORDS):
             block = slice(start, start + BLOCK_RECORDS)
@@ -277,7 +299,66 @@ def _first_uncastable(fields: np.ndarray, dtype: type) -> int:
 
 
 def _read_corpus(path: str | Path, parse_labels: bool) -> Corpus:
-    lines = read_lines(path)
+    raw = read_bytes(path)
+    key = (hashlib.sha256(raw).hexdigest(), "labeled" if parse_labels else "unlabeled", SIDECAR_VERSION)
+    sidecar = Path(path).with_name(f".{Path(path).name}.{key[1]}.npz")
+    corpus = _load_sidecar(sidecar, key)
+    if corpus is None:
+        corpus = _parse_corpus(read_lines(path, raw), path, parse_labels)
+        _save_sidecar(sidecar, key, corpus)
+    return corpus
+
+
+def _load_sidecar(sidecar: Path, key: tuple[str, str, int]) -> Corpus | None:
+    """The corpus a sidecar holds under key, or None on a miss."""
+    try:
+        with np.load(sidecar, allow_pickle=False) as z:
+            if (z["digest"].item(), z["mode"].item(), z["version"].item()) != key:
+                return None
+            domain, features, labels, runs, names = (z[k] for k in ("domain", "features", "labels", "runs", "names"))
+            if not (domain.dtype == np.int64 and domain.shape == ()
+                    and features.dtype == np.float64 and features.ndim == 2 and features.shape[1] >= 1
+                    and np.isfinite(features).all()
+                    and labels.dtype == np.int64 and (key[1] == "labeled" or (labels == -1).all())
+                    and runs.dtype == np.int64 and runs.ndim == 1 and (runs >= 1).all()
+                    and names.dtype == np.uint8 and names.ndim == 1):
+                return None
+            # run names are joined by "\n", which no utt id of a parsed file holds
+            run_ids = names.tobytes().decode("utf-8").split("\n") if len(runs) else []
+            if len(run_ids) != len(runs):
+                return None
+            utt_ids = np.repeat(np.array(run_ids, dtype=object), runs).tolist()  # one str per utterance
+            return Corpus(int(domain), utt_ids, labels, features)  # checks the domain and every length
+    except Exception:  # a sidecar is only a cache: whatever a damaged one raises, the file is parsed instead
+        return None
+
+
+def _save_sidecar(sidecar: Path, key: tuple[str, str, int], corpus: Corpus) -> None:
+    n = len(corpus)
+    starts = np.flatnonzero(_utterance_bounds(corpus.utt_ids)[0] == np.arange(n))
+    arrays = {
+        "digest": np.array(key[0]),
+        "mode": np.array(key[1]),
+        "version": np.array(key[2], dtype=np.int64),
+        "domain": np.array(corpus.domain, dtype=np.int64),
+        "features": corpus.features,
+        "labels": corpus.labels,
+        "runs": np.diff(np.append(starts, n)),
+        "names": np.frombuffer("\n".join(corpus.utt_ids[i] for i in starts).encode("utf-8"), dtype=np.uint8),
+    }
+    tmp = sidecar.with_name(f"{sidecar.name}.{secrets.token_hex(8)}.tmp")
+    try:
+        try:
+            with tmp.open("xb") as f:
+                np.savez(f, **arrays)
+            os.replace(tmp, sidecar)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError:
+        pass  # a directory that cannot take the sidecar only costs the next read a parse
+
+
+def _parse_corpus(lines: list[str], path: str | Path, parse_labels: bool) -> Corpus:
     if not lines:
         raise DataError(f"{path}: empty file")
     dim = _parse_header(lines[0], str(path))

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -292,8 +293,10 @@ def save_dsn_model(model: DsnModel, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_dsn_model(path: str | Path) -> DsnModel:
-    cursor = LineCursor(read_lines(path), source=str(path))
+def load_dsn_model(path: str | Path, lines: Sequence[str] | None = None) -> DsnModel:
+    """The dsn-model file at path, parsed from lines when the caller has
+    already read them."""
+    cursor = LineCursor(read_lines(path) if lines is None else lines, source=str(path))
     header = cursor.take()
     if header.strip() != "dsn-model v1":
         raise cursor.error(f"expected 'dsn-model v1' header, found {header!r}")

@@ -366,13 +366,23 @@ def mlp_to_lines(net: Mlp) -> list[str]:
     return lines
 
 
-def read_lines(path: str | Path) -> list[str]:
-    """The lines of a text file; a file that cannot be read is a DataError
-    naming it."""
+def read_bytes(path: str | Path) -> bytes:
+    """The bytes of a file; a file that cannot be read is a DataError naming it."""
     try:
-        return Path(path).read_text().splitlines()
-    except (OSError, UnicodeError) as exc:
-        raise DataError(f"{path}: cannot read: {getattr(exc, 'strerror', None) or exc}") from None
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from None
+
+
+def read_lines(path: str | Path, raw: bytes | None = None) -> list[str]:
+    """The lines of a UTF-8 text file, decoded from raw when the caller has
+    already read its bytes; a file that cannot be read or decoded is a
+    DataError naming it."""
+    raw = read_bytes(path) if raw is None else raw
+    try:
+        return raw.decode("utf-8").splitlines()
+    except UnicodeError as exc:
+        raise DataError(f"{path}: cannot read: {exc}") from None
 
 
 class LineCursor:
@@ -445,5 +455,7 @@ def save_mlp(net: Mlp, path: str | Path) -> None:
     Path(path).write_text("\n".join(mlp_to_lines(net)) + "\n")
 
 
-def load_mlp(path: str | Path) -> Mlp:
-    return mlp_from_cursor(LineCursor(read_lines(path), source=str(path)))
+def load_mlp(path: str | Path, lines: Sequence[str] | None = None) -> Mlp:
+    """The dsn-mlp file at path, parsed from lines when the caller has
+    already read them."""
+    return mlp_from_cursor(LineCursor(read_lines(path) if lines is None else lines, source=str(path)))

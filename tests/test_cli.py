@@ -1,10 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from dsnadapt import cli
+from dsnadapt import cli, data
 from dsnadapt.cli import main
+from dsnadapt.data import SynthConfig, synth_corpus, write_corpus
 from dsnadapt.dsn import DsnModel, save_dsn_model
 from dsnadapt.nn import Rng, init_mlp, save_mlp
+from dsnadapt.pipeline import DATA_FILES
 
 
 @pytest.mark.parametrize("flag, value", [("--alpha", "nan"), ("--beta", "nan"), ("--gamma", "inf")])
@@ -226,6 +230,11 @@ def _data_dir(tmp_path, mode, name, **files):
     return mode, line, name
 
 
+def _unreadable_corpus(tmp_path, make):
+    make(tmp_path / "source_train.csv")
+    return "pretrain", f"data_dir = {tmp_path}", "source_train.csv: cannot read:"
+
+
 def _few_classes_model(tmp_path):
     path = tmp_path / "three.mlp"
     save_mlp(init_mlp([(40, 8, "sigmoid"), (8, 8, "sigmoid"), (8, 3, "softmax")], Rng(1)), path)
@@ -271,6 +280,8 @@ def _bad_mlp_file(tmp_path, body, line):
         lambda d: _bad_nets_line(d, "nets shared"),
         lambda d: _bad_nets_line(d, "nets shared senone domain domain"),
         _sigmoid_output_model,
+        lambda d: _unreadable_corpus(d, lambda p: p.write_bytes(_HEADER.format(1).encode() + b"u\xe9,0,src,0,1.5\n")),
+        lambda d: _unreadable_corpus(d, Path.mkdir),
     ],
     ids=[
         "missing-pretrained-model",
@@ -296,6 +307,8 @@ def _bad_mlp_file(tmp_path, body, line):
         "nets-line-lacks-heads",
         "nets-line-repeats-a-name",
         "pretrained-model-without-softmax",
+        "corpus-not-utf8",
+        "corpus-is-a-directory",
     ],
 )
 def test_loader_failure_is_a_data_error(tmp_path, capsys, case):
@@ -308,3 +321,40 @@ def test_loader_failure_is_a_data_error(tmp_path, capsys, case):
     assert err.startswith("data error:") and name in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()  # rejected before the output directory is made
+
+
+def test_second_run_over_one_data_dir_loads_sidecars_and_matches_the_first(tmp_path, monkeypatch):
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    bundle = synth_corpus(SynthConfig(10, 3, 4, 20, 3.0, 0.3, 1.0, seed=5))
+    for key, filename in DATA_FILES.items():
+        write_corpus(getattr(bundle, key), data_dir / filename)
+
+    def run_all(out):
+        for mode, extra in (
+            ("pretrain", ""),
+            ("adapt_dsn", f"pretrained_model = {out / 'pretrain' / 'model.dsn'}\n"),
+            ("evaluate", f"model_path = {out / 'adapt_dsn' / 'model.dsn'}\n"),
+        ):
+            config = tmp_path / f"{mode}.cfg"
+            config.write_text(_TINY + f"data_dir = {data_dir}\n" + extra)
+            assert main([mode, "--config", str(config), "--out", str(out / mode)]) == 0
+
+    run_all(tmp_path / "first")
+    assert sorted(p.name for p in data_dir.glob(".*")) == [
+        ".source_test.csv.labeled.npz", ".source_train.csv.labeled.npz",
+        ".target_adapt.csv.unlabeled.npz", ".target_test.csv.labeled.npz",
+    ]
+
+    def no_parse(*args):
+        raise AssertionError("a corpus file was parsed again")
+
+    monkeypatch.setattr(data, "_parse_corpus", no_parse)
+    run_all(tmp_path / "second")
+    first, second = (sorted(str(p.relative_to(tmp_path / run)) for p in (tmp_path / run).rglob("*") if p.is_file())
+                     for run in ("first", "second"))
+    assert first == second == ["adapt_dsn/model.dsn", "adapt_dsn/report.csv", "adapt_dsn/trace.csv",
+                               "evaluate/report.csv", "pretrain/model.dsn", "pretrain/report.csv",
+                               "pretrain/trace.csv"]  # no sidecar in --out
+    for name in first:
+        assert (tmp_path / "second" / name).read_bytes() == (tmp_path / "first" / name).read_bytes()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dsnadapt import data
 from dsnadapt.data import (
     BLOCK_RECORDS,
     Corpus,
@@ -490,3 +491,173 @@ def test_missing_label_is_accepted_as_absent(tmp_path):
     corpus = read_corpus(path)
     assert corpus.labels.tolist() == [-1]
     assert not corpus.is_labeled
+
+
+@pytest.mark.parametrize("utt_id", ["a,b", "x\ny", "x\r", "\x0b", "x\x1cy", "x\x85", "x\u2028"])
+def test_writer_rejects_ids_that_split_a_record(tmp_path, utt_id):
+    corpus = Corpus(0, ["ok", utt_id], np.array([1, 2]), np.ones((2, 1)))
+    path = tmp_path / "c.csv"
+    with pytest.raises(DataError) as exc:
+        write_corpus(corpus, path)
+    assert str(exc.value).startswith(f"{path}: utt id {utt_id!r} ")
+    assert not path.exists()  # rejected before the file is opened
+
+
+# ---------------------------------------------------------------------------
+# parsed-corpus sidecars
+# ---------------------------------------------------------------------------
+
+_READERS = {"labeled": read_corpus, "unlabeled": read_corpus_unlabeled}
+
+
+def _sidecar(path, mode):
+    return path.with_name(f".{path.name}.{mode}.npz")
+
+
+def _count_parses(monkeypatch):
+    """A list that gains one entry per parse of a corpus file."""
+    parses, parse = [], data._parse_corpus
+    monkeypatch.setattr(data, "_parse_corpus", lambda *args: parses.append(args[1]) or parse(*args))
+    return parses
+
+
+def _straddling_target():
+    lengths = [BLOCK_RECORDS - 2, 5, 1, BLOCK_RECORDS]
+    utt_ids = [f"u{k}" for k, length in enumerate(lengths) for _ in range(length)]
+    n = len(utt_ids)
+    return Corpus(1, utt_ids, np.arange(n) % 7 - 1, Rng(2).normals(2 * n).reshape(n, 2))
+
+
+def _odd_ids_source():
+    # 1-frame utterances, an empty id, spaces, and ids that differ only by a
+    # trailing NUL (which a numpy U array would drop)
+    utt_ids = ["", "", "a b", "a\x00", "a", "a\x00", "\x00\x00", "é"]
+    n = len(utt_ids)
+    return Corpus(0, utt_ids, np.arange(n) % 3, np.array([_EXTREMES[:3]] * n) * np.arange(n)[:, None])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda path: write_corpus(_straddling_target(), path),
+        lambda path: write_corpus(_odd_ids_source(), path),
+        lambda path: path.write_text("dsn-corpus v1 dim=3 spliced=0\n"),
+    ],
+    ids=["straddling-target", "odd-ids-source", "header-only"],
+)
+@pytest.mark.parametrize("mode", list(_READERS))
+def test_sidecar_hit_is_bit_identical_to_a_parse(tmp_path, monkeypatch, make, mode):
+    path = tmp_path / "c.csv"
+    make(path)
+    reader = _READERS[mode]
+    parsed = reader(path)
+    assert _sidecar(path, mode).is_file()
+
+    def no_parse(*args):
+        raise AssertionError("a sidecar hit parsed the file")
+
+    monkeypatch.setattr(data, "_parse_corpus", no_parse)
+    hit = reader(path)
+    assert hit.domain == parsed.domain and hit.utt_ids == parsed.utt_ids
+    assert hit.labels.dtype == parsed.labels.dtype and np.array_equal(hit.labels, parsed.labels)
+    assert _same_bits(hit.features, parsed.features)
+    n_runs = len(np.flatnonzero(data._utterance_bounds(parsed.utt_ids)[0] == np.arange(len(parsed))))
+    assert len({id(u) for u in hit.utt_ids}) == n_runs  # one str per utterance
+
+
+def test_changed_byte_forces_a_parse(tmp_path, monkeypatch):
+    path = tmp_path / "c.csv"
+    write_corpus(Corpus(0, ["u", "u"], np.array([1, 2]), np.array([[1.5], [2.5]])), path)
+    parses = _count_parses(monkeypatch)
+    read_corpus(path)
+    read_corpus(path)
+    assert len(parses) == 1
+    path.write_bytes(path.read_bytes().replace(b"2.5", b"3.5"))
+    assert read_corpus(path).features.tolist() == [[1.5], [3.5]]
+    assert len(parses) == 2
+
+
+def test_file_made_faulty_after_caching_names_its_line_on_every_read(tmp_path):
+    path = tmp_path / "c.csv"
+    write_corpus(Corpus(0, ["u", "u"], np.array([1, 2]), np.array([[1.5], [2.5]])), path)
+    for reader in _READERS.values():
+        reader(path)
+    path.write_bytes(path.read_bytes().replace(b"2.5", b"nan"))
+    for reader in [*_READERS.values()] * 2:
+        with pytest.raises(DataError) as exc:
+            reader(path)
+        assert str(exc.value) == f"{path}: line 3: non-finite feature value"
+
+
+def _rewrite_sidecar(sidecar, **changes):
+    with np.load(sidecar) as z:
+        arrays = {key: z[key] for key in z.files}
+    arrays.update(changes)
+    np.savez(sidecar, **arrays)
+
+
+def test_unlabeled_read_never_shares_the_labeled_sidecar(tmp_path, monkeypatch):
+    path = tmp_path / "t.csv"
+    target = _straddling_target()
+    write_corpus(target, path)
+    assert (read_corpus_unlabeled(path).labels == -1).all()
+    with np.load(_sidecar(path, "unlabeled")) as z:
+        assert (z["labels"] == -1).all()
+    assert np.array_equal(read_corpus(path).labels, target.labels)
+    parses = _count_parses(monkeypatch)
+    assert (read_corpus_unlabeled(path).labels == -1).all() and np.array_equal(read_corpus(path).labels, target.labels)
+    assert parses == []  # both reads were hits, each on its own sidecar
+    _rewrite_sidecar(_sidecar(path, "unlabeled"), labels=target.labels)
+    assert (read_corpus_unlabeled(path).labels == -1).all()  # an unlabeled sidecar holding labels is a miss
+    assert len(parses) == 1
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda s: s.write_bytes(s.read_bytes()[: s.stat().st_size // 2]),
+        lambda s: s.write_bytes(b""),
+        lambda s: _rewrite_sidecar(s, version=np.array(data.SIDECAR_VERSION + 1)),
+        lambda s: _rewrite_sidecar(s, digest=np.array("0" * 64)),
+        lambda s: _rewrite_sidecar(s, mode=np.array("unlabeled")),
+        lambda s: _rewrite_sidecar(s, features=np.ones((3, 2))),
+        lambda s: _rewrite_sidecar(s, labels=np.zeros(3, dtype=np.int64)),
+        lambda s: _rewrite_sidecar(s, features=np.full((4, 1), np.inf)),
+        lambda s: _rewrite_sidecar(s, runs=np.array([4])),
+        lambda s: _rewrite_sidecar(s, runs=np.array([2, 0, 2])),
+    ],
+    ids=["truncated", "empty", "wrong-version", "wrong-digest", "wrong-mode", "wrong-feature-shape",
+         "wrong-label-shape", "non-finite", "runs-disagree-with-names", "empty-run"],
+)
+def test_bad_sidecar_is_a_miss_and_is_rewritten(tmp_path, monkeypatch, spoil):
+    path = tmp_path / "c.csv"
+    corpus = Corpus(0, ["u", "u", "v", "w"], np.array([1, 2, 3, 4]), np.arange(4.0).reshape(4, 1))
+    write_corpus(corpus, path)
+    read_corpus(path)
+    sidecar = _sidecar(path, "labeled")
+    spoil(sidecar)
+    parses = _count_parses(monkeypatch)
+    for _ in range(2):
+        loaded = read_corpus(path)
+        assert loaded.utt_ids == corpus.utt_ids and np.array_equal(loaded.labels, corpus.labels)
+        assert _same_bits(loaded.features, corpus.features)
+    assert len(parses) == 1  # the spoiled sidecar was replaced by the first read
+    with np.load(sidecar) as z:
+        assert z["version"] == data.SIDECAR_VERSION and z["features"].shape == (4, 1)
+
+
+def _raise_oserror(*args, **kwargs):
+    raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("target", ["savez", "replace"])
+def test_unwritable_sidecar_is_skipped(tmp_path, monkeypatch, target):
+    path = tmp_path / "c.csv"
+    corpus = _odd_ids_source()
+    write_corpus(corpus, path)
+    monkeypatch.setattr(*((data.np, "savez") if target == "savez" else (data.os, "replace")), _raise_oserror)
+    parses = _count_parses(monkeypatch)
+    for _ in range(2):
+        assert read_corpus(path).utt_ids == corpus.utt_ids
+    assert len(parses) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["c.csv"]  # no sidecar and no temporary file left
