@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, ContractError, DataError
-from .nn import Rng, read_bytes, read_lines
+from .nn import Rng, _box_muller, read_bytes, read_lines
 
 VARIANCE_FLOOR = 1e-8
 
@@ -140,27 +140,28 @@ def _gen_corpus(
 ) -> Corpus:
     """Draw order per utterance: frame labels first, then the base feature
     normals row-major, then (target only) the additive noise normals. A
-    corpus drawn through the channel is the target domain."""
-    d = cfg.base_dim
-    f = cfg.frames_per_utterance
-    utt_ids: list[str] = []
-    all_labels = np.empty(n_utts * f, dtype=np.int64)
-    feats = np.empty((n_utts * f, d))
-    for u in range(n_utts):
-        utt = f"{prefix}-{u:05d}"
-        utt_ids.extend([utt] * f)
-        labels = (rng._raw_block(f) % np.uint64(cfg.num_classes)).astype(np.int64)
-        base = means[labels] + rng.normals(f * d).reshape(f, d)
-        if channel is not None:
-            base = base @ channel.T + cfg.noise_std * rng.normals(f * d).reshape(f, d)
-        row = u * f
-        all_labels[row : row + f] = labels
-        feats[row : row + f] = base
+    corpus drawn through the channel is the target domain.
+
+    All of it comes from one block of raw draws, a row per utterance: f label
+    draws, then w = f * d rounded up to even draws for the base normals (what
+    Rng.normals(f * d) takes), then (target only) w for the noise."""
+    d, f = cfg.base_dim, cfg.frames_per_utterance
+    w = f * d + (f * d) % 2
+    cols = f + w if channel is None else f + 2 * w
+    raw = rng._raw_block(n_utts * cols).reshape(n_utts, cols)
+    labels = (raw[:, :f] % np.uint64(cfg.num_classes)).astype(np.int64)
+    feats = means[labels] + _box_muller(raw[:, f : f + w])[:, : f * d].reshape(n_utts, f, d)
+    if channel is not None:
+        # stacked, so BLAS makes one (f, d) @ (d, d) product per utterance as a
+        # per-utterance draw does; one (n_utts * f, d) product can differ in the last bit
+        noise = _box_muller(raw[:, f + w :])[:, : f * d].reshape(n_utts, f, d)
+        feats = np.matmul(feats, channel.T) + cfg.noise_std * noise
+    utt_ids = [utt for u in range(n_utts) for utt in [f"{prefix}-{u:05d}"] * f]  # one str per utterance
     return Corpus(
         domain=0 if channel is None else 1,
         utt_ids=utt_ids,
-        labels=all_labels if labeled else np.full(n_utts * f, -1, dtype=np.int64),
-        features=feats,
+        labels=labels.ravel() if labeled else np.full(n_utts * f, -1, dtype=np.int64),
+        features=feats.reshape(n_utts * f, d),
     )
 
 

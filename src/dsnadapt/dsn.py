@@ -26,6 +26,7 @@ gamma*recon; alpha only flips and scales gradients, never the scalar.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -51,6 +52,12 @@ from .nn import (
 )
 
 
+def _check_coefficients(alpha: float, beta: float, gamma: float) -> None:
+    for name, value in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+
+
 @dataclass
 class DsnModel:
     """The six sub-networks plus loss coefficients.
@@ -70,9 +77,7 @@ class DsnModel:
     gamma: float
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma"):
-            if not getattr(self, name) >= 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        _check_coefficients(self.alpha, self.beta, self.gamma)
         k = self.shared.out_dim
         if self.senone.in_dim != k or self.domain.in_dim != k:
             raise ConfigError("senone/domain heads must consume the shared dim")
@@ -155,15 +160,14 @@ class StepTrace:
 def split_pretrained(source_dnn: Mlp, n_h: int) -> tuple[Mlp, Mlp]:
     """Split a pretrained classifier after its n_h-th hidden layer.
 
-    Returns deep copies (shared extractor, class head); composing them
-    reproduces the original forward pass bitwise.
+    Returns new nets (shared extractor, class head), each with its own copy
+    of the parameters; composing them reproduces the original forward pass
+    bitwise.
     """
     n_hidden = len(source_dnn.layers) - 1
     if not 1 <= n_h <= n_hidden:
         raise ConfigError(f"n_h must be in [1, {n_hidden}], got {n_h}")
-    shared = Mlp([layer.copy() for layer in source_dnn.layers[:n_h]])
-    head = Mlp([layer.copy() for layer in source_dnn.layers[n_h:]])
-    return shared, head
+    return Mlp(source_dnn.layers[:n_h]), Mlp(source_dnn.layers[n_h:])
 
 
 def _domain_targets(n_source: int, n_target: int) -> np.ndarray:
@@ -245,9 +249,9 @@ def dsn_gradients(model: DsnModel, batch: DsnBatch) -> tuple[StepTrace, dict[str
             g_f += model.gamma * g_fp[:, :k]
             g_p += model.gamma * g_fp[:, k:]
         if model.beta != 0.0 or model.gamma != 0.0:
-            grads["private_src"], _ = backward(model.private_src, cache_ps, g_p[:n_s])
-            grads["private_tgt"], _ = backward(model.private_tgt, cache_pt, g_p[n_s:])
-    grads["shared"], _ = backward(model.shared, cache_f, g_f)
+            grads["private_src"], _ = backward(model.private_src, cache_ps, g_p[:n_s], input_grad=False)
+            grads["private_tgt"], _ = backward(model.private_tgt, cache_pt, g_p[n_s:], input_grad=False)
+    grads["shared"], _ = backward(model.shared, cache_f, g_f, input_grad=False)
 
     total = l_sen + l_dom + model.beta * l_diff + model.gamma * l_rec
     return StepTrace(l_sen, l_dom, l_diff, l_rec, total, accuracy), grads
@@ -308,6 +312,7 @@ def load_dsn_model(path: str | Path, lines: Sequence[str] | None = None) -> DsnM
         manifest[key] = value
     try:
         coefficients = {key: float(manifest[key]) for key in ("alpha", "beta", "gamma")}
+        _check_coefficients(**coefficients)  # a ConfigError, so reported as a bad value on this line
         dims = {"n_h": int(manifest["n_h"])}
         dims.update({key: int(manifest[key]) for key in ("k", "q", "feature_dim") if key in manifest})
     except KeyError as exc:

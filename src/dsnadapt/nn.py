@@ -3,12 +3,17 @@
 Everything runs in float64. The only source of randomness is `Rng`, a
 self-contained portable generator, so identical seeds give bit-identical
 models and training runs.
+
+Each net's parameters are one float64 vector, `Mlp.params`: layer by layer,
+the weights row-major, then the bias. A layer's `weights` and `bias` are
+views of it, and `backward` writes its gradients into one vector of the same
+layout, so an SGD step is one update of one vector per net.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -78,16 +83,7 @@ class Rng:
         return lo + (hi - lo) * u
 
     def normals(self, n: int) -> np.ndarray:
-        m = (n + 1) // 2
-        raw = self._raw_block(2 * m)
-        u1 = ((raw[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _DOUBLE_UNIT
-        u2 = (raw[1::2] >> np.uint64(11)).astype(np.float64) * _DOUBLE_UNIT
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * math.pi * u2
-        out = np.empty(2 * m)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
-        return out[:n]
+        return _box_muller(self._raw_block(2 * ((n + 1) // 2)))[:n]
 
     def shuffle(self, values: np.ndarray) -> None:
         tops = np.arange(len(values) - 1, 0, -1)
@@ -109,6 +105,19 @@ class Rng:
         return Rng(int(Rng(self._seed)._raw_block(stream + 1)[-1]))
 
 
+def _box_muller(raw: np.ndarray) -> np.ndarray:
+    """Standard normals from raw draws paired along the last axis (even
+    length), laid out like raw; the Rng docstring gives the formula."""
+    u1 = ((raw[..., 0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _DOUBLE_UNIT
+    u2 = (raw[..., 1::2] >> np.uint64(11)).astype(np.float64) * _DOUBLE_UNIT
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * math.pi * u2
+    out = np.empty(raw.shape)
+    out[..., 0::2] = r * np.cos(theta)
+    out[..., 1::2] = r * np.sin(theta)
+    return out
+
+
 class Activation(str, Enum):
     SIGMOID = "sigmoid"
     RELU = "relu"
@@ -116,16 +125,18 @@ class Activation(str, Enum):
     LINEAR = "linear"
 
 
-@dataclass
+@dataclass(frozen=True)
 class DenseLayer:
-    """One affine layer: weights (out_dim, in_dim), bias (out_dim,)."""
+    """One affine layer: weights (out_dim, in_dim), bias (out_dim,). Frozen,
+    so an array can be changed in place but never rebound; inside an Mlp
+    both are views of the net's parameter vector."""
 
     weights: np.ndarray
     bias: np.ndarray
     activation: Activation
 
     def __post_init__(self):
-        self.activation = Activation(self.activation)
+        object.__setattr__(self, "activation", Activation(self.activation))
         if self.weights.ndim != 2:
             raise ShapeError("weights must be 2-D (out_dim, in_dim)")
         if self.bias.shape != (self.weights.shape[0],):
@@ -141,16 +152,35 @@ class DenseLayer:
     def out_dim(self) -> int:
         return self.weights.shape[0]
 
-    def copy(self) -> "DenseLayer":
-        return DenseLayer(self.weights.copy(), self.bias.copy(), self.activation)
+
+def _views(flat: np.ndarray, like: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Views of consecutive stretches of flat, shaped like each array of like."""
+    views, pos = [], 0
+    for a in like:
+        views.append(flat[pos : pos + a.size].reshape(a.shape))
+        pos += a.size
+    return views
 
 
-@dataclass
+def _pack(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A new float64 vector holding copies of the arrays end to end, and the
+    views of it that stand for them."""
+    flat = np.concatenate([np.ravel(a) for a in arrays] or [np.empty(0)]).astype(np.float64, copy=False)
+    return flat, _views(flat, arrays)
+
+
+@dataclass(frozen=True)
 class Mlp:
     """Ordered stack of dense layers. Softmax is only legal as the last
-    layer's activation."""
+    layer's activation.
 
-    layers: list[DenseLayer]
+    Construction copies the layers' arrays into `params`, one float64 vector
+    (per layer: weights row-major, then bias), and keeps layers whose weights
+    and bias are views of it. Both classes are frozen, so no array can be
+    rebound and drop out of `params`."""
+
+    layers: tuple[DenseLayer, ...]
+    params: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.layers:
@@ -163,6 +193,10 @@ class Mlp:
                 )
             if self.layers[k].activation is Activation.SOFTMAX:
                 raise ConfigError("softmax is only permitted as the final layer")
+        params, views = _pack([a for layer in self.layers for a in (layer.weights, layer.bias)])
+        layers = tuple(DenseLayer(w, b, layer.activation) for layer, w, b in zip(self.layers, views[0::2], views[1::2]))
+        object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "params", params)
 
     @property
     def in_dim(self) -> int:
@@ -173,20 +207,31 @@ class Mlp:
         return self.layers[-1].out_dim
 
     def copy(self) -> "Mlp":
-        return Mlp([layer.copy() for layer in self.layers])
+        return Mlp(self.layers)
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through __init__, so the copy's
+        # layers are views of its own params, not detached arrays
+        return Mlp, (self.layers,)
 
 
 @dataclass
 class Gradients:
-    """Per-layer weight and bias gradients, shape-congruent with an Mlp."""
+    """Per-layer weight and bias gradients, shape-congruent with an Mlp.
+
+    `flat` holds them all in the net's params layout, and the lists are views
+    of it. Built from lists alone, the arrays are copied into a new flat."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    flat: np.ndarray | None = field(default=None, repr=False)
 
-    def all_finite(self) -> bool:
-        return all(np.isfinite(w).all() for w in self.weights) and all(
-            np.isfinite(b).all() for b in self.biases
-        )
+    def __post_init__(self):
+        if self.flat is None:
+            if len(self.weights) != len(self.biases):
+                raise ShapeError(f"{len(self.weights)} weight gradients but {len(self.biases)} bias gradients")
+            self.flat, views = _pack([a for pair in zip(self.weights, self.biases) for a in pair])
+            self.weights, self.biases = views[0::2], views[1::2]
 
 
 LayerSpec = tuple[int, int, "Activation | str"]
@@ -261,20 +306,24 @@ def _check_cache(net: Mlp, acts: list[Matrix], upstream: Matrix) -> None:
 
 
 def backward(
-    net: Mlp, acts: list[Matrix], upstream: Matrix, at_logits: bool = False
-) -> tuple[Gradients, Matrix]:
+    net: Mlp, acts: list[Matrix], upstream: Matrix, at_logits: bool = False, input_grad: bool = True
+) -> tuple[Gradients, Matrix | None]:
     """Exact gradients of sum(upstream * output) w.r.t. parameters and input,
     from the activation list forward() returned for this net.
 
     Every activation derivative is taken from the layer's cached output
     (ReLU's from out > 0, which is z > 0). With at_logits=True the upstream
     is taken w.r.t. the final layer's pre-activation instead of its output,
-    which is how the fused softmax + cross-entropy gradient enters.
+    which is how the fused softmax + cross-entropy gradient enters. The
+    parameter gradients are written into one vector laid out like net.params.
+    With input_grad=False the first layer's input gradient, a matmul the
+    caller would discard, is skipped and returned as None.
     """
     _check_cache(net, acts, upstream)
+    flat = np.empty_like(net.params)
+    views = _views(flat, [a for layer in net.layers for a in (layer.weights, layer.bias)])
+    wgrads, bgrads = views[0::2], views[1::2]
     last = len(net.layers) - 1
-    wgrads: list[np.ndarray] = [np.empty(0)] * (last + 1)
-    bgrads: list[np.ndarray] = [np.empty(0)] * (last + 1)
     g = upstream
     for k in range(last, -1, -1):
         act, out = net.layers[k].activation, acts[k + 1]
@@ -286,10 +335,10 @@ def backward(
             dz = g * (out > 0.0)
         else:  # softmax
             dz = out * (g - (g * out).sum(axis=1, keepdims=True))
-        wgrads[k] = dz.T @ acts[k]
-        bgrads[k] = dz.sum(axis=0)
-        g = dz @ net.layers[k].weights
-    return Gradients(wgrads, bgrads), g
+        np.matmul(dz.T, acts[k], out=wgrads[k])
+        dz.sum(axis=0, out=bgrads[k])
+        g = dz @ net.layers[k].weights if k or input_grad else None
+    return Gradients(wgrads, bgrads, flat), g
 
 
 def cross_entropy_loss(posteriors: Matrix, labels: np.ndarray) -> tuple[float, Matrix]:
@@ -326,22 +375,22 @@ def mse_loss(pred: Matrix, target: Matrix) -> tuple[float, Matrix]:
 
 
 def sgd_update(net: Mlp, grads: Gradients, mu: float) -> Mlp:
-    """One plain SGD step, theta <- theta - mu * g, applied in place.
+    """One plain SGD step, params <- params - mu * grads.flat, in place.
 
-    Returns the same (mutated) net for chaining. Aborts on non-finite
-    gradients rather than silently corrupting the model.
+    Returns the same (mutated) net for chaining. Rejects a learning rate that
+    is not a finite number >= 0, and aborts on non-finite gradients rather
+    than silently corrupting the model.
     """
-    if mu < 0:
-        raise ConfigError("learning rate must be >= 0")
+    if not (math.isfinite(mu) and mu >= 0):
+        raise ConfigError(f"learning rate must be finite and >= 0, got {mu}")
     if len(grads.weights) != len(net.layers):
         raise ShapeError("gradients do not match net layer count")
-    if not grads.all_finite():
-        raise TrainingDivergedError("non-finite gradient; training aborted")
     for layer, gw, gb in zip(net.layers, grads.weights, grads.biases):
         if gw.shape != layer.weights.shape or gb.shape != layer.bias.shape:
             raise ShapeError("gradient shapes do not match net")
-        layer.weights -= mu * gw
-        layer.bias -= mu * gb
+    if not np.isfinite(grads.flat).all():
+        raise TrainingDivergedError("non-finite gradient; training aborted")
+    np.subtract(net.params, mu * grads.flat, out=net.params)
     return net
 
 

@@ -275,7 +275,7 @@ def pretrain_source(
         loss, g_logits = cross_entropy_loss(post, y_all[idx])
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"non-finite loss_senone={loss}")
-        grads, _ = backward(net, acts, g_logits, at_logits=True)
+        grads, _ = backward(net, acts, g_logits, at_logits=True, input_grad=False)
         sgd_update(net, grads, cfg.mu)
         return StepTrace(loss, 0.0, 0.0, 0.0, loss, np.nan)
 

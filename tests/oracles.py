@@ -1,6 +1,6 @@
 """Test-only oracles and gradient arithmetic: a finite-difference checker, a
-nearest-class-mean classifier and Gradients helpers. Imported by the test
-modules, never by dsnadapt."""
+nearest-class-mean classifier, a per-utterance corpus generator and Gradients
+helpers. Imported by the test modules, never by dsnadapt."""
 
 from __future__ import annotations
 
@@ -9,8 +9,8 @@ from typing import Callable
 
 import numpy as np
 
-from dsnadapt.data import Corpus
-from dsnadapt.nn import Gradients, Mlp
+from dsnadapt.data import Corpus, SynthConfig
+from dsnadapt.nn import Gradients, Mlp, Rng
 
 
 def zeros_like(net: Mlp) -> Gradients:
@@ -89,3 +89,37 @@ def nearest_class_mean_error(train: Corpus, test: Corpus) -> float:
     d2 = ((test.features[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
     pred = classes[np.argmin(d2, axis=1)]
     return float((pred != test.labels).mean())
+
+
+def gen_corpus_by_utterance(
+    cfg: SynthConfig,
+    rng: Rng,
+    means: np.ndarray,
+    channel: np.ndarray | None,
+    prefix: str,
+    n_utts: int,
+    labeled: bool,
+) -> Corpus:
+    """data._gen_corpus drawn one utterance at a time through the public Rng
+    calls: labels, base normals, then (target only) noise normals."""
+    d = cfg.base_dim
+    f = cfg.frames_per_utterance
+    utt_ids: list[str] = []
+    all_labels = np.empty(n_utts * f, dtype=np.int64)
+    feats = np.empty((n_utts * f, d))
+    for u in range(n_utts):
+        utt = f"{prefix}-{u:05d}"
+        utt_ids.extend([utt] * f)
+        labels = (rng._raw_block(f) % np.uint64(cfg.num_classes)).astype(np.int64)
+        base = means[labels] + rng.normals(f * d).reshape(f, d)
+        if channel is not None:
+            base = base @ channel.T + cfg.noise_std * rng.normals(f * d).reshape(f, d)
+        row = u * f
+        all_labels[row : row + f] = labels
+        feats[row : row + f] = base
+    return Corpus(
+        domain=0 if channel is None else 1,
+        utt_ids=utt_ids,
+        labels=all_labels if labeled else np.full(n_utts * f, -1, dtype=np.int64),
+        features=feats,
+    )

@@ -258,6 +258,7 @@ def _bad_mlp_file(tmp_path, body, line):
         lambda d: _narrow_model(d, "evaluate", "model_path"),
         lambda d: _bad_model_file(d, ("alpha=1", "alpha=abc")),
         lambda d: _bad_model_file(d, ("beta=0", "beta=-1")),
+        lambda d: _bad_model_file(d, ("alpha=1", "alpha=inf")),
         lambda d: _bad_mlp_file(d, "layer 0 2 1 linear\n1.0 nan\n0.0\n", 3),
         lambda d: _bad_mlp_file(d, "layer 0 2 1 linear\n1.0 2.0\ninf\n", 4),
         lambda d: _bad_mlp_file(d, "layer 0 2 1 sigmoid\n1 2\n0\nlayer 1 3 1 linear\n1 2 3\n0\n", 5),
@@ -292,6 +293,7 @@ def _bad_mlp_file(tmp_path, body, line):
         "narrow-model-path",
         "bad-manifest-value",
         "negative-beta-in-model",
+        "inf-alpha-in-model",
         "nan-weight",
         "inf-bias",
         "layer-chain-mismatch",

@@ -22,7 +22,7 @@ from dsnadapt.data import (
 )
 from dsnadapt.errors import ConfigError, DataError
 from dsnadapt.nn import Rng
-from oracles import nearest_class_mean_error
+from oracles import gen_corpus_by_utterance, nearest_class_mean_error
 
 
 def toy_cfg(**overrides):
@@ -53,6 +53,25 @@ def test_synth_is_deterministic():
         assert np.array_equal(ca.features, cb.features)
         assert np.array_equal(ca.labels, cb.labels)
         assert ca.utt_ids == cb.utt_ids
+
+
+@pytest.mark.parametrize("utterances", [1, 100])
+@pytest.mark.parametrize("base_dim", [1, 3, 8])
+@pytest.mark.parametrize("frames", [1, 2, 7, 100])
+def test_synth_matches_the_per_utterance_oracle(monkeypatch, frames, base_dim, utterances):
+    # num_classes above 2 * base_dim draws random class means first
+    cfg = toy_cfg(num_classes=2 * base_dim + 1, base_dim=base_dim, utterances_per_domain=utterances,
+                  frames_per_utterance=frames, seed=1000 * frames + 10 * base_dim + utterances)
+    got = synth_corpus(cfg)
+    monkeypatch.setattr(data, "_gen_corpus", gen_corpus_by_utterance)
+    want = synth_corpus(cfg)
+    for name in ("source_train", "source_test", "target_adapt", "target_test"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.domain == b.domain and a.features.shape == b.features.shape
+        assert np.array_equal(a.features.view(np.uint64), b.features.view(np.uint64))
+        assert np.array_equal(a.labels, b.labels)
+        assert a.utt_ids == b.utt_ids
+        assert len({id(u) for u in a.utt_ids}) == len(a) // frames  # one str per utterance
 
 
 def test_synth_shapes_and_labeling():

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from dsnadapt.dsn import (
     save_dsn_model,
     split_pretrained,
 )
-from dsnadapt.errors import ConfigError, ContractError
+from dsnadapt.errors import ConfigError, ContractError, DataError
 from dsnadapt.nn import (
     Activation,
     DenseLayer,
@@ -601,3 +602,22 @@ def test_roundtrip_preserves_predictions(tmp_path):
     loaded = load_dsn_model(path)
     x = Rng(23).normals(5 * D).reshape(5, D)
     assert np.array_equal(composed(adapted_model(model), x), composed(adapted_model(loaded), x))
+
+
+@pytest.mark.parametrize("name, value", [("alpha", math.inf), ("beta", math.nan), ("gamma", -math.inf), ("beta", -1.0)])
+def test_model_rejects_a_coefficient_that_is_not_finite_and_nonnegative(name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be finite and >= 0"):
+        tiny_model(**{name: value})
+
+
+@pytest.mark.parametrize("edit", [("alpha=1", "alpha=inf"), ("gamma=0.25", "gamma=nan"), ("beta=0.25", "beta=-1")])
+def test_loader_names_the_manifest_line_of_a_bad_coefficient(tmp_path, edit):
+    path = tmp_path / "model.dsn"
+    save_dsn_model(tiny_model(seed=24), path)
+    lines = path.read_text().splitlines()
+    assert edit[0] in lines[1]
+    lines[1] = lines[1].replace(*edit)
+    path.write_text("\n".join(lines) + "\n")
+    name = edit[0].split("=")[0]
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: line 2: .*{name} must be finite and >= 0"):
+        load_dsn_model(path)

@@ -1,5 +1,7 @@
 """Engine tests: oracles for init/forward, finite differences for gradients."""
 
+import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dsnadapt.dsn import split_pretrained
 from dsnadapt.errors import (
     ConfigError,
     ContractError,
@@ -87,6 +90,54 @@ def test_softmax_only_final():
                 DenseLayer(np.zeros((2, 3)), np.zeros(2), Activation.LINEAR),
             ]
         )
+
+
+# ---------------------------------------------------------------------------
+# parameter vector
+# ---------------------------------------------------------------------------
+
+DEEP_SPEC = ((5, 7, "sigmoid"), (7, 6, "relu"), (6, 4, "softmax"))
+
+
+def test_params_is_one_vector_the_layers_view():
+    net = small_net(seed=5, spec=DEEP_SPEC)
+    want = np.concatenate([a.ravel() for layer in net.layers for a in (layer.weights, layer.bias)])
+    assert net.params.dtype == np.float64 and net.params.shape == want.shape
+    assert np.array_equal(net.params, want)
+    net.params[:] = np.arange(net.params.size)  # writes through every layer view
+    assert np.array_equal(net.layers[0].weights[0], np.arange(5))
+    assert net.layers[-1].bias[-1] == net.params.size - 1
+    net.layers[1].bias[0] = -1.0  # and a layer write lands in params
+    assert net.params[7 * 5 + 7 + 6 * 7] == -1.0
+
+
+def _owns_its_params(net):
+    return all(np.shares_memory(a, net.params) for layer in net.layers for a in (layer.weights, layer.bias))
+
+
+def test_copies_share_no_memory_with_the_source():
+    source = small_net(seed=6, spec=DEEP_SPEC)
+    shared, head = split_pretrained(source, 1)
+    for other in (source.copy(), copy.copy(source), copy.deepcopy(source), shared, head):
+        assert not np.shares_memory(other.params, source.params)
+        assert _owns_its_params(other)
+    assert np.array_equal(np.concatenate([shared.params, head.params]), source.params)
+
+
+def test_layer_arrays_cannot_be_rebound():
+    # a rebound array would drop out of params, and so out of every update
+    net = small_net(seed=7)
+    layer = net.layers[0]
+    for attr in ("weights", "bias"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(layer, attr, getattr(layer, attr).copy())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        net.params = np.zeros_like(net.params)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        net.layers = net.layers[:1]
+    with pytest.raises(TypeError):
+        net.layers[0] = layer
+    assert _owns_its_params(net)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +281,22 @@ def test_stale_cache_rejected():
     _, cache2 = forward(net, x)
     with pytest.raises(ContractError):
         backward(net, cache2, np.zeros((3, 4)))
+
+
+@pytest.mark.parametrize("at_logits", [False, True])
+@pytest.mark.parametrize("spec", [DEEP_SPEC, ((5, 3, "linear"),), ((5, 4, "relu"), (4, 5, "sigmoid"))])
+def test_backward_without_input_grad_keeps_parameter_gradients(spec, at_logits):
+    net = small_net(seed=8, spec=spec)
+    x = Rng(9).normals(6 * 5).reshape(6, 5)
+    up = Rng(10).normals(6 * net.out_dim).reshape(6, net.out_dim)
+    _, acts = forward(net, x)
+    full, g_in = backward(net, acts, up, at_logits=at_logits)
+    skipped, none = backward(net, acts, up, at_logits=at_logits, input_grad=False)
+    assert g_in.shape == x.shape and none is None
+    assert np.array_equal(full.flat.view(np.uint64), skipped.flat.view(np.uint64))
+    for a, b in zip(full.weights + full.biases, skipped.weights + skipped.biases):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        assert np.shares_memory(b, skipped.flat)
 
 
 def test_backward_matches_handrolled_fd():
@@ -402,6 +469,43 @@ def test_sgd_aborts_on_nonfinite():
     g.weights[0][0, 0] = np.nan
     with pytest.raises(TrainingDivergedError):
         sgd_update(net, g, 0.1)
+
+
+@pytest.mark.parametrize("built", ["backward", "lists"])
+@pytest.mark.parametrize("layer", [0, -1])
+@pytest.mark.parametrize("where", ["weights", "biases"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_sgd_aborts_on_any_nonfinite_entry(built, layer, where, value):
+    net = small_net(seed=32, spec=DEEP_SPEC)
+    if built == "backward":
+        _, acts = forward(net, Rng(33).normals(3 * 5).reshape(3, 5))
+        g, _ = backward(net, acts, np.ones((3, 4)))
+    else:
+        g = Gradients([np.ones_like(l.weights) for l in net.layers], [np.ones_like(l.bias) for l in net.layers])
+    getattr(g, where)[layer].flat[layer] = value  # the first or the last entry of that array
+    before = net.params.copy()
+    with pytest.raises(TrainingDivergedError):
+        sgd_update(net, g, 0.1)
+    assert np.array_equal(net.params, before)
+
+
+@pytest.mark.parametrize("mu", [np.nan, np.inf, -1.0])
+def test_sgd_rejects_a_learning_rate_that_is_not_finite_and_nonnegative(mu):
+    net = small_net(seed=34)
+    before = net.params.copy()
+    with pytest.raises(ConfigError, match="learning rate"):
+        sgd_update(net, zeros_like(net), mu)
+    assert np.array_equal(net.params, before)
+
+
+def test_sgd_rejects_gradients_of_another_shape():
+    net = small_net(seed=35)
+    other = Gradients([np.zeros_like(l.weights.T) for l in net.layers], [np.zeros_like(l.bias) for l in net.layers])
+    assert other.flat.shape == net.params.shape  # same size, transposed weights
+    with pytest.raises(ShapeError):
+        sgd_update(net, other, 0.1)
+    with pytest.raises(ShapeError):
+        Gradients([np.zeros((7, 5))], [])
 
 
 # ---------------------------------------------------------------------------
