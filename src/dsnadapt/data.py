@@ -205,13 +205,24 @@ def cmvn(stats_from: Sequence[Corpus], apply_to: Sequence[Corpus]) -> list[Corpu
     """Global mean/variance normalization: one per-dimension mean and
     (population) variance over the pooled frames of stats_from, and the same
     affine map x -> (x - mean) / sqrt(max(var, floor)) applied to every
-    corpus in apply_to."""
+    corpus in apply_to.
+
+    The stats are ndarray.mean and ndarray.var of the pooled frames bit for
+    bit: var's own arithmetic, done in place in one float64 pooled copy that
+    is freed before any output is made. Each output is one new array, and no
+    input is modified."""
     if sum(len(c) for c in stats_from) == 0:
         raise ContractError("stats corpora are empty")
-    pooled = np.vstack([c.features for c in stats_from])
+    pooled = np.vstack([c.features for c in stats_from], dtype=np.float64)
     mean = pooled.mean(axis=0)
-    scale = np.sqrt(np.maximum(pooled.var(axis=0), VARIANCE_FLOOR))
-    return [replace(c, features=(c.features - mean) / scale) for c in apply_to]
+    pooled -= mean
+    np.multiply(pooled, pooled, out=pooled)
+    scale = np.sqrt(np.maximum(pooled.sum(axis=0) / len(pooled), VARIANCE_FLOOR))
+    del pooled
+    out = [replace(c, features=c.features - mean) for c in apply_to]
+    for c in out:
+        c.features /= scale
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -258,12 +258,16 @@ def dsn_gradients(model: DsnModel, batch: DsnBatch) -> tuple[StepTrace, dict[str
 
 
 def dsn_step(model: DsnModel, batch: DsnBatch, mu: float) -> tuple[DsnModel, StepTrace]:
-    """One joint SGD update over every sub-network; mutates the model."""
+    """One joint SGD update over every sub-network; mutates the model. A
+    non-finite gradient is re-raised prefixed with its sub-network's name."""
     trace, grads = dsn_gradients(model, batch)
     if not np.isfinite(trace.loss_total):
         raise TrainingDivergedError(f"non-finite loss: {trace}")
     for name, g in grads.items():
-        sgd_update(getattr(model, name), g, mu)
+        try:
+            sgd_update(getattr(model, name), g, mu)
+        except TrainingDivergedError as exc:
+            raise TrainingDivergedError(f"{name}: {exc}") from None
     return model, trace
 
 

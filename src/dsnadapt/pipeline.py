@@ -264,7 +264,8 @@ def pretrain_source(
     cfg: ExperimentConfig, source_train: Corpus, source_test: Corpus | None = None
 ) -> tuple[Mlp, RunReport]:
     """Minibatch cross-entropy training of the source classifier. A record's
-    senone and total loss are the cross-entropy; its domain accuracy is nan."""
+    senone and total loss are the cross-entropy; its domain accuracy is nan.
+    A non-finite gradient is re-raised prefixed with "source"."""
     if not source_train.is_labeled:
         raise ContractError("pretraining needs a labeled source corpus")
     net = init_mlp(source_net_spec(cfg, source_train.dim), _stream(cfg.seed, STREAM_SOURCE_INIT))
@@ -276,7 +277,10 @@ def pretrain_source(
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"non-finite loss_senone={loss}")
         grads, _ = backward(net, acts, g_logits, at_logits=True, input_grad=False)
-        sgd_update(net, grads, cfg.mu)
+        try:
+            sgd_update(net, grads, cfg.mu)
+        except TrainingDivergedError as exc:
+            raise TrainingDivergedError(f"source: {exc}") from None
         return StepTrace(loss, 0.0, 0.0, 0.0, loss, np.nan)
 
     trace = _train(cfg, STREAM_BATCH_PRETRAIN, (len(source_train),), step)
@@ -400,7 +404,7 @@ def write_report_csv(report: RunReport, path: str | Path) -> None:
 
 
 def write_sweep_csv(result: SweepResult, path: str | Path) -> None:
-    header = ("n_h", *(f"{a:g}" for a in result.alpha_values), "avg")
+    header = ("n_h", *(f"{a:.17g}" for a in result.alpha_values), "avg")
     rows = [(n_h, *cells, cells.mean()) for n_h, cells in zip(result.n_h_values, result.grid)]
     _write_csv(path, header, rows)
 

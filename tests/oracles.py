@@ -1,15 +1,18 @@
 """Test-only oracles and gradient arithmetic: a finite-difference checker, a
-nearest-class-mean classifier, a per-utterance corpus generator and Gradients
-helpers. Imported by the test modules, never by dsnadapt."""
+nearest-class-mean classifier, a per-utterance corpus generator, the plain
+normalization formula, a traced-memory probe, a gradient poisoner and
+Gradients helpers. Imported by the test modules, never by dsnadapt."""
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from dsnadapt.data import Corpus, SynthConfig
+from dsnadapt import dsn
+from dsnadapt.data import VARIANCE_FLOOR, Corpus, SynthConfig
 from dsnadapt.nn import Gradients, Mlp, Rng
 
 
@@ -123,3 +126,42 @@ def gen_corpus_by_utterance(
         labels=all_labels if labeled else np.full(n_utts * f, -1, dtype=np.int64),
         features=feats,
     )
+
+
+def poison_dsn_gradient(monkeypatch, name: str) -> None:
+    """Make every dsn.dsn_gradients call return a NaN in net name's gradient."""
+    real = dsn.dsn_gradients
+
+    def poisoned(model, batch):
+        trace, grads = real(model, batch)
+        grads[name].flat[0] = np.nan
+        return trace, grads
+
+    monkeypatch.setattr(dsn, "dsn_gradients", poisoned)
+
+
+def cmvn_oracle(stats_from: Sequence[Corpus], apply_to: Sequence[Corpus]) -> list[np.ndarray]:
+    """data.cmvn's features by the plain formula: vstack the stats frames, take
+    ndarray.mean and ndarray.var, and map each corpus to (x - mean) / scale."""
+    pooled = np.vstack([c.features for c in stats_from])
+    mean = pooled.mean(axis=0)
+    scale = np.sqrt(np.maximum(pooled.var(axis=0), VARIANCE_FLOOR))
+    return [(c.features - mean) / scale for c in apply_to]
+
+
+def traced_peak_bytes(fn: Callable[[], object]) -> int:
+    """Peak bytes allocated while fn() runs, above those allocated when it
+    starts, as tracemalloc sees them. numpy reports every array buffer to
+    tracemalloc, so this counts them exactly, fn's returned arrays included."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    return peak - base

@@ -9,6 +9,7 @@ from dsnadapt.data import SynthConfig, synth_corpus, write_corpus
 from dsnadapt.dsn import DsnModel, save_dsn_model
 from dsnadapt.nn import Rng, init_mlp, save_mlp
 from dsnadapt.pipeline import DATA_FILES
+from oracles import poison_dsn_gradient
 
 
 @pytest.mark.parametrize("flag, value", [("--alpha", "nan"), ("--beta", "nan"), ("--gamma", "inf")])
@@ -176,6 +177,17 @@ def test_divergence_exits_3_naming_the_epoch(tmp_path, capsys, mode, mu):
     assert code == 3
     assert err.startswith("training diverged: epoch 1:")
     assert "Traceback" not in err
+
+
+def test_non_finite_gradient_exits_3_naming_the_subnetwork(tmp_path, capsys, monkeypatch):
+    poison_dsn_gradient(monkeypatch, "domain")
+    model = tmp_path / "source.mlp"
+    save_mlp(init_mlp([(15, 6, "sigmoid"), (6, 6, "sigmoid"), (6, 10, "softmax")], Rng(1)), model)
+    config = tmp_path / "run.cfg"
+    config.write_text(_TINY + f"pretrained_model = {model}\n")
+    code = main(["adapt_dsn", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert capsys.readouterr().err == "training diverged: epoch 1: domain: non-finite gradient; training aborted\n"
 
 
 def _bad_model_file(tmp_path, manifest_edit):

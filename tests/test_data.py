@@ -22,7 +22,7 @@ from dsnadapt.data import (
 )
 from dsnadapt.errors import ConfigError, DataError
 from dsnadapt.nn import Rng
-from oracles import gen_corpus_by_utterance, nearest_class_mean_error
+from oracles import cmvn_oracle, gen_corpus_by_utterance, nearest_class_mean_error, traced_peak_bytes
 
 
 def toy_cfg(**overrides):
@@ -246,6 +246,68 @@ def test_cmvn_application_is_pure_affine():
     for corpus, out in zip((bundle.target_test, bundle.source_train), applied):
         assert np.array_equal(out.features, (corpus.features - pooled.mean(axis=0)) / scale)
         assert out.utt_ids == corpus.utt_ids and out.domain == corpus.domain
+
+
+def _frames(features, domain=0):
+    return Corpus(domain=domain, utt_ids=["u"] * len(features), labels=np.full(len(features), -1), features=features)
+
+
+def _assert_cmvn_bitwise(stats_from, apply_to):
+    before = [c.features.copy() for c in (*stats_from, *apply_to)]
+    outs = cmvn(stats_from, apply_to)
+    for out, expected in zip(outs, cmvn_oracle(stats_from, apply_to), strict=True):
+        assert out.features.dtype == expected.dtype == np.float64
+        assert np.array_equal(out.features.view(np.uint64), expected.view(np.uint64))
+    for c, old in zip((*stats_from, *apply_to), before):
+        assert c.features.dtype == old.dtype and np.array_equal(c.features.view(np.uint64), old.view(np.uint64))
+
+
+@pytest.mark.parametrize("magnitude", [1e-8, 1.0, 1e3, 1e150])
+@pytest.mark.parametrize("cols", [1, 2, 8, 40, 41])
+@pytest.mark.parametrize("rows", [1, 3, 257])
+def test_cmvn_matches_the_plain_formula_bit_for_bit(rows, cols, magnitude):
+    rng = Rng(rows * 1000 + cols)
+
+    def draw(n):
+        return magnitude * (rng.normals(n * cols).reshape(n, cols) + 0.5)
+
+    a, b, c = _frames(draw(rows)), _frames(draw(rows + 2), domain=1), _frames(draw(5))
+    _assert_cmvn_bitwise([a, b], [c, a, b])
+    _assert_cmvn_bitwise([a], [a])  # one corpus passed in both lists
+
+
+def test_cmvn_matches_the_plain_formula_on_edge_values():
+    rng = Rng(5)
+    feats = rng.normals(300 * 6).reshape(300, 6)
+    feats[:, 0] = 3.25  # constant: its variance is under VARIANCE_FLOOR
+    feats[:, 1] = np.where(feats[:, 1] > 0, 0.0, -0.0)
+    feats[::2, 2] = -0.0
+    feats[:, 3] *= 1e-8
+    feats[:, 4] = 1e150 * feats[:, 4] + 1e151
+    a, b = _frames(feats[:200]), _frames(feats[200:], domain=1)
+    _assert_cmvn_bitwise([a, b], [b, a])
+    _assert_cmvn_bitwise([_frames(np.array([[-0.0, 0.0, 1e-300]]))], [_frames(np.array([[0.0, -0.0, 5.0]]))])
+
+
+def test_cmvn_matches_the_plain_formula_on_integer_features():
+    rng = Rng(9)
+    ints = [(rng._raw_block(n * 7) % np.uint64(1 << 40)).astype(np.int64).reshape(n, 7) - (1 << 39) for n in (50, 31)]
+    a, b = _frames(ints[0]), _frames(ints[1], domain=1)
+    _assert_cmvn_bitwise([a, b], [a, b])
+    _assert_cmvn_bitwise([a], [_frames(rng.normals(14).reshape(2, 7))])
+
+
+def test_cmvn_holds_one_full_size_buffer():
+    # the pooled float64 copy, then the outputs, never both, nor a second
+    # temporary; the plain formula peaks at about 2.5 times the pooled bytes
+    rng = Rng(3)
+    cs = [_frames(rng.normals(20_000 * 40).reshape(20_000, 40), domain=d) for d in (0, 1)]
+    before = [c.features.copy() for c in cs]
+    pooled_bytes = sum(c.features.nbytes for c in cs)
+    assert traced_peak_bytes(lambda: cmvn(cs, cs)) < 1.25 * pooled_bytes
+    assert traced_peak_bytes(lambda: cmvn_oracle(cs, cs)) > 2 * pooled_bytes  # the probe sees the copies
+    for c, old in zip(cs, before):
+        assert np.array_equal(c.features.view(np.uint64), old.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dsnadapt.dsn import (
     save_dsn_model,
     split_pretrained,
 )
-from dsnadapt.errors import ConfigError, ContractError, DataError
+from dsnadapt.errors import ConfigError, ContractError, DataError, TrainingDivergedError
 from dsnadapt.nn import (
     Activation,
     DenseLayer,
@@ -30,7 +30,7 @@ from dsnadapt.nn import (
     init_mlp,
     sgd_update,
 )
-from oracles import finite_diff_check, flatten
+from oracles import finite_diff_check, flatten, poison_dsn_gradient
 
 D, K, Q = 6, 5, 3
 
@@ -529,6 +529,14 @@ def test_step_runs_each_subnetwork_once(monkeypatch, with_private):
     assert len(nets) == (6 if with_private else 3)
     assert sorted(calls["forward"]) == sorted(nets)
     assert sorted(calls["backward"]) == sorted(nets)
+
+
+@pytest.mark.parametrize("name", ["shared", "senone", "domain", "private_src", "private_tgt", "recon"])
+def test_non_finite_gradient_names_its_subnetwork(monkeypatch, name):
+    poison_dsn_gradient(monkeypatch, name)
+    with pytest.raises(TrainingDivergedError) as exc:
+        dsn_step(tiny_model(), tiny_batch(), 0.1)
+    assert str(exc.value) == f"{name}: non-finite gradient; training aborted"
 
 
 def test_trace_fields_are_finite_and_nonnegative():

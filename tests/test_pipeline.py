@@ -11,7 +11,7 @@ from dsnadapt.config import ExperimentConfig, NetConfig, SpliceConfig, build_con
 from dsnadapt.data import SynthConfig, write_corpus
 from dsnadapt import pipeline
 from dsnadapt.dsn import StepTrace, adapted_model
-from dsnadapt.errors import ConfigError, ContractError, DataError
+from dsnadapt.errors import ConfigError, ContractError, DataError, TrainingDivergedError
 from dsnadapt.nn import Activation, DenseLayer, Mlp, Rng, forward
 from dsnadapt.pipeline import (
     EpochSampler,
@@ -172,6 +172,20 @@ def test_pretrain_learns(prepared):
     assert report.evals["source_test"].error_rate < 0.3
 
 
+def test_pretrain_names_the_source_net_of_a_non_finite_gradient(prepared, monkeypatch):
+    real = pipeline.backward
+
+    def poisoned(*args, **kwargs):
+        grads, g_in = real(*args, **kwargs)
+        grads.flat[-1] = np.nan
+        return grads, g_in
+
+    monkeypatch.setattr(pipeline, "backward", poisoned)
+    with pytest.raises(TrainingDivergedError) as exc:
+        pretrain_source(tiny_cfg(), prepared.source_train)
+    assert str(exc.value) == "epoch 1: source: non-finite gradient; training aborted"
+
+
 def test_pretrain_batch_too_large(prepared):
     with pytest.raises(ConfigError):
         pretrain_source(tiny_cfg(batch=10_000), prepared.source_train)
@@ -281,6 +295,15 @@ def test_sweep_grid_shape_and_determinism(prepared, source_dnn, tmp_path):
     assert len(lines) == 3
     for line in lines[1:]:
         assert len(line.split(",")) == 4  # n_h, two cells, avg
+
+
+def test_sweep_header_parses_back_to_the_configured_alphas(tmp_path):
+    # 6 significant digits would write "n_h,1,1,0.123457,..."
+    alphas = (1.0, 1.0000001, 0.1234567, 4.5, 1e-300, 0.1)
+    pipeline.write_sweep_csv(pipeline.SweepResult((1,), alphas, np.zeros((1, len(alphas)))), tmp_path / "sweep.csv")
+    header = (tmp_path / "sweep.csv").read_text().splitlines()[0].split(",")
+    assert header[0] == "n_h" and header[-1] == "avg"
+    assert tuple(float(a) for a in header[1:-1]) == alphas
 
 
 def test_sweep_marks_diverged_cell_nan(prepared, source_dnn):
