@@ -201,28 +201,39 @@ def splice(corpus: Corpus, left: int, right: int) -> Corpus:
     return replace(corpus, features=corpus.features[idx].reshape(n, corpus.dim * width))
 
 
-def cmvn(stats_from: Sequence[Corpus], apply_to: Sequence[Corpus]) -> list[Corpus]:
-    """Global mean/variance normalization: one per-dimension mean and
-    (population) variance over the pooled frames of stats_from, and the same
-    affine map x -> (x - mean) / sqrt(max(var, floor)) applied to every
-    corpus in apply_to.
+def cmvn(stats_from: Sequence[Corpus]) -> tuple[np.ndarray, np.ndarray]:
+    """Global normalization statistics over the pooled frames of stats_from:
+    the per-dimension mean and scale = sqrt(max(var, floor)) of the
+    population variance, for the map x -> (x - mean) / scale.
 
-    The stats are ndarray.mean and ndarray.var of the pooled frames bit for
-    bit: var's own arithmetic, done in place in one float64 pooled copy that
-    is freed before any output is made. Each output is one new array, and no
-    input is modified."""
-    if sum(len(c) for c in stats_from) == 0:
+    mean and var are ndarray.mean and ndarray.var of the float64 vstack of
+    the frames bit for bit, without that copy: numpy adds the rows of a
+    many-column array one after another, so the sums are taken BLOCK_RECORDS
+    rows at a time, each block's first row adding the running sum. It sums
+    one contiguous column pairwise, so a one-column set is one pooled block.
+    No input is modified."""
+    n = sum(len(c) for c in stats_from)
+    if n == 0:
         raise ContractError("stats corpora are empty")
-    pooled = np.vstack([c.features for c in stats_from], dtype=np.float64)
-    mean = pooled.mean(axis=0)
-    pooled -= mean
-    np.multiply(pooled, pooled, out=pooled)
-    scale = np.sqrt(np.maximum(pooled.sum(axis=0) / len(pooled), VARIANCE_FLOOR))
-    del pooled
-    out = [replace(c, features=c.features - mean) for c in apply_to]
-    for c in out:
-        c.features /= scale
-    return out
+    mean = _pooled_column_sum(stats_from) / n
+    return mean, np.sqrt(np.maximum(_pooled_column_sum(stats_from, mean) / n, VARIANCE_FLOOR))
+
+
+def _pooled_column_sum(stats_from: Sequence[Corpus], mean: np.ndarray | None = None) -> np.ndarray:
+    """Column sums of the pooled frames (less mean and squared, when given), as cmvn describes."""
+    if stats_from[0].dim == 1:
+        blocks = [np.vstack([c.features for c in stats_from], dtype=np.float64)]
+    else:
+        blocks = (c.features[i : i + BLOCK_RECORDS].astype(np.float64)
+                  for c in stats_from for i in range(0, len(c), BLOCK_RECORDS))
+    total = -0.0  # adds nothing, not even a sign
+    for block in blocks:
+        if mean is not None:
+            block -= mean
+            np.multiply(block, block, out=block)
+        block[0] += total
+        total = block.sum(axis=0)
+    return total
 
 
 # ---------------------------------------------------------------------------

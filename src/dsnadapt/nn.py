@@ -262,23 +262,26 @@ def init_mlp(spec: Sequence[LayerSpec], rng: Rng) -> Mlp:
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below, without branches:
-    # exp only ever sees -|z| <= 0, so it never overflows.
-    e = np.exp(-np.abs(z))
-    return np.maximum(e, z >= 0) / (1.0 + e)
+    # exp only ever sees -|z| <= 0, so it never overflows. Overwrites z.
+    e = np.abs(z)
+    np.exp(np.negative(e, out=e), out=e)
+    np.maximum(e, z >= 0, out=z)
+    z /= np.add(e, 1.0, out=e)
+    return z
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    # max-subtraction keeps every row finite for any finite input
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    # max-subtraction keeps every row finite for any finite input. Overwrites z.
+    z -= z.max(axis=1, keepdims=True)
+    z /= np.exp(z, out=z).sum(axis=1, keepdims=True)
+    return z
 
 
 def _activate(act: Activation, z: np.ndarray) -> np.ndarray:
     if act is Activation.SIGMOID:
         return _sigmoid(z)
     if act is Activation.RELU:
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if act is Activation.SOFTMAX:
         return _softmax(z)
     return z
@@ -286,7 +289,9 @@ def _activate(act: Activation, z: np.ndarray) -> np.ndarray:
 
 def forward(net: Mlp, batch: Matrix) -> tuple[Matrix, list[Matrix]]:
     """The net's output and its activation list [input, output of layer 1,
-    ..., output]; the list is the cache that backward() reads."""
+    ..., output]; the list is the cache that backward() reads. Each layer's
+    bias and activation are applied in place on its own fresh product
+    a @ W.T, so the batch is never modified and a layer holds one array."""
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2:
         raise ShapeError("batch must be 2-D (rows, features)")
@@ -294,7 +299,8 @@ def forward(net: Mlp, batch: Matrix) -> tuple[Matrix, list[Matrix]]:
         raise ShapeError(f"batch has {batch.shape[1]} columns, net expects {net.in_dim}")
     acts = [batch]
     for layer in net.layers:
-        acts.append(_activate(layer.activation, acts[-1] @ layer.weights.T + layer.bias))
+        z = acts[-1] @ layer.weights.T
+        acts.append(_activate(layer.activation, np.add(z, layer.bias, out=z)))
     return acts[-1], acts
 
 
@@ -330,7 +336,8 @@ def backward(
         if act is Activation.LINEAR or (k == last and at_logits):
             dz = g
         elif act is Activation.SIGMOID:
-            dz = g * out * (1.0 - out)
+            dz = g * out
+            dz *= 1.0 - out
         elif act is Activation.RELU:
             dz = g * (out > 0.0)
         else:  # softmax

@@ -68,16 +68,28 @@ def prepare_corpora(cfg: ExperimentConfig, need_target_labels: bool) -> Corpora:
     Stats are computed over source_train plus target_adapt (the data an
     unsupervised adaptation run is allowed to see) and applied everywhere.
     The labeled target test corpus is only touched when the caller asks.
+    Spliced frames, the only full-size copy, are normalized in place. Stats
+    that overflow float64 are a DataError, or a ConfigError when synthesized.
     """
     if cfg.data_dir is not None:
         raw = _read_data_dir(Path(cfg.data_dir), need_target_labels)
+        files = [Path(cfg.data_dir) / DATA_FILES[name] for name in ("source_train", "target_adapt")]
+        where, error = f"{files[0]} and {files[1]}", DataError
     else:
         raw = synth_corpus(cfg.synth)
+        where, error = "the synth.* profile", ConfigError
     corpora = [raw.source_train, raw.target_adapt, raw.source_test]
     if need_target_labels:
         corpora.append(raw.target_test)
     corpora = [splice(c, cfg.splice.left, cfg.splice.right) for c in corpora]
-    corpora = cmvn(corpora[:2], corpora)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        mean, scale = cmvn(corpora[:2])
+    dim, bad = raw.source_train.dim, np.flatnonzero(~np.isfinite([mean, scale]).all(axis=0))
+    if bad.size:
+        raise error(f"{where}: feature dim {bad[0] % dim + 1} of {dim}: its mean or variance overflows float64")
+    for c in corpora:
+        c.features -= mean
+        c.features /= scale
     return Corpora(*corpora) if need_target_labels else Corpora(*corpora, target_test=None)
 
 

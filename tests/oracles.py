@@ -1,19 +1,23 @@
 """Test-only oracles and gradient arithmetic: a finite-difference checker, a
 nearest-class-mean classifier, a per-utterance corpus generator, the plain
-normalization formula, a traced-memory probe, a gradient poisoner and
-Gradients helpers. Imported by the test modules, never by dsnadapt."""
+normalization and preparation formulas, a traced-memory probe, a gradient
+poisoner and Gradients helpers. Imported by the test modules, never by
+dsnadapt."""
 
 from __future__ import annotations
 
 import tracemalloc
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from dsnadapt import dsn
-from dsnadapt.data import VARIANCE_FLOOR, Corpus, SynthConfig
+from dsnadapt.config import ExperimentConfig
+from dsnadapt.data import VARIANCE_FLOOR, Corpus, SynthConfig, read_corpus, read_corpus_unlabeled, splice, synth_corpus
 from dsnadapt.nn import Gradients, Mlp, Rng
+from dsnadapt.pipeline import DATA_FILES
 
 
 def zeros_like(net: Mlp) -> Gradients:
@@ -140,13 +144,28 @@ def poison_dsn_gradient(monkeypatch, name: str) -> None:
     monkeypatch.setattr(dsn, "dsn_gradients", poisoned)
 
 
-def cmvn_oracle(stats_from: Sequence[Corpus], apply_to: Sequence[Corpus]) -> list[np.ndarray]:
-    """data.cmvn's features by the plain formula: vstack the stats frames, take
-    ndarray.mean and ndarray.var, and map each corpus to (x - mean) / scale."""
+def cmvn_stats_oracle(stats_from: Sequence[Corpus]) -> tuple[np.ndarray, np.ndarray]:
+    """data.cmvn by the plain formula: vstack the stats frames, take
+    ndarray.mean and ndarray.var, and floor the variance."""
     pooled = np.vstack([c.features for c in stats_from])
-    mean = pooled.mean(axis=0)
-    scale = np.sqrt(np.maximum(pooled.var(axis=0), VARIANCE_FLOOR))
-    return [(c.features - mean) / scale for c in apply_to]
+    return pooled.mean(axis=0), np.sqrt(np.maximum(pooled.var(axis=0), VARIANCE_FLOOR))
+
+
+def prepare_oracle(cfg: ExperimentConfig, need_target_labels: bool) -> list[np.ndarray]:
+    """pipeline.prepare_corpora's features, in Corpora order, by the plain
+    formula: read or synthesize the corpora, splice each, and map it to
+    (x - mean) / scale by the stats oracle over the spliced source_train and
+    target_adapt."""
+    names = ["source_train", "target_adapt", "source_test"] + ["target_test"] * need_target_labels
+    if cfg.data_dir is None:
+        bundle = synth_corpus(cfg.synth)
+        raw = [getattr(bundle, name) for name in names]
+    else:
+        read = {name: read_corpus_unlabeled if name == "target_adapt" else read_corpus for name in names}
+        raw = [read[name](Path(cfg.data_dir) / DATA_FILES[name]) for name in names]
+    spliced = [splice(c, cfg.splice.left, cfg.splice.right) for c in raw]
+    mean, scale = cmvn_stats_oracle(spliced[:2])
+    return [(c.features - mean) / scale for c in spliced]
 
 
 def traced_peak_bytes(fn: Callable[[], object]) -> int:

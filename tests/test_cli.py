@@ -77,8 +77,11 @@ _KEEP = "not a directory\n"
         (b"synth.class_separation = inf\n", False, "synth.class_separation"),
         (b"synth.channel_matrix_scale = nan\n", False, "synth.channel_matrix_scale"),
         (b"", True, "taken"),
+        # finite frames whose variance overflows float64
+        (b"synth.class_separation = 1e200\n", False, "the synth.* profile: feature dim 1 of 8: its mean or variance"),
     ],
-    ids=["config-not-utf8", "nan-noise-std", "inf-class-separation", "nan-channel-scale", "out-is-a-file"],
+    ids=["config-not-utf8", "nan-noise-std", "inf-class-separation", "nan-channel-scale", "out-is-a-file",
+         "overflowing-class-separation"],
 )
 def test_bad_input_is_a_config_error(tmp_path, capsys, text, out_is_file, name):
     config = tmp_path / "run.cfg"
@@ -295,6 +298,11 @@ def _bad_mlp_file(tmp_path, body, line):
         _sigmoid_output_model,
         lambda d: _unreadable_corpus(d, lambda p: p.write_bytes(_HEADER.format(1).encode() + b"u\xe9,0,src,0,1.5\n")),
         lambda d: _unreadable_corpus(d, Path.mkdir),
+        lambda d: _data_dir(d, "pretrain", f"{d / 'source_train.csv'} and {d / 'target_adapt.csv'}: feature dim 2 of 2: "
+                            "its mean or variance overflows float64",
+                            source_train=_HEADER.format(2) + "u,0,src,0,1.5,1e200\nu,1,src,1,2.5,-1e200\n",
+                            target_adapt=_HEADER.format(2) + "v,0,tgt,-1,1.5,1e200\n",
+                            source_test=_HEADER.format(2) + "w,0,src,0,1.5,-1e200\n"),
     ],
     ids=[
         "missing-pretrained-model",
@@ -323,6 +331,7 @@ def _bad_mlp_file(tmp_path, body, line):
         "pretrained-model-without-softmax",
         "corpus-not-utf8",
         "corpus-is-a-directory",
+        "overflowing-statistics",
     ],
 )
 def test_loader_failure_is_a_data_error(tmp_path, capsys, case):

@@ -12,6 +12,7 @@ from dsnadapt.data import (
     BLOCK_RECORDS,
     Corpus,
     SynthConfig,
+    VARIANCE_FLOOR,
     class_means,
     cmvn,
     read_corpus,
@@ -22,7 +23,7 @@ from dsnadapt.data import (
 )
 from dsnadapt.errors import ConfigError, DataError
 from dsnadapt.nn import Rng
-from oracles import cmvn_oracle, gen_corpus_by_utterance, nearest_class_mean_error, traced_peak_bytes
+from oracles import cmvn_stats_oracle, gen_corpus_by_utterance, nearest_class_mean_error, traced_peak_bytes
 
 
 def toy_cfg(**overrides):
@@ -216,55 +217,60 @@ def test_splice_preserves_counts(left, right, utt_ids):
 # ---------------------------------------------------------------------------
 
 
+def _normalized(stats_from, corpus):
+    mean, scale = cmvn(stats_from)
+    return (corpus.features - mean) / scale
+
+
 def test_cmvn_self_normalization():
     bundle = synth_corpus(toy_cfg())
     corpus = bundle.source_train
-    (normalized,) = cmvn([corpus], [corpus])
-    assert np.abs(normalized.features.mean(axis=0)).max() < 1e-9
-    assert np.abs(normalized.features.var(axis=0) - 1.0).max() < 1e-6
+    normalized = _normalized([corpus], corpus)
+    assert np.abs(normalized.mean(axis=0)).max() < 1e-9
+    assert np.abs(normalized.var(axis=0) - 1.0).max() < 1e-6
 
 
 def test_cmvn_heldout_stats_differ():
     bundle = synth_corpus(toy_cfg())
-    (normalized_tgt,) = cmvn([bundle.source_train], [bundle.target_adapt])
-    assert np.abs(normalized_tgt.features.mean(axis=0)).max() > 0.01
+    normalized_tgt = _normalized([bundle.source_train], bundle.target_adapt)
+    assert np.abs(normalized_tgt.mean(axis=0)).max() > 0.01
 
 
 def test_cmvn_degenerate_dimension():
     feats = np.hstack([np.full((10, 1), 3.25), Rng(1).normals(10).reshape(10, 1)])
     corpus = Corpus(domain=0, utt_ids=["u"] * 10, labels=np.zeros(10, dtype=np.int64), features=feats)
-    (normalized,) = cmvn([corpus], [corpus])
-    assert np.isfinite(normalized.features).all()
-    assert np.abs(normalized.features[:, 0]).max() == 0.0
+    mean, scale = cmvn([corpus])
+    assert scale[0] == np.sqrt(VARIANCE_FLOOR)
+    normalized = (feats - mean) / scale
+    assert np.isfinite(normalized).all()
+    assert np.abs(normalized[:, 0]).max() == 0.0
 
 
-def test_cmvn_application_is_pure_affine():
+def test_cmvn_stats_are_the_pooled_mean_and_floored_deviation():
     bundle = synth_corpus(toy_cfg())
     pooled = np.vstack([bundle.source_train.features, bundle.target_adapt.features])
-    scale = np.sqrt(np.maximum(pooled.var(axis=0), 1e-8))
-    applied = cmvn([bundle.source_train, bundle.target_adapt], [bundle.target_test, bundle.source_train])
-    for corpus, out in zip((bundle.target_test, bundle.source_train), applied):
-        assert np.array_equal(out.features, (corpus.features - pooled.mean(axis=0)) / scale)
-        assert out.utt_ids == corpus.utt_ids and out.domain == corpus.domain
+    mean, scale = cmvn([bundle.source_train, bundle.target_adapt])
+    assert np.array_equal(mean, pooled.mean(axis=0))
+    assert np.array_equal(scale, np.sqrt(np.maximum(pooled.var(axis=0), 1e-8)))
 
 
 def _frames(features, domain=0):
     return Corpus(domain=domain, utt_ids=["u"] * len(features), labels=np.full(len(features), -1), features=features)
 
 
-def _assert_cmvn_bitwise(stats_from, apply_to):
-    before = [c.features.copy() for c in (*stats_from, *apply_to)]
-    outs = cmvn(stats_from, apply_to)
-    for out, expected in zip(outs, cmvn_oracle(stats_from, apply_to), strict=True):
-        assert out.features.dtype == expected.dtype == np.float64
-        assert np.array_equal(out.features.view(np.uint64), expected.view(np.uint64))
-    for c, old in zip((*stats_from, *apply_to), before):
+def _assert_cmvn_bitwise(stats_from):
+    before = [c.features.copy() for c in stats_from]
+    stats = cmvn(stats_from)
+    for got, expected in zip(stats, cmvn_stats_oracle(stats_from), strict=True):
+        assert got.dtype == expected.dtype == np.float64 and got.shape == (stats_from[0].dim,)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    for c, old in zip(stats_from, before):
         assert c.features.dtype == old.dtype and np.array_equal(c.features.view(np.uint64), old.view(np.uint64))
 
 
 @pytest.mark.parametrize("magnitude", [1e-8, 1.0, 1e3, 1e150])
 @pytest.mark.parametrize("cols", [1, 2, 8, 40, 41])
-@pytest.mark.parametrize("rows", [1, 3, 257])
+@pytest.mark.parametrize("rows", [1, 3, 257, 2 * BLOCK_RECORDS + 3])
 def test_cmvn_matches_the_plain_formula_bit_for_bit(rows, cols, magnitude):
     rng = Rng(rows * 1000 + cols)
 
@@ -272,8 +278,9 @@ def test_cmvn_matches_the_plain_formula_bit_for_bit(rows, cols, magnitude):
         return magnitude * (rng.normals(n * cols).reshape(n, cols) + 0.5)
 
     a, b, c = _frames(draw(rows)), _frames(draw(rows + 2), domain=1), _frames(draw(5))
-    _assert_cmvn_bitwise([a, b], [c, a, b])
-    _assert_cmvn_bitwise([a], [a])  # one corpus passed in both lists
+    _assert_cmvn_bitwise([a, b])
+    _assert_cmvn_bitwise([c, a, b])
+    _assert_cmvn_bitwise([a])
 
 
 def test_cmvn_matches_the_plain_formula_on_edge_values():
@@ -285,27 +292,35 @@ def test_cmvn_matches_the_plain_formula_on_edge_values():
     feats[:, 3] *= 1e-8
     feats[:, 4] = 1e150 * feats[:, 4] + 1e151
     a, b = _frames(feats[:200]), _frames(feats[200:], domain=1)
-    _assert_cmvn_bitwise([a, b], [b, a])
-    _assert_cmvn_bitwise([_frames(np.array([[-0.0, 0.0, 1e-300]]))], [_frames(np.array([[0.0, -0.0, 5.0]]))])
+    _assert_cmvn_bitwise([a, b])
+    _assert_cmvn_bitwise([b, a])
+    _assert_cmvn_bitwise([_frames(np.array([[-0.0, 0.0, 1e-300]]))])
+    _assert_cmvn_bitwise([_frames(np.array([[-0.0], [-0.0]])), _frames(np.array([[-0.0]]))])
+    zeros = np.where(rng.normals(2 * BLOCK_RECORDS * 2).reshape(-1, 2) > 0, 0.0, -0.0)
+    zeros[:, 1] = -0.0
+    _assert_cmvn_bitwise([_frames(zeros[:BLOCK_RECORDS + 1]), _frames(zeros[BLOCK_RECORDS + 1 :])])
 
 
 def test_cmvn_matches_the_plain_formula_on_integer_features():
     rng = Rng(9)
-    ints = [(rng._raw_block(n * 7) % np.uint64(1 << 40)).astype(np.int64).reshape(n, 7) - (1 << 39) for n in (50, 31)]
-    a, b = _frames(ints[0]), _frames(ints[1], domain=1)
-    _assert_cmvn_bitwise([a, b], [a, b])
-    _assert_cmvn_bitwise([a], [_frames(rng.normals(14).reshape(2, 7))])
+    ints = [(rng._raw_block(n * 7) % np.uint64(1 << 40)).astype(np.int64).reshape(n, 7) - (1 << 39)
+            for n in (50, 31, BLOCK_RECORDS + 9)]
+    a, b, c = _frames(ints[0]), _frames(ints[1], domain=1), _frames(ints[2])
+    _assert_cmvn_bitwise([a, b])
+    _assert_cmvn_bitwise([c, a])
+    _assert_cmvn_bitwise([a, _frames(rng.normals(14).reshape(2, 7))])
+    _assert_cmvn_bitwise([_frames(ints[0][:, :1]), _frames(ints[1][:, :1])])
 
 
-def test_cmvn_holds_one_full_size_buffer():
-    # the pooled float64 copy, then the outputs, never both, nor a second
-    # temporary; the plain formula peaks at about 2.5 times the pooled bytes
+def test_cmvn_holds_a_few_blocks():
+    # the stats come from block-sized copies; the plain formula holds the
+    # pooled copy and its deviations, about 2 times the pooled bytes
     rng = Rng(3)
     cs = [_frames(rng.normals(20_000 * 40).reshape(20_000, 40), domain=d) for d in (0, 1)]
     before = [c.features.copy() for c in cs]
     pooled_bytes = sum(c.features.nbytes for c in cs)
-    assert traced_peak_bytes(lambda: cmvn(cs, cs)) < 1.25 * pooled_bytes
-    assert traced_peak_bytes(lambda: cmvn_oracle(cs, cs)) > 2 * pooled_bytes  # the probe sees the copies
+    assert traced_peak_bytes(lambda: cmvn(cs)) < 0.25 * pooled_bytes
+    assert traced_peak_bytes(lambda: cmvn_stats_oracle(cs)) > 1.9 * pooled_bytes  # the probe sees the copies
     for c, old in zip(cs, before):
         assert np.array_equal(c.features.view(np.uint64), old.view(np.uint64))
 

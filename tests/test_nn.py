@@ -33,7 +33,7 @@ from dsnadapt.nn import (
     save_mlp,
     sgd_update,
 )
-from oracles import add_scaled, finite_diff_check, flatten, zeros_like
+from oracles import add_scaled, finite_diff_check, flatten, traced_peak_bytes, zeros_like
 from test_rng import ref_raw
 
 
@@ -180,7 +180,7 @@ def test_sigmoid_bitwise_matches_masked_oracle(shape, scale):
     n = min(len(SIGMOID_SPECIALS), z.size)
     z[:n] = SIGMOID_SPECIALS[:n]
     z = z.reshape(shape)
-    out = _sigmoid(z)
+    out = _sigmoid(z.copy())  # _sigmoid overwrites its argument
     assert out.shape == shape
     # compared as bit patterns: array_equal would take -0.0 == 0.0
     assert np.array_equal(out.view(np.uint64), _masked_sigmoid(z).view(np.uint64))
@@ -236,6 +236,58 @@ def test_forward_is_deterministic():
     a, _ = forward(net, x)
     b, _ = forward(net, x)
     assert np.array_equal(a, b)
+
+
+_EVERY_ACTIVATION = [
+    [(6, 5, "sigmoid"), (5, 4, "relu"), (4, 3, "softmax")],
+    [(6, 5, "relu"), (5, 4, "sigmoid"), (4, 3, "linear")],
+]
+
+
+def _bits(arrays):
+    return [a.view(np.uint64).copy() for a in arrays]
+
+
+def _same_bits(arrays, bits):
+    return len(arrays) == len(bits) and all(np.array_equal(a.view(np.uint64), b) for a, b in zip(arrays, bits))
+
+
+@pytest.mark.parametrize("spec", _EVERY_ACTIVATION)
+def test_forward_leaves_its_batch_and_repeats_bit_for_bit(spec):
+    # the in-place kernels write only the layer's own fresh product; perfbench
+    # reuses one input batch across many calls
+    net = init_mlp(spec, Rng(4))
+    x = Rng(5).normals(60 * 6).reshape(60, 6) * 4.0
+    x[0] = -0.0
+    batch = _bits([x])
+    _, first = forward(net, x)
+    first_bits = _bits(first)
+    _, second = forward(net, x)
+    assert _same_bits([x], batch)
+    assert _same_bits(first, first_bits) and _same_bits(second, first_bits)
+    assert second[0] is x and not any(np.shares_memory(a, b) for a, b in zip(first[1:], second[1:]))
+
+
+@pytest.mark.parametrize("at_logits", [False, True])
+@pytest.mark.parametrize("spec", _EVERY_ACTIVATION)
+def test_backward_leaves_acts_and_upstream(spec, at_logits):
+    net = init_mlp(spec, Rng(6))
+    _, acts = forward(net, Rng(7).normals(40 * 6).reshape(40, 6))
+    upstream = Rng(8).normals(40 * 3).reshape(40, 3)
+    before = _bits(acts + [upstream])
+    backward(net, acts, upstream, at_logits=at_logits)
+    assert _same_bits(acts + [upstream], before)
+
+
+def test_forward_holds_little_beside_its_activations():
+    # the trend profile's source net on 10k frames: each layer's bias and
+    # activation applied in place on its own product; a temporary for each
+    # step peaks at about 1.87x the activations forward returns
+    net = init_mlp([(40, 48, "sigmoid"), (48, 48, "sigmoid"), (48, 48, "sigmoid"), (48, 10, "softmax")], Rng(9))
+    x = Rng(10).normals(10_000 * 40).reshape(10_000, 40)
+    acts = []
+    peak = traced_peak_bytes(lambda: acts.extend(forward(net, x)[1]))
+    assert peak < 1.4 * sum(a.nbytes for a in acts[1:])
 
 
 @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=6))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dsnadapt.config import ExperimentConfig, NetConfig, SpliceConfig, build_config
-from dsnadapt.data import SynthConfig, write_corpus
+from dsnadapt.data import SynthConfig, synth_corpus, write_corpus
 from dsnadapt import pipeline
 from dsnadapt.dsn import StepTrace, adapted_model
 from dsnadapt.errors import ConfigError, ContractError, DataError, TrainingDivergedError
@@ -23,6 +23,7 @@ from dsnadapt.pipeline import (
     sweep,
     write_sweep_csv,
 )
+from oracles import prepare_oracle, traced_peak_bytes
 
 
 def tiny_cfg(**overrides) -> ExperimentConfig:
@@ -74,6 +75,51 @@ def test_prepare_normalizes_over_train_plus_adapt(prepared):
 def test_prepare_skips_target_test_when_not_needed():
     out = prepare_corpora(tiny_cfg(), need_target_labels=False)
     assert out.target_test is None
+
+
+def _features(prepared):
+    corpora = (prepared.source_train, prepared.target_adapt, prepared.source_test, prepared.target_test)
+    return [c.features for c in corpora if c is not None]
+
+
+def _one_column_profile():
+    cfg = pipeline.trend_profile(1)
+    return replace(cfg, synth=replace(cfg.synth, base_dim=1), splice=SpliceConfig(left=0, right=0))
+
+
+def _data_dir_profile(root):
+    # 2,500 frames a corpus, so the stats cross a block edge
+    cfg = pipeline.trend_profile(3)
+    cfg = replace(cfg, synth=replace(cfg.synth, utterances_per_domain=25), data_dir=str(root))
+    bundle = synth_corpus(cfg.synth)
+    for key, filename in pipeline.DATA_FILES.items():
+        write_corpus(getattr(bundle, key), root / filename)
+    return cfg
+
+
+@pytest.mark.parametrize("need_target_labels", [False, True])
+@pytest.mark.parametrize(
+    "make",
+    [lambda d: pipeline.trend_profile(1), lambda d: _one_column_profile(), _data_dir_profile],
+    ids=["trend", "one-column", "data-dir"],
+)
+def test_prepare_matches_the_plain_formula_bit_for_bit(tmp_path, make, need_target_labels):
+    cfg = make(tmp_path)
+    got = _features(prepare_corpora(cfg, need_target_labels))
+    for out, expected in zip(got, prepare_oracle(cfg, need_target_labels), strict=True):
+        assert out.dtype == expected.dtype == np.float64
+        assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+
+
+def test_prepare_holds_one_spliced_copy():
+    # at cli_files size: the spliced frames, normalized in place, beside the
+    # raw frames they came from and a few blocks; normalizing into new arrays
+    # beside a pooled copy peaks at about 2.26x
+    cfg = pipeline.trend_profile(1)
+    cfg = replace(cfg, synth=replace(cfg.synth, utterances_per_domain=400))
+    prepared = []
+    peak = traced_peak_bytes(lambda: prepared.append(prepare_corpora(cfg, need_target_labels=True)))
+    assert peak < 1.5 * sum(f.nbytes for f in _features(prepared[0]))
 
 
 def test_sampler_covers_every_index_each_pass():
