@@ -19,6 +19,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .config import MODES, ExperimentConfig, load_config
 from .dsn import adapted_model, load_dsn_model, save_dsn_model
 from .errors import ConfigError, DataError, TrainingDivergedError
@@ -146,7 +148,9 @@ def main(argv: list[str] | None = None) -> int:
         if "seed" in overrides:
             overrides["synth.seed"] = overrides["seed"]  # the data follows the master seed
         cfg = load_config(args.config, overrides)
-        _run_mode(args.mode, cfg, Path(args.out))
+        # an overflow or nan is reported by the program's own checks, in its one message
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            _run_mode(args.mode, cfg, Path(args.out))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -256,6 +256,9 @@ def _pooled_column_sum(stats_from: Sequence[Corpus], mean: np.ndarray | None = N
 # and their finiteness. A faulty file is a DataError naming its earliest
 # faulty line; a line with several faults reports the first in that order.
 #
+# The file's bytes serve only the sidecar key and the decode, and are dropped
+# before the parse, which holds the decoded lines and the result.
+#
 # Each file is parsed once per reader mode. A successful parse is saved beside
 # the file as the hidden sidecar .<file name>.<labeled|unlabeled>.npz, keyed by
 # the SHA-256 of the file's bytes, the reader mode and SIDECAR_VERSION. A read
@@ -327,7 +330,8 @@ def _read_corpus(path: str | Path, parse_labels: bool) -> Corpus:
     sidecar = Path(path).with_name(f".{Path(path).name}.{key[1]}.npz")
     corpus = _load_sidecar(sidecar, key)
     if corpus is None:
-        corpus = _parse_corpus(read_lines(path, raw), path, parse_labels)
+        lines, raw = read_lines(path, raw), None
+        corpus = _parse_corpus(lines, path, parse_labels)
         _save_sidecar(sidecar, key, corpus)
     return corpus
 

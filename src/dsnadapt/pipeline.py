@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .config import ExperimentConfig
-from .data import Corpora, Corpus, cmvn, read_corpus, read_corpus_unlabeled, splice, synth_corpus
+from .data import BLOCK_RECORDS, Corpora, Corpus, cmvn, read_corpus, read_corpus_unlabeled, splice, synth_corpus
 from .dsn import (
     DsnBatch,
     DsnModel,
@@ -68,8 +68,9 @@ def prepare_corpora(cfg: ExperimentConfig, need_target_labels: bool) -> Corpora:
     Stats are computed over source_train plus target_adapt (the data an
     unsupervised adaptation run is allowed to see) and applied everywhere.
     The labeled target test corpus is only touched when the caller asks.
-    Spliced frames, the only full-size copy, are normalized in place. Stats
-    that overflow float64 are a DataError, or a ConfigError when synthesized.
+    Each raw corpus is freed once spliced, and the spliced frames, then the
+    only full-size copy, are normalized in place. Stats that overflow
+    float64 are a DataError, or a ConfigError when synthesized.
     """
     if cfg.data_dir is not None:
         raw = _read_data_dir(Path(cfg.data_dir), need_target_labels)
@@ -78,13 +79,14 @@ def prepare_corpora(cfg: ExperimentConfig, need_target_labels: bool) -> Corpora:
     else:
         raw = synth_corpus(cfg.synth)
         where, error = "the synth.* profile", ConfigError
-    corpora = [raw.source_train, raw.target_adapt, raw.source_test]
-    if need_target_labels:
-        corpora.append(raw.target_test)
-    corpora = [splice(c, cfg.splice.left, cfg.splice.right) for c in corpora]
+    corpora = [raw.source_train, raw.target_adapt, raw.source_test] + [raw.target_test] * need_target_labels
+    dim = raw.source_train.dim
+    del raw
+    for i in range(len(corpora)):
+        corpora[i] = splice(corpora[i], cfg.splice.left, cfg.splice.right)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         mean, scale = cmvn(corpora[:2])
-    dim, bad = raw.source_train.dim, np.flatnonzero(~np.isfinite([mean, scale]).all(axis=0))
+    bad = np.flatnonzero(~np.isfinite([mean, scale]).all(axis=0))
     if bad.size:
         raise error(f"{where}: feature dim {bad[0] % dim + 1} of {dim}: its mean or variance overflows float64")
     for c in corpora:
@@ -224,20 +226,30 @@ class RunReport:
 
 def evaluate(nets: Sequence[Mlp], corpus: Corpus) -> EvalResult:
     """Frame error rate of the chained nets; argmax ties break toward the
-    lowest class index."""
+    lowest class index.
+
+    The frames go through the nets BLOCK_RECORDS rows at a time, so the
+    activations of a block or two are held, not the whole set's. A tail
+    shorter than BLOCK_RECORDS joins the block before it, so no block is
+    shorter unless the whole set is: OpenBLAS can take another path for
+    products of a few rows, and a block of a few hundred rows or more gives
+    the whole-set product's posteriors bit for bit."""
     if not corpus.is_labeled:
         raise ContractError("evaluation needs a labeled corpus")
-    q = nets[-1].out_dim
+    q, n = nets[-1].out_dim, len(corpus)
     if int(corpus.labels.max()) >= q:
         raise DataError(f"label {int(corpus.labels.max())} out of range for {q} classes")
-    x = corpus.features
-    for net in nets:
-        x, _ = forward(net, x)
-    pred = x.argmax(axis=1)
+    pred = np.empty(n, dtype=np.int64)
+    starts = range(0, max(n // BLOCK_RECORDS, 1) * BLOCK_RECORDS, BLOCK_RECORDS)
+    for start, stop in zip(starts, [*starts[1:], n]):
+        x = corpus.features[start:stop]
+        for net in nets:
+            x, _ = forward(net, x)
+        pred[start:stop] = x.argmax(axis=1)
     errors = int((pred != corpus.labels).sum())
     confusion = np.zeros((q, q), dtype=np.int64)
     np.add.at(confusion, (corpus.labels, pred), 1)
-    return EvalResult(len(corpus), errors, errors / len(corpus), confusion)
+    return EvalResult(n, errors, errors / n, confusion)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Test-only oracles and gradient arithmetic: a finite-difference checker, a
 nearest-class-mean classifier, a per-utterance corpus generator, the plain
-normalization and preparation formulas, a traced-memory probe, a gradient
-poisoner and Gradients helpers. Imported by the test modules, never by
+normalization, preparation and evaluation formulas, a traced-memory probe, a
+gradient poisoner and Gradients helpers. Imported by the test modules, never by
 dsnadapt."""
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import numpy as np
 from dsnadapt import dsn
 from dsnadapt.config import ExperimentConfig
 from dsnadapt.data import VARIANCE_FLOOR, Corpus, SynthConfig, read_corpus, read_corpus_unlabeled, splice, synth_corpus
-from dsnadapt.nn import Gradients, Mlp, Rng
-from dsnadapt.pipeline import DATA_FILES
+from dsnadapt.nn import Gradients, Mlp, Rng, forward
+from dsnadapt.pipeline import DATA_FILES, EvalResult
 
 
 def zeros_like(net: Mlp) -> Gradients:
@@ -166,6 +166,21 @@ def prepare_oracle(cfg: ExperimentConfig, need_target_labels: bool) -> list[np.n
     spliced = [splice(c, cfg.splice.left, cfg.splice.right) for c in raw]
     mean, scale = cmvn_stats_oracle(spliced[:2])
     return [(c.features - mean) / scale for c in spliced]
+
+
+def evaluate_oracle(nets: Sequence[Mlp], corpus: Corpus) -> tuple[EvalResult, np.ndarray]:
+    """pipeline.evaluate by the plain formula, with the posteriors it argmaxes:
+    one forward pass of the whole set through the chained nets, the argmax of
+    each row and an np.add.at count of the (true, predicted) pairs."""
+    x = corpus.features
+    for net in nets:
+        x, _ = forward(net, x)
+    pred = x.argmax(axis=1)
+    errors = int((pred != corpus.labels).sum())
+    q = nets[-1].out_dim
+    confusion = np.zeros((q, q), dtype=np.int64)
+    np.add.at(confusion, (corpus.labels, pred), 1)
+    return EvalResult(len(corpus), errors, errors / len(corpus), confusion), x
 
 
 def traced_peak_bytes(fn: Callable[[], object]) -> int:

@@ -1,6 +1,5 @@
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from dsnadapt import cli, data
@@ -79,9 +78,12 @@ _KEEP = "not a directory\n"
         (b"", True, "taken"),
         # finite frames whose variance overflows float64
         (b"synth.class_separation = 1e200\n", False, "the synth.* profile: feature dim 1 of 8: its mean or variance"),
+        # frames that overflow while drawn: numpy's own overflow warnings stay silent
+        (b"synth.noise_std = 1e308\n", False, "the synth.* profile: feature dim 1 of 8: its mean or variance"),
+        (b"synth.channel_matrix_scale = 1e308\n", False, "the synth.* profile: feature dim 1 of 8: its mean or variance"),
     ],
     ids=["config-not-utf8", "nan-noise-std", "inf-class-separation", "nan-channel-scale", "out-is-a-file",
-         "overflowing-class-separation"],
+         "overflowing-class-separation", "overflowing-noise-draw", "overflowing-channel-draw"],
 )
 def test_bad_input_is_a_config_error(tmp_path, capsys, text, out_is_file, name):
     config = tmp_path / "run.cfg"
@@ -94,6 +96,7 @@ def test_bad_input_is_a_config_error(tmp_path, capsys, text, out_is_file, name):
     assert code == 1
     assert err.startswith("config error:") and name in err
     assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.endswith("\n")  # one message, nothing else
     assert out.read_text() == _KEEP if out_is_file else not out.exists()  # the file is left untouched
 
 
@@ -174,12 +177,12 @@ def test_divergence_exits_3_naming_the_epoch(tmp_path, capsys, mode, mu):
     save_mlp(init_mlp([(15, 6, "sigmoid"), (6, 6, "sigmoid"), (6, 10, "softmax")], Rng(1)), model)
     config = tmp_path / "run.cfg"
     config.write_text(_TINY + f"mu = {mu}\npretrained_model = {model}\n")
-    with np.errstate(all="ignore"):
-        code = main([mode, "--config", str(config), "--out", str(tmp_path / "out")])
+    code = main([mode, "--config", str(config), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("training diverged: epoch 1:")
     assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_non_finite_gradient_exits_3_naming_the_subnetwork(tmp_path, capsys, monkeypatch):

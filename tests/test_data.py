@@ -1,6 +1,8 @@
 """Corpus generation, splicing, normalization, and file round-trips."""
 
 import statistics
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -671,6 +673,30 @@ def test_changed_byte_forces_a_parse(tmp_path, monkeypatch):
     path.write_bytes(path.read_bytes().replace(b"2.5", b"3.5"))
     assert read_corpus(path).features.tolist() == [[1.5], [3.5]]
     assert len(parses) == 2
+
+
+def test_cold_read_drops_the_file_bytes_before_the_parse(tmp_path, monkeypatch):
+    # the bytes serve the sidecar key and the decode; holding them through the
+    # parse puts the file's size beside the decoded lines
+    path = tmp_path / "c.csv"
+    n = 3 * BLOCK_RECORDS
+    write_corpus(Corpus(0, ["u"] * n, np.arange(n) % 5, Rng(4).normals(8 * n).reshape(n, 8)), path)
+    beside_lines, parse = [], data._parse_corpus
+
+    def spy(lines, *args):
+        held = tracemalloc.get_traced_memory()[0] - sys.getsizeof(lines) - sum(map(sys.getsizeof, lines))
+        beside_lines.append(held - base)
+        return parse(lines, *args)
+
+    monkeypatch.setattr(data, "_parse_corpus", spy)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        read_corpus(path)
+    finally:
+        tracemalloc.stop()
+    assert len(beside_lines) == 1  # a cold read parses
+    assert beside_lines[0] < path.stat().st_size / 4
 
 
 def test_file_made_faulty_after_caching_names_its_line_on_every_read(tmp_path):

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from dsnadapt.config import ExperimentConfig, NetConfig, SpliceConfig, build_config
-from dsnadapt.data import SynthConfig, synth_corpus, write_corpus
+from dsnadapt.data import BLOCK_RECORDS, Corpus, SynthConfig, synth_corpus, write_corpus
 from dsnadapt import pipeline
-from dsnadapt.dsn import StepTrace, adapted_model
+from dsnadapt.dsn import StepTrace, adapted_model, split_pretrained
 from dsnadapt.errors import ConfigError, ContractError, DataError, TrainingDivergedError
-from dsnadapt.nn import Activation, DenseLayer, Mlp, Rng, forward
+from dsnadapt.nn import Activation, DenseLayer, Mlp, Rng, forward, init_mlp
 from dsnadapt.pipeline import (
     EpochSampler,
     adapt_dsn,
@@ -23,7 +23,7 @@ from dsnadapt.pipeline import (
     sweep,
     write_sweep_csv,
 )
-from oracles import prepare_oracle, traced_peak_bytes
+from oracles import evaluate_oracle, prepare_oracle, traced_peak_bytes
 
 
 def tiny_cfg(**overrides) -> ExperimentConfig:
@@ -113,13 +113,14 @@ def test_prepare_matches_the_plain_formula_bit_for_bit(tmp_path, make, need_targ
 
 def test_prepare_holds_one_spliced_copy():
     # at cli_files size: the spliced frames, normalized in place, beside the
-    # raw frames they came from and a few blocks; normalizing into new arrays
-    # beside a pooled copy peaks at about 2.26x
+    # raw frames not yet spliced and a few blocks (about 1.11x); holding every
+    # raw corpus to the end peaks at about 1.30x, and normalizing into new
+    # arrays beside a pooled copy at about 2.26x
     cfg = pipeline.trend_profile(1)
     cfg = replace(cfg, synth=replace(cfg.synth, utterances_per_domain=400))
     prepared = []
     peak = traced_peak_bytes(lambda: prepared.append(prepare_corpora(cfg, need_target_labels=True)))
-    assert peak < 1.5 * sum(f.nbytes for f in _features(prepared[0]))
+    assert peak < 1.25 * sum(f.nbytes for f in _features(prepared[0]))
 
 
 def test_sampler_covers_every_index_each_pass():
@@ -174,6 +175,69 @@ def test_evaluate_matches_brute_force_recount(prepared):
         wrong += int(best != label)
     assert result.errors == wrong
     assert result.error_rate == wrong / len(prepared.source_test)
+
+
+@pytest.fixture(scope="module")
+def trend_nets():
+    """A 10,000-frame labeled corpus of trend_profile(1), the net pretrained on
+    it for one epoch, and that net split as (shared, senone)."""
+    cfg = replace(pipeline.trend_profile(1), epochs=1)
+    train = prepare_corpora(cfg, need_target_labels=False).source_train
+    net, _ = pretrain_source(cfg, train)
+    return train, {"pretrained": (net,), "split": split_pretrained(net, cfg.n_h)}
+
+
+def _first_rows(corpus, n):
+    return Corpus(corpus.domain, corpus.utt_ids[:n], corpus.labels[:n], corpus.features[:n])
+
+
+@pytest.mark.parametrize("nets_name", ["pretrained", "split"])
+@pytest.mark.parametrize(
+    "n, blocks",
+    [
+        (1, [1]),
+        (2047, [2047]),
+        (2048, [2048]),
+        (2049, [2049]),
+        (4095, [4095]),
+        (4096, [2048, 2048]),
+        (4097, [2048, 2049]),
+        (10000, [2048, 2048, 2048, 3856]),  # a tail of 1,808 joins the block before it
+    ],
+)
+def test_evaluate_blocks_match_the_whole_set_oracle(trend_nets, monkeypatch, nets_name, n, blocks):
+    assert BLOCK_RECORDS == 2048
+    train, all_nets = trend_nets
+    nets, corpus = all_nets[nets_name], _first_rows(train, n)
+    expected, posteriors = evaluate_oracle(nets, corpus)
+    outputs = []
+
+    def spy(net, batch):
+        out, acts = forward(net, batch)
+        if net is nets[-1]:
+            outputs.append(out)
+        return out, acts
+
+    monkeypatch.setattr(pipeline, "forward", spy)
+    got = evaluate(nets, corpus)
+    assert (got.frames, got.errors, got.error_rate) == (expected.frames, expected.errors, expected.error_rate)
+    assert got.confusion.dtype == np.int64 and np.array_equal(got.confusion, expected.confusion)
+    assert [len(out) for out in outputs] == blocks
+    # each block's posteriors are the whole-set product's, bit for bit; a BLAS
+    # whose small products take another path than its large ones fails here
+    assert np.array_equal(np.concatenate(outputs).view(np.uint64), posteriors.view(np.uint64))
+
+
+def test_evaluate_holds_a_block():
+    # 40k rows: at most two blocks' activations (the last holds the tail, 3,136
+    # rows) and the predictions, about 0.13x the whole set's activations; a
+    # whole-set pass holds about 1.02x
+    n = 40_000
+    net = init_mlp([(40, 48, "sigmoid"), (48, 48, "sigmoid"), (48, 48, "sigmoid"), (48, 10, "softmax")], Rng(3))
+    corpus = Corpus(0, ["u"] * n, np.arange(n) % 10, Rng(5).normals(40 * n).reshape(n, 40))
+    whole_set = sum(a.nbytes for a in forward(net, corpus.features)[1])
+    peak = traced_peak_bytes(lambda: evaluate((net,), corpus))
+    assert peak < 0.25 * whole_set
 
 
 def test_evaluate_rejects_unlabeled(prepared):
