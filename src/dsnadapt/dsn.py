@@ -37,7 +37,6 @@ from .errors import ConfigError, ContractError, DataError, ShapeError, TrainingD
 from .grl import grl_backward
 from .nn import (
     Activation,
-    Gradients,
     LineCursor,
     Matrix,
     Mlp,
@@ -124,27 +123,6 @@ class DsnModel:
 
 
 @dataclass
-class DsnBatch:
-    """Equal-footing minibatch: labeled source frames plus unlabeled target
-    frames of the same feature dim."""
-
-    source_x: Matrix
-    source_y: np.ndarray
-    target_x: Matrix
-
-    def __post_init__(self):
-        self.source_y = np.asarray(self.source_y, dtype=np.int64)
-        if self.source_x.ndim != 2 or self.target_x.ndim != 2:
-            raise ShapeError("batch features must be 2-D")
-        if self.source_x.shape[0] == 0 or self.target_x.shape[0] == 0:
-            raise ContractError("both domains must contribute frames")
-        if self.source_x.shape[1] != self.target_x.shape[1]:
-            raise ShapeError("source and target feature dims differ")
-        if self.source_y.shape != (self.source_x.shape[0],):
-            raise ShapeError("source labels do not match source rows")
-
-
-@dataclass
 class StepTrace:
     """One step's loss terms and domain-classifier accuracy. Training keeps
     one per epoch, the field-wise mean over that epoch's steps."""
@@ -170,13 +148,6 @@ def split_pretrained(source_dnn: Mlp, n_h: int) -> tuple[Mlp, Mlp]:
     return Mlp(source_dnn.layers[:n_h]), Mlp(source_dnn.layers[n_h:])
 
 
-def _domain_targets(n_source: int, n_target: int) -> np.ndarray:
-    """Domain-classifier columns of the stacked batch: source 0, target 1."""
-    labels = np.zeros(n_source + n_target, dtype=np.int64)
-    labels[n_source:] = 1
-    return labels
-
-
 def cross_correlation_penalty(
     shared_f: Matrix, private_f: Matrix
 ) -> tuple[float, Matrix, Matrix]:
@@ -197,30 +168,37 @@ def cross_correlation_penalty(
     return term, d_shared, d_private
 
 
-def dsn_gradients(model: DsnModel, batch: DsnBatch) -> tuple[StepTrace, dict[str, Gradients]]:
-    """Every loss term of one step and the routed gradient of each sub-network.
+def dsn_gradients(model: DsnModel, x: Matrix, source_y: np.ndarray) -> tuple[StepTrace, dict[str, np.ndarray]]:
+    """Every loss term of one step and the routed gradient vector of each
+    sub-network, laid out like its params.
 
-    Source and target rows are stacked through the shared extractor, the
-    domain classifier and the reconstructor; the class head sees the source
-    rows and each private extractor its own domain's rows. The difference and
-    reconstruction terms are sums of per-domain terms, a reconstruction term
-    being the squared error averaged over all of its domain's entries; the
-    domain cross-entropy is one mean over both domains. The returned dict
-    holds an entry only for the sub-networks that receive an update this step.
+    x stacks the step's frames, source rows first: its first len(source_y)
+    rows are the labeled source frames and the rest the unlabeled target
+    frames. Both domains must contribute rows, or it is a ContractError. The
+    stacked rows go through the shared extractor, the domain classifier
+    (source column 0, target column 1) and the reconstructor; the class head
+    sees the source rows and each private extractor its own domain's rows.
+    The difference and reconstruction terms are sums of per-domain terms, a
+    reconstruction term being the squared error averaged over all of its
+    domain's entries; the domain cross-entropy is one mean over both domains.
+    The returned dict holds an entry only for the sub-networks that receive
+    an update this step.
     """
-    xs, xt = batch.source_x, batch.target_x
-    n_s = xs.shape[0]
-    f, cache_f = forward(model.shared, np.vstack([xs, xt]))
+    n_s = len(source_y)
+    if not 0 < n_s < len(x):
+        raise ContractError(f"both domains must contribute frames: {n_s} source labels for {len(x)} rows")
+    xs, xt = x[:n_s], x[n_s:]
+    f, cache_f = forward(model.shared, x)
     f_s, f_t = f[:n_s], f[n_s:]
 
     post_y, cache_y = forward(model.senone, f_s)
-    l_sen, g_logits_y = cross_entropy_loss(post_y, batch.source_y)
+    l_sen, g_logits_y = cross_entropy_loss(post_y, source_y)
     post_d, cache_d = forward(model.domain, f)
-    labels = _domain_targets(n_s, xt.shape[0])
+    labels = np.repeat([0, 1], [n_s, len(x) - n_s])
     l_dom, g_logits_d = cross_entropy_loss(post_d, labels)
     accuracy = float((post_d.argmax(axis=1) == labels).mean())
 
-    grads: dict[str, Gradients] = {}
+    grads: dict[str, np.ndarray] = {}
     grads["senone"], g_f_s = backward(model.senone, cache_y, g_logits_y, at_logits=True)
     grads["domain"], g_f_d = backward(model.domain, cache_d, g_logits_d, at_logits=True)
     g_f = np.zeros_like(f)
@@ -257,12 +235,16 @@ def dsn_gradients(model: DsnModel, batch: DsnBatch) -> tuple[StepTrace, dict[str
     return StepTrace(l_sen, l_dom, l_diff, l_rec, total, accuracy), grads
 
 
-def dsn_step(model: DsnModel, batch: DsnBatch, mu: float) -> tuple[DsnModel, StepTrace]:
-    """One joint SGD update over every sub-network; mutates the model. A
+def dsn_step(model: DsnModel, x: Matrix, source_y: np.ndarray, mu: float) -> tuple[DsnModel, StepTrace]:
+    """One joint SGD update over every sub-network from the stacked batch of
+    dsn_gradients; mutates the model. A non-finite loss names its first
+    non-finite term, or loss_total when only the weighted sum overflows. A
     non-finite gradient is re-raised prefixed with its sub-network's name."""
-    trace, grads = dsn_gradients(model, batch)
-    if not np.isfinite(trace.loss_total):
-        raise TrainingDivergedError(f"non-finite loss: {trace}")
+    trace, grads = dsn_gradients(model, x, source_y)
+    if not math.isfinite(trace.loss_total):
+        terms = ("loss_senone", "loss_domain", "loss_diff", "loss_recon")
+        term = next((t for t in terms if not math.isfinite(getattr(trace, t))), "loss_total")
+        raise TrainingDivergedError(f"non-finite {term}={getattr(trace, term)}")
     for name, g in grads.items():
         try:
             sgd_update(getattr(model, name), g, mu)

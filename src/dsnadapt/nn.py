@@ -6,7 +6,7 @@ models and training runs.
 
 Each net's parameters are one float64 vector, `Mlp.params`: layer by layer,
 the weights row-major, then the bias. A layer's `weights` and `bias` are
-views of it, and `backward` writes its gradients into one vector of the same
+views of it. `backward` returns the gradient as one vector of the same
 layout, so an SGD step is one update of one vector per net.
 """
 
@@ -162,13 +162,6 @@ def _views(flat: np.ndarray, like: Sequence[np.ndarray]) -> list[np.ndarray]:
     return views
 
 
-def _pack(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """A new float64 vector holding copies of the arrays end to end, and the
-    views of it that stand for them."""
-    flat = np.concatenate([np.ravel(a) for a in arrays] or [np.empty(0)]).astype(np.float64, copy=False)
-    return flat, _views(flat, arrays)
-
-
 @dataclass(frozen=True)
 class Mlp:
     """Ordered stack of dense layers. Softmax is only legal as the last
@@ -193,7 +186,9 @@ class Mlp:
                 )
             if self.layers[k].activation is Activation.SOFTMAX:
                 raise ConfigError("softmax is only permitted as the final layer")
-        params, views = _pack([a for layer in self.layers for a in (layer.weights, layer.bias)])
+        arrays = [a for layer in self.layers for a in (layer.weights, layer.bias)]
+        params = np.concatenate([a.ravel() for a in arrays]).astype(np.float64, copy=False)
+        views = _views(params, arrays)
         layers = tuple(DenseLayer(w, b, layer.activation) for layer, w, b in zip(self.layers, views[0::2], views[1::2]))
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "params", params)
@@ -206,32 +201,10 @@ class Mlp:
     def out_dim(self) -> int:
         return self.layers[-1].out_dim
 
-    def copy(self) -> "Mlp":
-        return Mlp(self.layers)
-
     def __reduce__(self):
         # copy, deepcopy and pickle rebuild through __init__, so the copy's
         # layers are views of its own params, not detached arrays
         return Mlp, (self.layers,)
-
-
-@dataclass
-class Gradients:
-    """Per-layer weight and bias gradients, shape-congruent with an Mlp.
-
-    `flat` holds them all in the net's params layout, and the lists are views
-    of it. Built from lists alone, the arrays are copied into a new flat."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    flat: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.flat is None:
-            if len(self.weights) != len(self.biases):
-                raise ShapeError(f"{len(self.weights)} weight gradients but {len(self.biases)} bias gradients")
-            self.flat, views = _pack([a for pair in zip(self.weights, self.biases) for a in pair])
-            self.weights, self.biases = views[0::2], views[1::2]
 
 
 LayerSpec = tuple[int, int, "Activation | str"]
@@ -313,7 +286,7 @@ def _check_cache(net: Mlp, acts: list[Matrix], upstream: Matrix) -> None:
 
 def backward(
     net: Mlp, acts: list[Matrix], upstream: Matrix, at_logits: bool = False, input_grad: bool = True
-) -> tuple[Gradients, Matrix | None]:
+) -> tuple[np.ndarray, Matrix | None]:
     """Exact gradients of sum(upstream * output) w.r.t. parameters and input,
     from the activation list forward() returned for this net.
 
@@ -321,13 +294,13 @@ def backward(
     (ReLU's from out > 0, which is z > 0). With at_logits=True the upstream
     is taken w.r.t. the final layer's pre-activation instead of its output,
     which is how the fused softmax + cross-entropy gradient enters. The
-    parameter gradients are written into one vector laid out like net.params.
+    parameter gradient is returned as one vector laid out like net.params.
     With input_grad=False the first layer's input gradient, a matmul the
     caller would discard, is skipped and returned as None.
     """
     _check_cache(net, acts, upstream)
-    flat = np.empty_like(net.params)
-    views = _views(flat, [a for layer in net.layers for a in (layer.weights, layer.bias)])
+    grad = np.empty_like(net.params)
+    views = _views(grad, [a for layer in net.layers for a in (layer.weights, layer.bias)])
     wgrads, bgrads = views[0::2], views[1::2]
     last = len(net.layers) - 1
     g = upstream
@@ -345,7 +318,7 @@ def backward(
         np.matmul(dz.T, acts[k], out=wgrads[k])
         dz.sum(axis=0, out=bgrads[k])
         g = dz @ net.layers[k].weights if k or input_grad else None
-    return Gradients(wgrads, bgrads, flat), g
+    return grad, g
 
 
 def cross_entropy_loss(posteriors: Matrix, labels: np.ndarray) -> tuple[float, Matrix]:
@@ -381,23 +354,21 @@ def mse_loss(pred: Matrix, target: Matrix) -> tuple[float, Matrix]:
     return loss, (2.0 / diff.size) * diff
 
 
-def sgd_update(net: Mlp, grads: Gradients, mu: float) -> Mlp:
-    """One plain SGD step, params <- params - mu * grads.flat, in place.
+def sgd_update(net: Mlp, grad: np.ndarray, mu: float) -> Mlp:
+    """One plain SGD step, params <- params - mu * grad, in place, where grad
+    is the gradient vector backward() returns, laid out like net.params.
 
     Returns the same (mutated) net for chaining. Rejects a learning rate that
-    is not a finite number >= 0, and aborts on non-finite gradients rather
-    than silently corrupting the model.
+    is not a finite number >= 0 and a gradient of another shape, and aborts
+    on non-finite gradients rather than silently corrupting the model.
     """
     if not (math.isfinite(mu) and mu >= 0):
         raise ConfigError(f"learning rate must be finite and >= 0, got {mu}")
-    if len(grads.weights) != len(net.layers):
-        raise ShapeError("gradients do not match net layer count")
-    for layer, gw, gb in zip(net.layers, grads.weights, grads.biases):
-        if gw.shape != layer.weights.shape or gb.shape != layer.bias.shape:
-            raise ShapeError("gradient shapes do not match net")
-    if not np.isfinite(grads.flat).all():
+    if grad.shape != net.params.shape:
+        raise ShapeError(f"gradient shape {grad.shape} does not match params shape {net.params.shape}")
+    if not np.isfinite(grad).all():
         raise TrainingDivergedError("non-finite gradient; training aborted")
-    np.subtract(net.params, mu * grads.flat, out=net.params)
+    np.subtract(net.params, mu * grad, out=net.params)
     return net
 
 

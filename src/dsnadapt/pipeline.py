@@ -21,14 +21,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .data import BLOCK_RECORDS, Corpora, Corpus, cmvn, read_corpus, read_corpus_unlabeled, splice, synth_corpus
-from .dsn import (
-    DsnBatch,
-    DsnModel,
-    StepTrace,
-    adapted_model,
-    dsn_step,
-    split_pretrained,
-)
+from .dsn import DsnModel, StepTrace, adapted_model, dsn_step, split_pretrained
 from .errors import ConfigError, ContractError, DataError, TrainingDivergedError
 from .nn import (
     Activation,
@@ -329,8 +322,17 @@ def _adapt(
     model = build_dsn(cfg, source_dnn, with_private)
     xs, ys = source_train.features, source_train.labels
     xt = target_adapt.features
-    trace = _train(cfg, STREAM_BATCH_ADAPT, (len(source_train), len(target_adapt)),
-                   lambda si, ti: dsn_step(model, DsnBatch(xs[si], ys[si], xt[ti]), cfg.mu)[1])
+
+    def step(si: np.ndarray, ti: np.ndarray) -> StepTrace:
+        # both domains gathered straight into one stacked batch, source rows
+        # first; the samplers' indices are in range, and mode="clip" spares
+        # the temporary that the default mode gathers through
+        x = np.empty((len(si) + len(ti), xs.shape[1]))
+        np.take(xs, si, axis=0, out=x[: len(si)], mode="clip")
+        np.take(xt, ti, axis=0, out=x[len(si) :], mode="clip")
+        return dsn_step(model, x, ys[si], cfg.mu)[1]
+
+    trace = _train(cfg, STREAM_BATCH_ADAPT, (len(source_train), len(target_adapt)), step)
     evals = {}
     if source_test is not None:
         evals["source_test"] = evaluate(adapted_model(model), source_test)

@@ -1,8 +1,8 @@
-"""Test-only oracles and gradient arithmetic: a finite-difference checker, a
-nearest-class-mean classifier, a per-utterance corpus generator, the plain
-normalization, preparation and evaluation formulas, a traced-memory probe, a
-gradient poisoner and Gradients helpers. Imported by the test modules, never by
-dsnadapt."""
+"""Test-only oracles: a finite-difference checker, a nearest-class-mean
+classifier, a per-utterance corpus generator, the plain normalization,
+preparation and evaluation formulas, a traced-memory probe and a gradient
+poisoner. A gradient is the vector backward() returns, laid out like the
+net's params. Imported by the test modules, never by dsnadapt."""
 
 from __future__ import annotations
 
@@ -16,73 +16,44 @@ import numpy as np
 from dsnadapt import dsn
 from dsnadapt.config import ExperimentConfig
 from dsnadapt.data import VARIANCE_FLOOR, Corpus, SynthConfig, read_corpus, read_corpus_unlabeled, splice, synth_corpus
-from dsnadapt.nn import Gradients, Mlp, Rng, forward
+from dsnadapt.nn import Mlp, Rng, forward
 from dsnadapt.pipeline import DATA_FILES, EvalResult
-
-
-def zeros_like(net: Mlp) -> Gradients:
-    return Gradients(
-        [np.zeros_like(layer.weights) for layer in net.layers],
-        [np.zeros_like(layer.bias) for layer in net.layers],
-    )
-
-
-def add_scaled(grads: Gradients, other: Gradients, scale: float = 1.0) -> Gradients:
-    """grads += scale * other, in place; returns grads."""
-    for w, ow in zip(grads.weights, other.weights):
-        w += scale * ow
-    for b, ob in zip(grads.biases, other.biases):
-        b += scale * ob
-    return grads
-
-
-def flatten(grads: Gradients) -> np.ndarray:
-    return np.concatenate([w.ravel() for w in grads.weights] + [b.ravel() for b in grads.biases])
 
 
 @dataclass
 class FiniteDiffReport:
     """Central-difference gradient estimates and their per-entry relative
-    errors against the supplied analytic gradients."""
+    errors against the supplied analytic gradient, both laid out like the
+    net's params."""
 
-    fd: Gradients
-    relative: Gradients
+    fd: np.ndarray
+    relative: np.ndarray
     max_rel_error: float
     mean_rel_error: float
 
 
 def finite_diff_check(
-    loss_fn: Callable[[Mlp], float], net: Mlp, analytic: Gradients, h: float = 1e-4
+    loss_fn: Callable[[Mlp], float], net: Mlp, analytic: np.ndarray, h: float = 1e-4
 ) -> FiniteDiffReport:
-    """Compare analytic gradients against (L(t+h) - L(t-h)) / 2h per entry.
+    """Compare an analytic gradient against (L(t+h) - L(t-h)) / 2h per entry.
 
     Relative error per entry is |a - f| / max(|a|, |f|, 1e-8). Report-only:
-    nothing here raises on a mismatch. loss_fn must be deterministic; the net
-    is perturbed in place and restored exactly.
+    nothing here raises on a mismatch. loss_fn must be deterministic; each
+    entry of net.params, which every layer array views, is perturbed in place
+    and restored exactly.
     """
     assert h > 0, "step h must be > 0"
-    fd = zeros_like(net)
-    for k, layer in enumerate(net.layers):
-        for arr, out in ((layer.weights, fd.weights[k]), (layer.bias, fd.biases[k])):
-            flat = arr.ravel()
-            out_flat = out.ravel()
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + h
-                lp = loss_fn(net)
-                flat[i] = orig - h
-                lm = loss_fn(net)
-                flat[i] = orig
-                out_flat[i] = (lp - lm) / (2.0 * h)
-    rel = zeros_like(net)
-    for holder, a_list, f_list in (
-        (rel.weights, analytic.weights, fd.weights),
-        (rel.biases, analytic.biases, fd.biases),
-    ):
-        for j, (a, f) in enumerate(zip(a_list, f_list)):
-            holder[j][...] = np.abs(a - f) / np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-8)
-    flat_rel = flatten(rel)
-    return FiniteDiffReport(fd, rel, float(flat_rel.max()), float(flat_rel.mean()))
+    fd = np.zeros_like(net.params)
+    for i in range(net.params.size):
+        orig = net.params[i]
+        net.params[i] = orig + h
+        lp = loss_fn(net)
+        net.params[i] = orig - h
+        lm = loss_fn(net)
+        net.params[i] = orig
+        fd[i] = (lp - lm) / (2.0 * h)
+    rel = np.abs(analytic - fd) / np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-8)
+    return FiniteDiffReport(fd, rel, float(rel.max()), float(rel.mean()))
 
 
 def nearest_class_mean_error(train: Corpus, test: Corpus) -> float:
@@ -136,9 +107,9 @@ def poison_dsn_gradient(monkeypatch, name: str) -> None:
     """Make every dsn.dsn_gradients call return a NaN in net name's gradient."""
     real = dsn.dsn_gradients
 
-    def poisoned(model, batch):
-        trace, grads = real(model, batch)
-        grads[name].flat[0] = np.nan
+    def poisoned(model, x, source_y):
+        trace, grads = real(model, x, source_y)
+        grads[name][0] = np.nan
         return trace, grads
 
     monkeypatch.setattr(dsn, "dsn_gradients", poisoned)

@@ -9,7 +9,6 @@ import pytest
 
 from dsnadapt import dsn
 from dsnadapt.dsn import (
-    DsnBatch,
     DsnModel,
     adapted_model,
     cross_correlation_penalty,
@@ -30,7 +29,7 @@ from dsnadapt.nn import (
     init_mlp,
     sgd_update,
 )
-from oracles import finite_diff_check, flatten, poison_dsn_gradient
+from oracles import finite_diff_check, poison_dsn_gradient
 
 D, K, Q = 6, 5, 3
 
@@ -49,12 +48,18 @@ def tiny_model(seed=0, alpha=1.0, beta=0.25, gamma=0.25, with_private=True):
 
 
 def tiny_batch(seed=10, n_s=4, n_t=5):
+    """A step's (x, source_y): x stacks n_s source rows, then n_t target rows."""
     rng = Rng(seed)
-    return DsnBatch(
-        rng.normals(n_s * D).reshape(n_s, D),
-        (rng._raw_block(n_s) % Q).astype(np.int64),
-        rng.normals(n_t * D).reshape(n_t, D),
-    )
+    xs = rng.normals(n_s * D).reshape(n_s, D)
+    ys = (rng._raw_block(n_s) % Q).astype(np.int64)
+    xt = rng.normals(n_t * D).reshape(n_t, D)
+    return np.vstack([xs, xt]), ys
+
+
+def domains(batch):
+    """The source rows and the target rows of a step's batch."""
+    x, ys = batch
+    return x[: len(ys)], x[len(ys) :]
 
 
 def zero_head(in_dim, out_dim):
@@ -63,7 +68,7 @@ def zero_head(in_dim, out_dim):
 
 
 def step_trace(model, batch):
-    trace, _ = dsn_gradients(model, batch)
+    trace, _ = dsn_gradients(model, *batch)
     return trace
 
 
@@ -169,7 +174,7 @@ def test_loss_senone_uniform_model():
     model.senone.layers[0].weights[...] = 0.0
     x = Rng(70).normals(6 * D).reshape(6, D)
     y = np.array([0, 1, 2, 0, 1, 2])
-    trace = step_trace(model, DsnBatch(x, y, x))
+    trace = step_trace(model, (np.vstack([x, x]), y))
     assert abs(trace.loss_senone - math.log(Q)) < 1e-12
 
 
@@ -180,16 +185,16 @@ def test_loss_senone_perfect_model_is_zero():
     domain = init_mlp([(Q, 4, "relu"), (4, 2, "softmax")], Rng(0))
     model = DsnModel(shared, senone, domain, None, None, None, 1.0, 0.0, 0.0)
     x = np.eye(Q)
-    trace = step_trace(model, DsnBatch(x, np.arange(Q), x))
+    trace = step_trace(model, (np.vstack([x, x]), np.arange(Q)))
     assert trace.loss_senone == 0.0
 
 
 def test_loss_senone_matches_ce_on_composed_forward():
     model = tiny_model(seed=71)
     batch = tiny_batch(seed=72)
-    mid, _ = forward(model.shared, batch.source_x)
+    mid, _ = forward(model.shared, domains(batch)[0])
     post, _ = forward(model.senone, mid)
-    want, _ = cross_entropy_loss(post, batch.source_y)
+    want, _ = cross_entropy_loss(post, batch[1])
     assert step_trace(model, batch).loss_senone == want
 
 
@@ -210,8 +215,9 @@ def test_loss_domain_uniform_classifier():
 def test_loss_domain_matches_ce_oracle_and_is_symmetric():
     model = tiny_model(seed=75)
     batch = tiny_batch(seed=76)
-    f_s, _ = forward(model.shared, batch.source_x)
-    f_t, _ = forward(model.shared, batch.target_x)
+    xs, xt = domains(batch)
+    f_s, _ = forward(model.shared, xs)
+    f_t, _ = forward(model.shared, xt)
     post_s, _ = forward(model.domain, f_s)
     post_t, _ = forward(model.domain, f_t)
     n_s, n_t = len(f_s), len(f_t)
@@ -225,11 +231,10 @@ def test_loss_domain_matches_ce_oracle_and_is_symmetric():
 
 
 def test_loss_domain_rejects_empty_batches():
-    x = np.zeros((2, D))
-    with pytest.raises(ContractError):
-        DsnBatch(x, np.zeros(2), np.zeros((0, D)))
-    with pytest.raises(ContractError):
-        DsnBatch(np.zeros((0, D)), np.zeros(0), x)
+    # no source rows, no target rows, and more source labels than rows
+    for n_labels in (0, 2, 3):
+        with pytest.raises(ContractError, match="both domains must contribute frames"):
+            dsn_gradients(tiny_model(), np.zeros((2, D)), np.zeros(n_labels))
 
 
 def test_reversed_gradient_pushes_domain_loss_up():
@@ -241,9 +246,9 @@ def test_reversed_gradient_pushes_domain_loss_up():
     model.senone = zero_head(K, Q)
     batch = tiny_batch(seed=78, n_s=16, n_t=16)
     for _ in range(300):
-        _, grads = dsn_gradients(model, batch)
+        _, grads = dsn_gradients(model, *batch)
         sgd_update(model.domain, grads["domain"], 0.5)
-    trace, grads = dsn_gradients(model, batch)
+    trace, grads = dsn_gradients(model, *batch)
     sgd_update(model.shared, grads["shared"], 1e-2)
     assert step_trace(model, batch).loss_domain > trace.loss_domain
 
@@ -291,10 +296,11 @@ def test_penalty_matches_brute_force():
 def test_loss_diff_composes_extractors():
     model = tiny_model(seed=82)
     batch = tiny_batch(seed=83)
-    f_sc, _ = forward(model.shared, batch.source_x)
-    f_tc, _ = forward(model.shared, batch.target_x)
-    f_sp, _ = forward(model.private_src, batch.source_x)
-    f_tp, _ = forward(model.private_tgt, batch.target_x)
+    xs, xt = domains(batch)
+    f_sc, _ = forward(model.shared, xs)
+    f_tc, _ = forward(model.shared, xt)
+    f_sp, _ = forward(model.private_src, xs)
+    f_tp, _ = forward(model.private_tgt, xt)
     want = cross_correlation_penalty(f_sc, f_sp)[0] + cross_correlation_penalty(f_tc, f_tp)[0]
     got = step_trace(model, batch).loss_diff
     assert abs(got - want) < 1e-12
@@ -310,13 +316,13 @@ def test_reconstruct_shapes_and_domain_selection():
     # its own domain's rows, so its gradient depends on its own weights
     model = tiny_model(seed=84)
     x = Rng(85).normals(3 * D).reshape(3, D)
-    batch = DsnBatch(x, np.zeros(3), x)
-    _, grads = dsn_gradients(model, batch)
-    assert grads["private_src"].weights[0].shape == model.private_src.layers[0].weights.shape
-    assert not np.array_equal(flatten(grads["private_src"]), flatten(grads["private_tgt"]))
+    batch = np.vstack([x, x]), np.zeros(3)
+    _, grads = dsn_gradients(model, *batch)
+    assert grads["private_src"].shape == model.private_src.params.shape
+    assert not np.array_equal(grads["private_src"], grads["private_tgt"])
     model.private_tgt = copy.deepcopy(model.private_src)
-    _, grads = dsn_gradients(model, batch)
-    assert np.array_equal(flatten(grads["private_src"]), flatten(grads["private_tgt"]))
+    _, grads = dsn_gradients(model, *batch)
+    assert np.array_equal(grads["private_src"], grads["private_tgt"])
 
 
 def test_loss_recon_perfect_reconstructor():
@@ -330,7 +336,7 @@ def test_loss_recon_perfect_reconstructor():
     model = DsnModel(shared, senone, domain, private_src, private_tgt, recon, 1.0, 0.25, 0.25)
     x_s = Rng(3).normals(4 * D).reshape(4, D)
     x_t = Rng(4).normals(3 * D).reshape(3, D)
-    trace = step_trace(model, DsnBatch(x_s, np.zeros(4), x_t))
+    trace = step_trace(model, (np.vstack([x_s, x_t]), np.zeros(4)))
     assert trace.loss_recon == 0.0
 
 
@@ -340,17 +346,19 @@ def test_loss_recon_zero_output_reconstructor():
         layer.weights[...] = 0.0
         layer.bias[...] = 0.0
     batch = tiny_batch(seed=89)
+    xs, xt = domains(batch)
     loss = step_trace(model, batch).loss_recon
-    want = float((batch.source_x**2).mean() + (batch.target_x**2).mean())
+    want = float((xs**2).mean() + (xt**2).mean())
     assert abs(loss - want) < 1e-12
 
 
 def test_loss_recon_matches_mse_oracle():
     model = tiny_model(seed=90)
     batch = tiny_batch(seed=91)
-    out_s = recon_oracle(model, batch.source_x, model.private_src)
-    out_t = recon_oracle(model, batch.target_x, model.private_tgt)
-    want = float(((out_s - batch.source_x) ** 2).mean()) + float(((out_t - batch.target_x) ** 2).mean())
+    xs, xt = domains(batch)
+    out_s = recon_oracle(model, xs, model.private_src)
+    out_t = recon_oracle(model, xt, model.private_tgt)
+    want = float(((out_s - xs) ** 2).mean()) + float(((out_t - xt) ** 2).mean())
     got = step_trace(model, batch).loss_recon
     assert abs(got - want) < 1e-12
 
@@ -360,7 +368,7 @@ def test_reconstruct_matches_explicit_concatenation():
     # reconstruction term matches that order and not the swapped one
     model = tiny_model(seed=86)
     x = Rng(87).normals(2 * D).reshape(2, D)
-    batch = DsnBatch(x, np.zeros(2), x)
+    batch = np.vstack([x, x]), np.zeros(2)
     f_c, _ = forward(model.shared, x)
     f_s, _ = forward(model.private_src, x)
     f_t, _ = forward(model.private_tgt, x)
@@ -384,8 +392,8 @@ def test_reconstruct_matches_explicit_concatenation():
 def test_total_equals_sum_of_terms():
     model = tiny_model(seed=92)
     batch = tiny_batch(seed=93)
-    xs, xt = batch.source_x, batch.target_x
-    l_sen, _ = cross_entropy_loss(composed(adapted_model(model), xs), batch.source_y)
+    xs, xt = domains(batch)
+    l_sen, _ = cross_entropy_loss(composed(adapted_model(model), xs), batch[1])
     d_post = composed([model.shared, model.domain], np.vstack([xs, xt]))
     l_dom, _ = cross_entropy_loss(d_post, np.array([0] * len(xs) + [1] * len(xt)))
     l_diff = sum(
@@ -427,17 +435,17 @@ def test_alpha_zero_keeps_domain_out_of_shared_grads():
     m_zero = tiny_model(seed=99, alpha=0.0, beta=0.0, gamma=0.0)
     m_other = copy.deepcopy(m_zero)
     m_other.domain = init_mlp([(K, 4, "relu"), (4, 2, "softmax")], Rng(199))
-    _, grads = dsn_gradients(m_zero, batch)
-    _, other = dsn_gradients(m_other, batch)
-    assert not np.array_equal(flatten(grads["domain"]), flatten(other["domain"]))
-    assert np.array_equal(flatten(grads["shared"]), flatten(other["shared"]))
+    _, grads = dsn_gradients(m_zero, *batch)
+    _, other = dsn_gradients(m_other, *batch)
+    assert not np.array_equal(grads["domain"], other["domain"])
+    assert np.array_equal(grads["shared"], other["shared"])
 
 
 ROUTED_GROUPS = ["shared", "senone", "domain", "private_src", "private_tgt", "recon"]
 
 
 def routed_objective(model, batch, group):
-    t, _ = dsn_gradients(model, batch)
+    t, _ = dsn_gradients(model, *batch)
     if group == "shared":
         return (
             t.loss_senone
@@ -458,7 +466,7 @@ def routed_objective(model, batch, group):
 def test_routed_gradients_match_finite_differences(group):
     model = tiny_model(seed=5, alpha=1.5, beta=0.4, gamma=0.3)
     batch = tiny_batch(seed=6, n_s=6, n_t=7)
-    _, grads = dsn_gradients(model, batch)
+    _, grads = dsn_gradients(model, *batch)
     net = getattr(model, group)
     analytic = grads[group]
     report = finite_diff_check(lambda _: routed_objective(model, batch, group), net, analytic, h=1e-6)
@@ -469,21 +477,20 @@ def test_step_applies_minus_mu_times_gradient():
     model = tiny_model(seed=7)
     batch = tiny_batch(seed=8)
     before = copy.deepcopy(model)
-    _, grads = dsn_gradients(copy.deepcopy(model), batch)
+    _, grads = dsn_gradients(copy.deepcopy(model), *batch)
     mu = 0.05
-    dsn_step(model, batch, mu)
+    dsn_step(model, *batch, mu)
     assert set(grads) == set(ROUTED_GROUPS)
     for name, g in grads.items():
-        for la, lb, gw in zip(getattr(model, name).layers, getattr(before, name).layers, g.weights):
-            assert np.array_equal(la.weights, lb.weights - mu * gw)
+        assert np.array_equal(getattr(model, name).params, getattr(before, name).params - mu * g)
 
 
 def test_step_with_zero_mu_changes_nothing():
     model = tiny_model(seed=9)
     batch = tiny_batch(seed=10)
     before = copy.deepcopy(model)
-    _, t1 = dsn_step(model, batch, 0.0)
-    _, t2 = dsn_step(model, batch, 0.0)
+    _, t1 = dsn_step(model, *batch, 0.0)
+    _, t2 = dsn_step(model, *batch, 0.0)
     assert t1 == t2
     for name in ROUTED_GROUPS:
         for la, lb in zip(getattr(model, name).layers, getattr(before, name).layers):
@@ -495,7 +502,7 @@ def test_senone_only_step_descends():
     model = tiny_model(seed=11, alpha=0.0, beta=0.0, gamma=0.0)
     batch = tiny_batch(seed=12, n_s=8, n_t=8)
     before = step_trace(model, batch).loss_senone
-    dsn_step(model, batch, 1e-3)
+    dsn_step(model, *batch, 1e-3)
     assert step_trace(model, batch).loss_senone < before
 
 
@@ -506,8 +513,8 @@ def test_baseline_equivalence_bitwise():
     grl = tiny_model(seed=14, alpha=2.0, beta=0.0, gamma=0.0, with_private=False)
     full = tiny_model(seed=14, alpha=2.0, beta=0.0, gamma=0.0, with_private=True)
     for _ in range(5):
-        dsn_step(grl, batch, 0.1)
-        dsn_step(full, batch, 0.1)
+        dsn_step(grl, *batch, 0.1)
+        dsn_step(full, *batch, 0.1)
     for name in ("shared", "senone", "domain"):
         for la, lb in zip(getattr(grl, name).layers, getattr(full, name).layers):
             assert np.array_equal(la.weights, lb.weights)
@@ -524,7 +531,7 @@ def test_step_runs_each_subnetwork_once(monkeypatch, with_private):
             return _inner(net, *args, **kwargs)
 
         monkeypatch.setattr(dsn, kind, counted)
-    dsn_step(model, tiny_batch(seed=25), 0.1)
+    dsn_step(model, *tiny_batch(seed=25), 0.1)
     nets = [id(getattr(model, name)) for name in ROUTED_GROUPS if getattr(model, name) is not None]
     assert len(nets) == (6 if with_private else 3)
     assert sorted(calls["forward"]) == sorted(nets)
@@ -535,14 +542,33 @@ def test_step_runs_each_subnetwork_once(monkeypatch, with_private):
 def test_non_finite_gradient_names_its_subnetwork(monkeypatch, name):
     poison_dsn_gradient(monkeypatch, name)
     with pytest.raises(TrainingDivergedError) as exc:
-        dsn_step(tiny_model(), tiny_batch(), 0.1)
+        dsn_step(tiny_model(), *tiny_batch(), 0.1)
     assert str(exc.value) == f"{name}: non-finite gradient; training aborted"
+
+
+def test_non_finite_loss_names_its_term(monkeypatch):
+    real = dsn.mse_loss
+    monkeypatch.setattr(dsn, "mse_loss", lambda pred, target: (math.nan, real(pred, target)[1]))
+    model = tiny_model()
+    before = copy.deepcopy(model)
+    with pytest.raises(TrainingDivergedError, match="^non-finite loss_recon=nan$"):
+        dsn_step(model, *tiny_batch(), 0.1)
+    for name in ROUTED_GROUPS:
+        assert np.array_equal(getattr(model, name).params, getattr(before, name).params)
+
+
+def test_overflowing_weighted_sum_names_the_total():
+    # every term is finite, but beta * loss_diff overflows float64
+    model = tiny_model(beta=1e308)
+    assert math.isinf(model.beta * step_trace(model, tiny_batch()).loss_diff)
+    with pytest.raises(TrainingDivergedError, match="^non-finite loss_total=inf$"):
+        dsn_step(model, *tiny_batch(), 0.1)
 
 
 def test_trace_fields_are_finite_and_nonnegative():
     model = tiny_model(seed=15)
     batch = tiny_batch(seed=16)
-    _, trace = dsn_step(model, batch, 0.01)
+    _, trace = dsn_step(model, *batch, 0.01)
     for v in (trace.loss_senone, trace.loss_domain, trace.loss_diff, trace.loss_recon):
         assert v >= 0 and np.isfinite(v)
     assert np.isfinite(trace.loss_total)

@@ -20,10 +20,10 @@ from dsnadapt.errors import (
 from dsnadapt.nn import (
     Activation,
     DenseLayer,
-    Gradients,
     Mlp,
     Rng,
     _sigmoid,
+    _views,
     backward,
     cross_entropy_loss,
     forward,
@@ -33,7 +33,7 @@ from dsnadapt.nn import (
     save_mlp,
     sgd_update,
 )
-from oracles import add_scaled, finite_diff_check, flatten, traced_peak_bytes, zeros_like
+from oracles import finite_diff_check, traced_peak_bytes
 from test_rng import ref_raw
 
 
@@ -118,7 +118,7 @@ def _owns_its_params(net):
 def test_copies_share_no_memory_with_the_source():
     source = small_net(seed=6, spec=DEEP_SPEC)
     shared, head = split_pretrained(source, 1)
-    for other in (source.copy(), copy.copy(source), copy.deepcopy(source), shared, head):
+    for other in (copy.copy(source), copy.deepcopy(source), shared, head):
         assert not np.shares_memory(other.params, source.params)
         assert _owns_its_params(other)
     assert np.array_equal(np.concatenate([shared.params, head.params]), source.params)
@@ -320,7 +320,7 @@ def test_zero_upstream_gives_zero_grads():
     _, cache = forward(net, x)
     grads, input_grad = backward(net, cache, np.zeros((2, 4)))
     assert not np.any(input_grad)
-    assert not np.any(flatten(grads))
+    assert not np.any(grads)
 
 
 def test_stale_cache_rejected():
@@ -345,10 +345,8 @@ def test_backward_without_input_grad_keeps_parameter_gradients(spec, at_logits):
     full, g_in = backward(net, acts, up, at_logits=at_logits)
     skipped, none = backward(net, acts, up, at_logits=at_logits, input_grad=False)
     assert g_in.shape == x.shape and none is None
-    assert np.array_equal(full.flat.view(np.uint64), skipped.flat.view(np.uint64))
-    for a, b in zip(full.weights + full.biases, skipped.weights + skipped.biases):
-        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
-        assert np.shares_memory(b, skipped.flat)
+    assert full.shape == skipped.shape == net.params.shape
+    assert np.array_equal(full.view(np.uint64), skipped.view(np.uint64))
 
 
 def test_backward_matches_handrolled_fd():
@@ -363,6 +361,7 @@ def test_backward_matches_handrolled_fd():
 
     _, cache = forward(net, x)
     grads, _ = backward(net, cache, u)
+    wgrads = _views(grads, [a for layer in net.layers for a in (layer.weights, layer.bias)])[0::2]
     h = 1e-5
     for k, layer in enumerate(net.layers):
         w = layer.weights
@@ -375,7 +374,7 @@ def test_backward_matches_handrolled_fd():
                 lm = loss(net)
                 w[i, j] = orig
                 fd = (lp - lm) / (2 * h)
-                assert abs(fd - grads.weights[k][i, j]) < 1e-7
+                assert abs(fd - wgrads[k][i, j]) < 1e-7
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -498,27 +497,25 @@ def test_mse_matches_brute_force():
 
 def test_sgd_fixed_rate_arithmetic():
     net = Mlp([DenseLayer(np.array([[1.0]]), np.zeros(1), Activation.LINEAR)])
-    grads = Gradients([np.array([[0.5]])], [np.zeros(1)])
-    sgd_update(net, grads, 5e-5)
+    sgd_update(net, np.array([0.5, 0.0]), 5e-5)
     assert net.layers[0].weights[0, 0] == 0.999975
 
 
 def test_sgd_zero_grad_and_zero_mu():
     net = small_net(seed=30)
     before = [layer.weights.copy() for layer in net.layers]
-    sgd_update(net, zeros_like(net), 0.1)
+    sgd_update(net, np.zeros_like(net.params), 0.1)
     for layer, b in zip(net.layers, before):
         assert np.array_equal(layer.weights, b)
-    g = Gradients([np.ones_like(l.weights) for l in net.layers], [np.ones_like(l.bias) for l in net.layers])
-    sgd_update(net, g, 0.0)
+    sgd_update(net, np.ones_like(net.params), 0.0)
     for layer, b in zip(net.layers, before):
         assert np.array_equal(layer.weights, b)
 
 
 def test_sgd_aborts_on_nonfinite():
     net = small_net(seed=31)
-    g = zeros_like(net)
-    g.weights[0][0, 0] = np.nan
+    g = np.zeros_like(net.params)
+    g[0] = np.nan
     with pytest.raises(TrainingDivergedError):
         sgd_update(net, g, 0.1)
 
@@ -532,9 +529,11 @@ def test_sgd_aborts_on_any_nonfinite_entry(built, layer, where, value):
     if built == "backward":
         _, acts = forward(net, Rng(33).normals(3 * 5).reshape(3, 5))
         g, _ = backward(net, acts, np.ones((3, 4)))
-    else:
-        g = Gradients([np.ones_like(l.weights) for l in net.layers], [np.ones_like(l.bias) for l in net.layers])
-    getattr(g, where)[layer].flat[layer] = value  # the first or the last entry of that array
+    else:  # assembled by hand from per-layer arrays
+        g = np.concatenate([np.ones(a.size) for l in net.layers for a in (l.weights, l.bias)])
+    per_layer = _views(g, [a for l in net.layers for a in (l.weights, l.bias)])
+    arrays = per_layer[0::2] if where == "weights" else per_layer[1::2]
+    arrays[layer].flat[layer] = value  # the first or the last entry of that array
     before = net.params.copy()
     with pytest.raises(TrainingDivergedError):
         sgd_update(net, g, 0.1)
@@ -546,18 +545,17 @@ def test_sgd_rejects_a_learning_rate_that_is_not_finite_and_nonnegative(mu):
     net = small_net(seed=34)
     before = net.params.copy()
     with pytest.raises(ConfigError, match="learning rate"):
-        sgd_update(net, zeros_like(net), mu)
+        sgd_update(net, np.zeros_like(net.params), mu)
     assert np.array_equal(net.params, before)
 
 
 def test_sgd_rejects_gradients_of_another_shape():
     net = small_net(seed=35)
-    other = Gradients([np.zeros_like(l.weights.T) for l in net.layers], [np.zeros_like(l.bias) for l in net.layers])
-    assert other.flat.shape == net.params.shape  # same size, transposed weights
-    with pytest.raises(ShapeError):
-        sgd_update(net, other, 0.1)
-    with pytest.raises(ShapeError):
-        Gradients([np.zeros((7, 5))], [])
+    before = net.params.copy()
+    for other in (np.zeros(net.params.size - 1), np.zeros(net.params.size + 1), np.zeros((1, net.params.size))):
+        with pytest.raises(ShapeError, match="does not match params shape"):
+            sgd_update(net, other, 0.1)
+    assert np.array_equal(net.params, before)
 
 
 # ---------------------------------------------------------------------------
@@ -571,9 +569,8 @@ def test_fd_exact_for_quadratic():
     def loss(m):
         return float(m.layers[0].weights[0, 0] ** 2)
 
-    analytic = Gradients([np.array([[6.0]])], [np.zeros(1)])
-    report = finite_diff_check(loss, net, analytic, h=1e-4)
-    assert abs(report.fd.weights[0][0, 0] - 6.0) < 1e-8
+    report = finite_diff_check(loss, net, np.array([6.0, 0.0]), h=1e-4)
+    assert abs(report.fd[0] - 6.0) < 1e-8
     assert report.max_rel_error < 1e-8
 
 
@@ -590,8 +587,7 @@ def test_fd_flags_corrupted_gradient():
     out, cache = forward(net, x)
     _, gl = cross_entropy_loss(out, y)
     grads, _ = backward(net, cache, gl, at_logits=True)
-    doubled = add_scaled(zeros_like(net), grads, 2.0)
-    report = finite_diff_check(loss, net, doubled, h=1e-5)
+    report = finite_diff_check(loss, net, 2.0 * grads, h=1e-5)
     assert abs(report.max_rel_error - 0.5) < 1e-3
     assert abs(report.mean_rel_error - 0.5) < 1e-3
 

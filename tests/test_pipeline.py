@@ -286,9 +286,9 @@ def test_pretrain_names_the_source_net_of_a_non_finite_gradient(prepared, monkey
     real = pipeline.backward
 
     def poisoned(*args, **kwargs):
-        grads, g_in = real(*args, **kwargs)
-        grads.flat[-1] = np.nan
-        return grads, g_in
+        grad, g_in = real(*args, **kwargs)
+        grad[-1] = np.nan
+        return grad, g_in
 
     monkeypatch.setattr(pipeline, "backward", poisoned)
     with pytest.raises(TrainingDivergedError) as exc:
@@ -335,8 +335,8 @@ def test_epoch_records_are_step_means(prepared, source_dnn, monkeypatch):
     steps = []
     inner = pipeline.dsn_step
 
-    def recording(model, batch, mu):
-        steps.append(inner(model, batch, mu)[1])
+    def recording(model, x, source_y, mu):
+        steps.append(inner(model, x, source_y, mu)[1])
         return model, steps[-1]
 
     monkeypatch.setattr(pipeline, "dsn_step", recording)
