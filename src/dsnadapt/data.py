@@ -30,12 +30,16 @@ _DOMAIN_TAGS = ("src", "tgt")  # indexed by Corpus.domain
 class Corpus:
     """One domain's frames, columnar. domain is the domain classifier's
     column for every frame (0 source, 1 target); labels uses -1 for "absent".
-    An utterance is a run of consecutive rows sharing one utt_id."""
+    An utterance is a run of consecutive rows sharing one utt_id. features
+    holds the frames as read or drawn; rows() gathers each row's window by the
+    context table, (rows, width), and applies norm, (mean, scale), to it."""
 
     domain: int
     utt_ids: list[str]
     labels: np.ndarray
     features: np.ndarray
+    context: np.ndarray | None = None
+    norm: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         n = len(self.utt_ids)
@@ -45,13 +49,34 @@ class Corpus:
             raise DataError(f"features shape {self.features.shape} does not hold {n} frames")
         if self.labels.shape != (n,):
             raise DataError(f"labels length {self.labels.shape} != {n}")
+        if self.context is not None and (self.context.ndim != 2 or len(self.context) != n or
+                                         (n and not 0 <= self.context.min() <= self.context.max() < n)):
+            raise ContractError(f"context table {self.context.shape} does not index {n} frames")
 
     def __len__(self) -> int:
         return len(self.utt_ids)
 
     @property
     def dim(self) -> int:
-        return self.features.shape[1]
+        return self.features.shape[1] * (1 if self.context is None else self.context.shape[1])
+
+    def rows(self, index: np.ndarray | slice, out: np.ndarray | None = None) -> np.ndarray:
+        """The float64 model input of the rows at index (in-range row numbers or
+        a slice), in out if given: their windows, then (x - mean) / scale."""
+        index = np.arange(*index.indices(len(self))) if isinstance(index, slice) else index
+        if self.context is not None:
+            index = np.take(self.context, index, axis=0, mode="clip")
+        out = np.empty((len(index), self.dim)) if out is None else out
+        frames = out.view()
+        frames.shape = (*index.shape, self.features.shape[1])  # raises rather than copy
+        if self.features.dtype == np.float64:
+            np.take(self.features, index, axis=0, out=frames, mode="clip")  # in range, so no temporary
+        else:
+            frames[...] = self.features[index]
+        if self.norm is not None:
+            out -= self.norm[0]
+            out /= self.norm[1]
+        return out
 
     @property
     def is_labeled(self) -> bool:
@@ -190,24 +215,26 @@ def splice(corpus: Corpus, left: int, right: int) -> Corpus:
     """Concatenate each frame with its context inside the same utterance.
 
     Edge frames repeat the boundary frame. Frame counts and utterance
-    boundaries are unchanged; the new feature dim is dim * (left + 1 + right).
+    boundaries are unchanged; the new dim is dim * (left + 1 + right). The
+    windows become the corpus's context table, composed with any it has.
     """
     if left < 0 or right < 0:
         raise ConfigError("context sizes must be >= 0")
     n, width = len(corpus), left + 1 + right
     first, last = _utterance_bounds(corpus.utt_ids)
-    rows = np.arange(n)[:, None] + np.arange(-left, right + 1)
-    idx = np.clip(rows, first[:, None], last[:, None])  # one gather of every context window
-    return replace(corpus, features=corpus.features[idx].reshape(n, corpus.dim * width))
+    idx = np.clip(np.arange(n)[:, None] + np.arange(-left, right + 1), first[:, None], last[:, None])
+    idx = idx if corpus.context is None else corpus.context[idx].reshape(n, width * corpus.context.shape[1])
+    norm = None if corpus.norm is None else tuple(np.tile(v, width) for v in corpus.norm)
+    return replace(corpus, context=idx, norm=norm)
 
 
 def cmvn(stats_from: Sequence[Corpus]) -> tuple[np.ndarray, np.ndarray]:
-    """Global normalization statistics over the pooled frames of stats_from:
-    the per-dimension mean and scale = sqrt(max(var, floor)) of the
-    population variance, for the map x -> (x - mean) / scale.
+    """Global normalization statistics over the pooled Corpus.rows of
+    stats_from: the per-dimension mean and scale = sqrt(max(var, floor)) of
+    the population variance, for the map x -> (x - mean) / scale of a norm.
 
     mean and var are ndarray.mean and ndarray.var of the float64 vstack of
-    the frames bit for bit, without that copy: numpy adds the rows of a
+    the rows bit for bit, without that copy: numpy adds the rows of a
     many-column array one after another, so the sums are taken BLOCK_RECORDS
     rows at a time, each block's first row adding the running sum. It sums
     one contiguous column pairwise, so a one-column set is one pooled block.
@@ -220,12 +247,11 @@ def cmvn(stats_from: Sequence[Corpus]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pooled_column_sum(stats_from: Sequence[Corpus], mean: np.ndarray | None = None) -> np.ndarray:
-    """Column sums of the pooled frames (less mean and squared, when given), as cmvn describes."""
+    """Column sums of the pooled rows (less mean and squared, when given), as cmvn describes."""
     if stats_from[0].dim == 1:
-        blocks = [np.vstack([c.features for c in stats_from], dtype=np.float64)]
+        blocks = [np.vstack([c.rows(slice(None)) for c in stats_from])]
     else:
-        blocks = (c.features[i : i + BLOCK_RECORDS].astype(np.float64)
-                  for c in stats_from for i in range(0, len(c), BLOCK_RECORDS))
+        blocks = (c.rows(slice(i, i + BLOCK_RECORDS)) for c in stats_from for i in range(0, len(c), BLOCK_RECORDS))
     total = -0.0  # adds nothing, not even a sign
     for block in blocks:
         if mean is not None:
@@ -242,7 +268,8 @@ def _pooled_column_sum(stats_from: Sequence[Corpus], mean: np.ndarray | None = N
 # then one record per frame,
 #   utt_id,frame_idx,src|tgt,label,v1,...,vD
 # with label -1 when absent. The header pins the per-line feature dim; files
-# hold unspliced frames, so spliced is always 0. frame_idx is the frame's
+# hold the frames as read or drawn, so spliced is always 0, and the writer
+# refuses a corpus with a context table or a norm. frame_idx is the frame's
 # 0-based position in its run of consecutive records sharing the utt_id, and
 # every record carries the file's one domain tag (a file without records
 # reads as source). The reader rejects any other header flag, tag or
@@ -279,6 +306,8 @@ SIDECAR_VERSION = 1
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
+    if corpus.context is not None or corpus.norm is not None:
+        raise ContractError(f"{path}: a corpus file holds raw frames; this corpus is spliced or normalized")
     # a comma or any character str.splitlines breaks on would split a record
     bad = next((u for u in dict.fromkeys(corpus.utt_ids) if "," in u or len((u + ".").splitlines()) > 1), None)
     if bad is not None:

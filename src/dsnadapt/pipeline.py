@@ -56,14 +56,14 @@ def _stream(seed: int, stream_id: int) -> Rng:
 
 
 def prepare_corpora(cfg: ExperimentConfig, need_target_labels: bool) -> Corpora:
-    """Load or synthesize corpora, splice, and apply pooled normalization.
+    """Load or synthesize corpora, splice, and attach pooled normalization.
 
     Stats are computed over source_train plus target_adapt (the data an
-    unsupervised adaptation run is allowed to see) and applied everywhere.
-    The labeled target test corpus is only touched when the caller asks.
-    Each raw corpus is freed once spliced, and the spliced frames, then the
-    only full-size copy, are normalized in place. Stats that overflow
-    float64 are a DataError, or a ConfigError when synthesized.
+    unsupervised adaptation run is allowed to see) and attached to every
+    corpus as its norm; the corpora keep their raw frames, and Corpus.rows
+    builds the normalized windows per batch. The labeled target test corpus
+    is only touched when the caller asks. Stats that overflow float64 are a
+    DataError, or a ConfigError when synthesized.
     """
     if cfg.data_dir is not None:
         raw = _read_data_dir(Path(cfg.data_dir), need_target_labels)
@@ -74,17 +74,13 @@ def prepare_corpora(cfg: ExperimentConfig, need_target_labels: bool) -> Corpora:
         where, error = "the synth.* profile", ConfigError
     corpora = [raw.source_train, raw.target_adapt, raw.source_test] + [raw.target_test] * need_target_labels
     dim = raw.source_train.dim
-    del raw
-    for i in range(len(corpora)):
-        corpora[i] = splice(corpora[i], cfg.splice.left, cfg.splice.right)
+    corpora = [splice(c, cfg.splice.left, cfg.splice.right) for c in corpora]
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         mean, scale = cmvn(corpora[:2])
     bad = np.flatnonzero(~np.isfinite([mean, scale]).all(axis=0))
     if bad.size:
         raise error(f"{where}: feature dim {bad[0] % dim + 1} of {dim}: its mean or variance overflows float64")
-    for c in corpora:
-        c.features -= mean
-        c.features /= scale
+    corpora = [replace(c, norm=(mean, scale)) for c in corpora]
     return Corpora(*corpora) if need_target_labels else Corpora(*corpora, target_test=None)
 
 
@@ -221,12 +217,13 @@ def evaluate(nets: Sequence[Mlp], corpus: Corpus) -> EvalResult:
     """Frame error rate of the chained nets; argmax ties break toward the
     lowest class index.
 
-    The frames go through the nets BLOCK_RECORDS rows at a time, so the
-    activations of a block or two are held, not the whole set's. A tail
-    shorter than BLOCK_RECORDS joins the block before it, so no block is
-    shorter unless the whole set is: OpenBLAS can take another path for
-    products of a few rows, and a block of a few hundred rows or more gives
-    the whole-set product's posteriors bit for bit."""
+    The model input (Corpus.rows) goes through the nets BLOCK_RECORDS rows
+    at a time, so the windows and activations of a block or two are held,
+    not the whole set's. A tail shorter than BLOCK_RECORDS joins the block
+    before it, so no block is shorter unless the whole set is: OpenBLAS can
+    take another path for products of a few rows, and a block of a few
+    hundred rows or more gives the whole-set product's posteriors bit for
+    bit."""
     if not corpus.is_labeled:
         raise ContractError("evaluation needs a labeled corpus")
     q, n = nets[-1].out_dim, len(corpus)
@@ -235,7 +232,7 @@ def evaluate(nets: Sequence[Mlp], corpus: Corpus) -> EvalResult:
     pred = np.empty(n, dtype=np.int64)
     starts = range(0, max(n // BLOCK_RECORDS, 1) * BLOCK_RECORDS, BLOCK_RECORDS)
     for start, stop in zip(starts, [*starts[1:], n]):
-        x = corpus.features[start:stop]
+        x = corpus.rows(slice(start, stop))
         for net in nets:
             x, _ = forward(net, x)
         pred[start:stop] = x.argmax(axis=1)
@@ -286,11 +283,10 @@ def pretrain_source(
     if not source_train.is_labeled:
         raise ContractError("pretraining needs a labeled source corpus")
     net = init_mlp(source_net_spec(cfg, source_train.dim), _stream(cfg.seed, STREAM_SOURCE_INIT))
-    x_all, y_all = source_train.features, source_train.labels
 
     def step(idx: np.ndarray) -> StepTrace:
-        post, acts = forward(net, x_all[idx])
-        loss, g_logits = cross_entropy_loss(post, y_all[idx])
+        post, acts = forward(net, source_train.rows(idx))
+        loss, g_logits = cross_entropy_loss(post, source_train.labels[idx])
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"non-finite loss_senone={loss}")
         grads, _ = backward(net, acts, g_logits, at_logits=True, input_grad=False)
@@ -320,17 +316,12 @@ def _adapt(
     if source_train.dim != target_adapt.dim:
         raise DataError("source and target corpora disagree on feature dim")
     model = build_dsn(cfg, source_dnn, with_private)
-    xs, ys = source_train.features, source_train.labels
-    xt = target_adapt.features
 
     def step(si: np.ndarray, ti: np.ndarray) -> StepTrace:
-        # both domains gathered straight into one stacked batch, source rows
-        # first; the samplers' indices are in range, and mode="clip" spares
-        # the temporary that the default mode gathers through
-        x = np.empty((len(si) + len(ti), xs.shape[1]))
-        np.take(xs, si, axis=0, out=x[: len(si)], mode="clip")
-        np.take(xt, ti, axis=0, out=x[len(si) :], mode="clip")
-        return dsn_step(model, x, ys[si], cfg.mu)[1]
+        x = np.empty((len(si) + len(ti), source_train.dim))  # one stacked batch, source rows first
+        source_train.rows(si, out=x[: len(si)])
+        target_adapt.rows(ti, out=x[len(si) :])
+        return dsn_step(model, x, source_train.labels[si], cfg.mu)[1]
 
     trace = _train(cfg, STREAM_BATCH_ADAPT, (len(source_train), len(target_adapt)), step)
     evals = {}

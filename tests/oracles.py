@@ -1,13 +1,13 @@
 """Test-only oracles: a finite-difference checker, a nearest-class-mean
-classifier, a per-utterance corpus generator, the plain normalization,
-preparation and evaluation formulas, a traced-memory probe and a gradient
-poisoner. A gradient is the vector backward() returns, laid out like the
-net's params. Imported by the test modules, never by dsnadapt."""
+classifier, a per-utterance corpus generator, the plain model-input,
+normalization, preparation and evaluation formulas, a traced-memory probe and
+a gradient poisoner. A gradient is the vector backward() returns, laid out
+like the net's params. Imported by the test modules, never by dsnadapt."""
 
 from __future__ import annotations
 
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -115,6 +115,15 @@ def poison_dsn_gradient(monkeypatch, name: str) -> None:
     monkeypatch.setattr(dsn, "dsn_gradients", poisoned)
 
 
+def model_input_oracle(corpus: Corpus) -> np.ndarray:
+    """Corpus.rows of every row by the plain formula: the whole corpus's
+    context windows materialized by one fancy index of its table (the raw
+    frames without one) as float64, then (x - mean) / scale under a norm."""
+    x = corpus.features if corpus.context is None else corpus.features[corpus.context]
+    x = x.reshape(len(corpus), corpus.dim).astype(np.float64)
+    return x if corpus.norm is None else (x - corpus.norm[0]) / corpus.norm[1]
+
+
 def cmvn_stats_oracle(stats_from: Sequence[Corpus]) -> tuple[np.ndarray, np.ndarray]:
     """data.cmvn by the plain formula: vstack the stats frames, take
     ndarray.mean and ndarray.var, and floor the variance."""
@@ -123,10 +132,10 @@ def cmvn_stats_oracle(stats_from: Sequence[Corpus]) -> tuple[np.ndarray, np.ndar
 
 
 def prepare_oracle(cfg: ExperimentConfig, need_target_labels: bool) -> list[np.ndarray]:
-    """pipeline.prepare_corpora's features, in Corpora order, by the plain
-    formula: read or synthesize the corpora, splice each, and map it to
-    (x - mean) / scale by the stats oracle over the spliced source_train and
-    target_adapt."""
+    """pipeline.prepare_corpora's model input, in Corpora order, by the plain
+    formula: read or synthesize the corpora, materialize each one's spliced
+    windows, and map them to (x - mean) / scale by the stats oracle over the
+    windows of source_train and target_adapt."""
     names = ["source_train", "target_adapt", "source_test"] + ["target_test"] * need_target_labels
     if cfg.data_dir is None:
         bundle = synth_corpus(cfg.synth)
@@ -134,16 +143,17 @@ def prepare_oracle(cfg: ExperimentConfig, need_target_labels: bool) -> list[np.n
     else:
         read = {name: read_corpus_unlabeled if name == "target_adapt" else read_corpus for name in names}
         raw = [read[name](Path(cfg.data_dir) / DATA_FILES[name]) for name in names]
-    spliced = [splice(c, cfg.splice.left, cfg.splice.right) for c in raw]
-    mean, scale = cmvn_stats_oracle(spliced[:2])
-    return [(c.features - mean) / scale for c in spliced]
+    windows = [model_input_oracle(splice(c, cfg.splice.left, cfg.splice.right)) for c in raw]
+    mean, scale = cmvn_stats_oracle([replace(c, features=x) for c, x in zip(raw[:2], windows)])
+    return [(x - mean) / scale for x in windows]
 
 
 def evaluate_oracle(nets: Sequence[Mlp], corpus: Corpus) -> tuple[EvalResult, np.ndarray]:
     """pipeline.evaluate by the plain formula, with the posteriors it argmaxes:
-    one forward pass of the whole set through the chained nets, the argmax of
-    each row and an np.add.at count of the (true, predicted) pairs."""
-    x = corpus.features
+    one forward pass of the whole set's model input through the chained nets,
+    the argmax of each row and an np.add.at count of the (true, predicted)
+    pairs."""
+    x = model_input_oracle(corpus)
     for net in nets:
         x, _ = forward(net, x)
     pred = x.argmax(axis=1)

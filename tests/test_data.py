@@ -3,6 +3,7 @@
 import statistics
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,9 +24,15 @@ from dsnadapt.data import (
     synth_corpus,
     write_corpus,
 )
-from dsnadapt.errors import ConfigError, DataError
+from dsnadapt.errors import ConfigError, ContractError, DataError
 from dsnadapt.nn import Rng
-from oracles import cmvn_stats_oracle, gen_corpus_by_utterance, nearest_class_mean_error, traced_peak_bytes
+from oracles import (
+    cmvn_stats_oracle,
+    gen_corpus_by_utterance,
+    model_input_oracle,
+    nearest_class_mean_error,
+    traced_peak_bytes,
+)
 
 
 def toy_cfg(**overrides):
@@ -149,7 +156,7 @@ def test_synth_config_validation():
 def test_splice_zero_context_keeps_features():
     bundle = synth_corpus(toy_cfg(utterances_per_domain=2, frames_per_utterance=5))
     spliced = splice(bundle.source_train, 0, 0)
-    assert np.array_equal(spliced.features, bundle.source_train.features)
+    assert np.array_equal(model_input_oracle(spliced), bundle.source_train.features)
 
 
 def test_splice_paper_shape_dim():
@@ -157,14 +164,16 @@ def test_splice_paper_shape_dim():
     bundle = synth_corpus(cfg)
     spliced = splice(bundle.source_train, 5, 5)
     assert spliced.dim == 957
-    assert spliced.features.shape == (12, 957)
+    assert spliced.features.shape == (12, 87)  # the raw frames; the windows are a table
+    assert spliced.context.shape == (12, 11)
+    assert model_input_oracle(spliced).shape == spliced.rows(slice(None)).shape == (12, 957)
 
 
 def test_splice_boundary_repeats_edge_frame():
     feats = np.array([[0.0], [1.0], [2.0]])
     corpus = Corpus(domain=0, utt_ids=["u"] * 3, labels=np.zeros(3, dtype=np.int64), features=feats)
     spliced = splice(corpus, 1, 1)
-    assert spliced.features.tolist() == [[0, 0, 1], [0, 1, 2], [1, 2, 2]]
+    assert model_input_oracle(spliced).tolist() == [[0, 0, 1], [0, 1, 2], [1, 2, 2]]
 
 
 def test_splice_never_crosses_utterances():
@@ -177,7 +186,7 @@ def test_splice_never_crosses_utterances():
     for utt_ids, expected in cases:
         corpus = Corpus(domain=0, utt_ids=utt_ids, labels=np.zeros(4, dtype=np.int64), features=feats)
         spliced = splice(corpus, 1, 1)
-        assert spliced.features.tolist() == expected
+        assert model_input_oracle(spliced).tolist() == expected
         assert len(spliced) == len(corpus)
         assert spliced.utt_ids == corpus.utt_ids
 
@@ -208,10 +217,59 @@ def test_splice_preserves_counts(left, right, utt_ids):
     assert len(spliced) == len(bundle.source_train)
     assert spliced.dim == 8 * (left + 1 + right)
     assert np.array_equal(spliced.labels, bundle.source_train.labels)
-    assert np.array_equal(spliced.features, splice_oracle(bundle.source_train, left, right))
+    assert np.array_equal(model_input_oracle(spliced), splice_oracle(bundle.source_train, left, right))
     feats = Rng(len(utt_ids)).normals(2 * len(utt_ids)).reshape(-1, 2)
     irregular = Corpus(domain=1, utt_ids=utt_ids, labels=np.full(len(utt_ids), -1), features=feats)
-    assert np.array_equal(splice(irregular, left, right).features, splice_oracle(irregular, left, right))
+    assert np.array_equal(model_input_oracle(splice(irregular, left, right)), splice_oracle(irregular, left, right))
+    windows = replace(irregular, features=splice_oracle(irregular, left, right))
+    twice = splice(splice(irregular, left, right), right, left)
+    assert np.array_equal(model_input_oracle(twice), splice_oracle(windows, right, left))
+
+
+def _same_bits(a, b):
+    """Bit-for-bit equality; unlike array_equal it tells -0.0 from 0.0."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("right", range(4))
+@pytest.mark.parametrize("left", range(4))
+def test_rows_match_the_materialized_formula_bit_for_bit(left, right):
+    # 1-frame and irregular utterances, a repeated id, float and integer frames
+    rng = Rng(10 * left + right)
+    utt_ids = [u for u, length in zip("abcdeaf", (1, 3, 1, 7, 2, 1, 4)) for _ in range(length)]
+    n = len(utt_ids)
+    floats = Corpus(1, utt_ids, np.full(n, -1), rng.normals(3 * n).reshape(n, 3))
+    ints = replace(floats, features=(rng._raw_block(3 * n) % np.uint64(1000)).astype(np.int64).reshape(n, 3) - 500)
+    for raw in (floats, ints):
+        once = splice(raw, left, right)
+        norm = (rng.normals(once.dim), np.abs(rng.normals(once.dim)) + 0.5)
+        normed = replace(once, norm=norm)
+        twice, normed_twice = splice(once, right, 1), splice(normed, right, 1)
+        # spliced twice is the splice of the materialized windows, normalized or not
+        windows = replace(raw, features=splice_oracle(raw, left, right))
+        assert np.array_equal(model_input_oracle(twice), splice_oracle(windows, right, 1))
+        normed_windows = replace(raw, features=model_input_oracle(normed))
+        assert _same_bits(model_input_oracle(normed_twice), splice_oracle(normed_windows, right, 1))
+        picks = rng.permutation(n)[:9]
+        for corpus in (raw, once, normed, twice, normed_twice):
+            expected = model_input_oracle(corpus)
+            for index in (picks, np.array([n - 1, 0, 0, n - 1]), np.arange(0), slice(None), slice(2, 9), slice(5, 5)):
+                got = corpus.rows(index)
+                assert got.dtype == np.float64 and _same_bits(got, expected[index])
+            # into the second half of a stacked buffer, the first left alone
+            stacked = np.full((2 * len(picks), corpus.dim), np.nan)
+            assert corpus.rows(picks, out=stacked[len(picks) :]).base is stacked
+            assert np.isnan(stacked[: len(picks)]).all() and _same_bits(stacked[len(picks) :], expected[picks])
+
+
+@pytest.mark.parametrize(
+    "context",
+    [np.array([[0], [2]]), np.array([[0], [-1]]), np.array([[0]]), np.array([0, 1])],
+    ids=["past-the-end", "negative", "too-few-rows", "one-dimensional"],
+)
+def test_corpus_rejects_a_table_that_is_not_rows_of_its_frames(context):
+    with pytest.raises(ContractError, match="context table"):
+        Corpus(0, ["u", "u"], np.zeros(2, dtype=np.int64), np.ones((2, 3)), context=context)
 
 
 # ---------------------------------------------------------------------------
@@ -363,11 +421,6 @@ def test_writer_bytes_are_pinned(tmp_path, corpus, text):
     path = tmp_path / "c.csv"
     write_corpus(corpus, path)
     assert path.read_bytes() == text.encode()
-
-
-def _same_bits(a, b):
-    """Bit-for-bit equality; unlike array_equal it tells -0.0 from 0.0."""
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 _EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
@@ -599,6 +652,20 @@ def test_writer_rejects_ids_that_split_a_record(tmp_path, utt_id):
         write_corpus(corpus, path)
     assert str(exc.value).startswith(f"{path}: utt id {utt_id!r} ")
     assert not path.exists()  # rejected before the file is opened
+
+
+def test_writer_rejects_spliced_or_normalized_corpora(tmp_path):
+    # a file holds raw frames under spliced=0, so a corpus whose model input
+    # is not its features has no faithful file
+    raw = Corpus(0, ["u"] * 3, np.arange(3), Rng(1).normals(6).reshape(3, 2))
+    spliced = splice(raw, 1, 0)
+    for corpus in (spliced, replace(spliced, norm=(np.zeros(4), np.ones(4))), replace(raw, norm=(np.zeros(2), np.ones(2)))):
+        path = tmp_path / "c.csv"
+        with pytest.raises(ContractError, match="spliced or normalized"):
+            write_corpus(corpus, path)
+        assert not path.exists()
+    write_corpus(raw, tmp_path / "raw.csv")
+    assert _same_bits(read_corpus(tmp_path / "raw.csv").features, raw.features)
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,11 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from dsnadapt.config import ExperimentConfig, NetConfig, SpliceConfig, build_config
+from dsnadapt.config import ExperimentConfig, NetConfig, SpliceConfig
 from dsnadapt.data import BLOCK_RECORDS, Corpus, SynthConfig, synth_corpus, write_corpus
 from dsnadapt import pipeline
-from dsnadapt.dsn import StepTrace, adapted_model, split_pretrained
-from dsnadapt.errors import ConfigError, ContractError, DataError, TrainingDivergedError
+from dsnadapt.dsn import StepTrace, split_pretrained
+from dsnadapt.errors import ConfigError, ContractError, TrainingDivergedError
 from dsnadapt.nn import Activation, DenseLayer, Mlp, Rng, forward, init_mlp
 from dsnadapt.pipeline import (
     EpochSampler,
@@ -23,7 +23,7 @@ from dsnadapt.pipeline import (
     sweep,
     write_sweep_csv,
 )
-from oracles import evaluate_oracle, prepare_oracle, traced_peak_bytes
+from oracles import evaluate_oracle, model_input_oracle, prepare_oracle, traced_peak_bytes
 
 
 def tiny_cfg(**overrides) -> ExperimentConfig:
@@ -65,7 +65,7 @@ def prepared():
 
 
 def test_prepare_normalizes_over_train_plus_adapt(prepared):
-    pooled = np.vstack([prepared.source_train.features, prepared.target_adapt.features])
+    pooled = np.vstack([model_input_oracle(prepared.source_train), model_input_oracle(prepared.target_adapt)])
     assert np.abs(pooled.mean(axis=0)).max() < 1e-9
     assert np.abs(pooled.var(axis=0) - 1.0).max() < 1e-6
     for corpus in (prepared.source_train, prepared.target_adapt, prepared.source_test, prepared.target_test):
@@ -77,9 +77,9 @@ def test_prepare_skips_target_test_when_not_needed():
     assert out.target_test is None
 
 
-def _features(prepared):
+def _corpora(prepared):
     corpora = (prepared.source_train, prepared.target_adapt, prepared.source_test, prepared.target_test)
-    return [c.features for c in corpora if c is not None]
+    return [c for c in corpora if c is not None]
 
 
 def _one_column_profile():
@@ -105,22 +105,27 @@ def _data_dir_profile(root):
 )
 def test_prepare_matches_the_plain_formula_bit_for_bit(tmp_path, make, need_target_labels):
     cfg = make(tmp_path)
-    got = _features(prepare_corpora(cfg, need_target_labels))
+    got = [c.rows(slice(None)) for c in _corpora(prepare_corpora(cfg, need_target_labels))]
     for out, expected in zip(got, prepare_oracle(cfg, need_target_labels), strict=True):
         assert out.dtype == expected.dtype == np.float64
         assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
 
 
-def test_prepare_holds_one_spliced_copy():
-    # at cli_files size: the spliced frames, normalized in place, beside the
-    # raw frames not yet spliced and a few blocks (about 1.11x); holding every
-    # raw corpus to the end peaks at about 1.30x, and normalizing into new
-    # arrays beside a pooled copy at about 2.26x
-    cfg = pipeline.trend_profile(1)
-    cfg = replace(cfg, synth=replace(cfg.synth, utterances_per_domain=400))
-    prepared = []
-    peak = traced_peak_bytes(lambda: prepared.append(prepare_corpora(cfg, need_target_labels=True)))
-    assert peak < 1.25 * sum(f.nbytes for f in _features(prepared[0]))
+def test_prepare_holds_no_spliced_copy():
+    # at cli_files size the prepared corpora hold their raw frames and window
+    # tables, 10.4 MB at the default +-2 window, and the peak is synthesis's
+    # own, about 2.05x of that at +-2 and the same bytes at +-5; a spliced copy
+    # of the corpora would add 32 MB (3.1x of them) at +-2 and 70 MB at +-5
+    peaks, held = [], []
+    for width in (2, 5):
+        cfg = pipeline.trend_profile(1)
+        cfg = replace(cfg, synth=replace(cfg.synth, utterances_per_domain=400), splice=SpliceConfig(width, width))
+        prepared = []
+        peaks.append(traced_peak_bytes(lambda: prepared.append(prepare_corpora(cfg, need_target_labels=True))))
+        held.append(sum(c.features.nbytes + c.context.nbytes for c in _corpora(prepared[0])))
+        assert all(c.features.shape == (len(c), cfg.synth.base_dim) for c in _corpora(prepared[0]))
+    assert peaks[0] < 2.25 * held[0]
+    assert peaks[1] < 1.01 * peaks[0]
 
 
 def test_sampler_covers_every_index_each_pass():
@@ -165,7 +170,7 @@ def test_evaluate_matches_brute_force_recount(prepared):
     net, _ = pretrain_source(cfg, prepared.source_train)
     result = evaluate((net,), prepared.source_test)
     # independent recount: per-row loop, manual argmax with lowest-index ties
-    out, _ = forward(net, prepared.source_test.features)
+    out, _ = forward(net, model_input_oracle(prepared.source_test))
     wrong = 0
     for row, label in zip(out, prepared.source_test.labels):
         best, best_v = 0, row[0]
@@ -188,7 +193,8 @@ def trend_nets():
 
 
 def _first_rows(corpus, n):
-    return Corpus(corpus.domain, corpus.utt_ids[:n], corpus.labels[:n], corpus.features[:n])
+    """The first n rows with their model input as plain frames."""
+    return Corpus(corpus.domain, corpus.utt_ids[:n], corpus.labels[:n], model_input_oracle(corpus)[:n])
 
 
 @pytest.mark.parametrize("nets_name", ["pretrained", "split"])
