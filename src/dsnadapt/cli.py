@@ -104,17 +104,13 @@ def _run_mode(mode: str, cfg: ExperimentConfig, out_dir: Path) -> None:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"--out {out_dir}: cannot make the output directory: {exc.strerror}") from None
-    if mode == "pretrain":
-        net, report = pretrain_source(cfg, prepared.source_train, prepared.source_test)
-        save_mlp(net, out_dir / "model.dsn")
-        write_trace_csv(report.trace, out_dir / "trace.csv")
-        write_report_csv(report, out_dir / "report.csv")
-    elif mode in ("adapt_grl", "adapt_dsn"):
-        runner = adapt_grl if mode == "adapt_grl" else adapt_dsn
-        model, report = runner(
-            cfg, nets[0], prepared.source_train, prepared.target_adapt, prepared.source_test
-        )
-        save_dsn_model(model, out_dir / "model.dsn")
+    if mode in ("pretrain", "adapt_grl", "adapt_dsn"):
+        if mode == "pretrain":
+            model, report = pretrain_source(cfg, prepared.source_train, prepared.source_test)
+        else:
+            runner = adapt_grl if mode == "adapt_grl" else adapt_dsn
+            model, report = runner(cfg, nets[0], prepared.source_train, prepared.target_adapt, prepared.source_test)
+        (save_mlp if mode == "pretrain" else save_dsn_model)(model, out_dir / "model.dsn")
         write_trace_csv(report.trace, out_dir / "trace.csv")
         write_report_csv(report, out_dir / "report.csv")
     elif mode == "evaluate":
@@ -129,10 +125,10 @@ def _run_mode(mode: str, cfg: ExperimentConfig, out_dir: Path) -> None:
         write_report_csv(report, out_dir / "report.csv")
     elif mode == "sweep":
         source_dnn = nets[0] if nets is not None else pretrain_source(cfg, prepared.source_train)[0]
-        result = sweep(
+        grid = sweep(
             cfg, source_dnn, prepared.source_train, prepared.target_adapt, prepared.target_test
         )
-        write_sweep_csv(result, out_dir / "sweep.csv")
+        write_sweep_csv(cfg, grid, out_dir / "sweep.csv")
 
 
 def main(argv: list[str] | None = None) -> int:

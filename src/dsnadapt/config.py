@@ -13,12 +13,12 @@ keys are rejected before any compute.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from .data import SynthConfig
 from .errors import ConfigError
+from .nn import _check_nonnegative
 
 MODES = ("pretrain", "adapt_grl", "adapt_dsn", "evaluate", "sweep")
 
@@ -91,8 +91,7 @@ class ExperimentConfig:
             raise ConfigError(f"sweep.n_h entries must be >= 1, got {self.sweep_n_h}")
         coefficients = [(name, getattr(self, name)) for name in ("alpha", "beta", "gamma", "mu")]
         for name, value in coefficients + [("sweep.alpha", a) for a in self.sweep_alpha]:
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+            _check_nonnegative(name, value)
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
         if self.batch < 1:

@@ -212,20 +212,20 @@ def synth_corpus(cfg: SynthConfig) -> Corpora:
 
 
 def splice(corpus: Corpus, left: int, right: int) -> Corpus:
-    """Concatenate each frame with its context inside the same utterance.
+    """Concatenate each frame of a raw corpus with its context inside the
+    same utterance.
 
     Edge frames repeat the boundary frame. Frame counts and utterance
     boundaries are unchanged; the new dim is dim * (left + 1 + right). The
-    windows become the corpus's context table, composed with any it has.
+    windows become the corpus's context table.
     """
     if left < 0 or right < 0:
         raise ConfigError("context sizes must be >= 0")
-    n, width = len(corpus), left + 1 + right
+    if corpus.context is not None or corpus.norm is not None:
+        raise ContractError("splice takes raw frames; this corpus is spliced or normalized")
     first, last = _utterance_bounds(corpus.utt_ids)
-    idx = np.clip(np.arange(n)[:, None] + np.arange(-left, right + 1), first[:, None], last[:, None])
-    idx = idx if corpus.context is None else corpus.context[idx].reshape(n, width * corpus.context.shape[1])
-    norm = None if corpus.norm is None else tuple(np.tile(v, width) for v in corpus.norm)
-    return replace(corpus, context=idx, norm=norm)
+    idx = np.clip(np.arange(len(corpus))[:, None] + np.arange(-left, right + 1), first[:, None], last[:, None])
+    return replace(corpus, context=idx)
 
 
 def cmvn(stats_from: Sequence[Corpus]) -> tuple[np.ndarray, np.ndarray]:

@@ -40,6 +40,7 @@ from .nn import (
     LineCursor,
     Matrix,
     Mlp,
+    _check_nonnegative,
     backward,
     cross_entropy_loss,
     forward,
@@ -49,12 +50,6 @@ from .nn import (
     read_lines,
     sgd_update,
 )
-
-
-def _check_coefficients(alpha: float, beta: float, gamma: float) -> None:
-    for name, value in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
-        if not (math.isfinite(value) and value >= 0):
-            raise ConfigError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass
@@ -76,7 +71,8 @@ class DsnModel:
     gamma: float
 
     def __post_init__(self):
-        _check_coefficients(self.alpha, self.beta, self.gamma)
+        for name in ("alpha", "beta", "gamma"):
+            _check_nonnegative(name, getattr(self, name))
         k = self.shared.out_dim
         if self.senone.in_dim != k or self.domain.in_dim != k:
             raise ConfigError("senone/domain heads must consume the shared dim")
@@ -104,22 +100,6 @@ class DsnModel:
     def n_h(self) -> int:
         """Hidden layers of the pretrained net that the shared extractor took."""
         return len(self.shared.layers)
-
-    @property
-    def shared_dim(self) -> int:
-        return self.shared.out_dim
-
-    @property
-    def num_classes(self) -> int:
-        return self.senone.out_dim
-
-    @property
-    def feature_dim(self) -> int:
-        return self.shared.in_dim
-
-    @property
-    def has_private(self) -> bool:
-        return self.private_src is not None
 
 
 @dataclass
@@ -207,8 +187,8 @@ def dsn_gradients(model: DsnModel, x: Matrix, source_y: np.ndarray) -> tuple[Ste
         g_f += grl_backward(g_f_d, model.alpha)
 
     l_diff = l_rec = 0.0
-    if model.has_private:
-        k = model.shared_dim
+    if model.private_src is not None:
+        k = model.shared.out_dim
         p_s, cache_ps = forward(model.private_src, xs)
         p_t, cache_pt = forward(model.private_tgt, xt)
         p = np.vstack([p_s, p_t])
@@ -235,22 +215,28 @@ def dsn_gradients(model: DsnModel, x: Matrix, source_y: np.ndarray) -> tuple[Ste
     return StepTrace(l_sen, l_dom, l_diff, l_rec, total, accuracy), grads
 
 
-def dsn_step(model: DsnModel, x: Matrix, source_y: np.ndarray, mu: float) -> tuple[DsnModel, StepTrace]:
-    """One joint SGD update over every sub-network from the stacked batch of
-    dsn_gradients; mutates the model. A non-finite loss names its first
-    non-finite term, or loss_total when only the weighted sum overflows. A
-    non-finite gradient is re-raised prefixed with its sub-network's name."""
-    trace, grads = dsn_gradients(model, x, source_y)
+def apply_step(trace: StepTrace, updates: dict[str, tuple[Mlp, np.ndarray]], mu: float) -> StepTrace:
+    """Check one training step and apply it; returns trace. A non-finite loss
+    names its first non-finite term, or loss_total when only the weighted sum
+    overflows, and updates no net. Otherwise each named (net, gradient) pair
+    takes one sgd_update, a non-finite gradient re-raised prefixed with the name."""
     if not math.isfinite(trace.loss_total):
         terms = ("loss_senone", "loss_domain", "loss_diff", "loss_recon")
         term = next((t for t in terms if not math.isfinite(getattr(trace, t))), "loss_total")
         raise TrainingDivergedError(f"non-finite {term}={getattr(trace, term)}")
-    for name, g in grads.items():
+    for name, (net, grad) in updates.items():
         try:
-            sgd_update(getattr(model, name), g, mu)
+            sgd_update(net, grad, mu)
         except TrainingDivergedError as exc:
             raise TrainingDivergedError(f"{name}: {exc}") from None
-    return model, trace
+    return trace
+
+
+def dsn_step(model: DsnModel, x: Matrix, source_y: np.ndarray, mu: float) -> tuple[DsnModel, StepTrace]:
+    """One joint SGD update over every sub-network from the stacked batch of
+    dsn_gradients, checked and applied by apply_step; mutates the model."""
+    trace, grads = dsn_gradients(model, x, source_y)
+    return model, apply_step(trace, {name: (getattr(model, name), g) for name, g in grads.items()}, mu)
 
 
 def adapted_model(model: DsnModel) -> tuple[Mlp, Mlp]:
@@ -274,8 +260,8 @@ def save_dsn_model(model: DsnModel, path: str | Path) -> None:
     lines = [
         "dsn-model v1",
         f"alpha={model.alpha:.17g} beta={model.beta:.17g} gamma={model.gamma:.17g} "
-        f"n_h={model.n_h} k={model.shared_dim} q={model.num_classes} "
-        f"feature_dim={model.feature_dim}",
+        f"n_h={model.n_h} k={model.shared.out_dim} q={model.senone.out_dim} "
+        f"feature_dim={model.shared.in_dim}",
         "nets " + " ".join(present),
     ]
     for name in present:
@@ -295,10 +281,13 @@ def load_dsn_model(path: str | Path, lines: Sequence[str] | None = None) -> DsnM
         key, _, value = item.partition("=")
         if not value:
             raise cursor.error(f"malformed manifest entry {item!r}")
+        if key in manifest:
+            raise cursor.error(f"duplicate manifest key {key!r}")
         manifest[key] = value
     try:
         coefficients = {key: float(manifest[key]) for key in ("alpha", "beta", "gamma")}
-        _check_coefficients(**coefficients)  # a ConfigError, so reported as a bad value on this line
+        for key, value in coefficients.items():
+            _check_nonnegative(key, value)  # a ConfigError, so reported as a bad value on this line
         dims = {"n_h": int(manifest["n_h"])}
         dims.update({key: int(manifest[key]) for key in ("k", "q", "feature_dim") if key in manifest})
     except KeyError as exc:
@@ -316,15 +305,16 @@ def load_dsn_model(path: str | Path, lines: Sequence[str] | None = None) -> DsnM
     nets: dict[str, Mlp | None] = {name: None for name in _NET_ORDER}
     for name in present:
         nets[name] = mlp_from_cursor(cursor)
+    cursor.end()
     try:
         model = DsnModel(**nets, **coefficients)
     except ConfigError as exc:
         raise cursor.error(str(exc)) from None
     for key, expected in (
         ("n_h", model.n_h),
-        ("k", model.shared_dim),
-        ("q", model.num_classes),
-        ("feature_dim", model.feature_dim),
+        ("k", model.shared.out_dim),
+        ("q", model.senone.out_dim),
+        ("feature_dim", model.shared.in_dim),
     ):
         if dims.get(key, expected) != expected:
             raise DataError(f"{path}: manifest {key}={dims[key]} contradicts the nets ({expected})")

@@ -354,6 +354,12 @@ def mse_loss(pred: Matrix, target: Matrix) -> tuple[float, Matrix]:
     return loss, (2.0 / diff.size) * diff
 
 
+def _check_nonnegative(name: str, value: float) -> None:
+    """A ConfigError unless value is a finite number >= 0."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+
+
 def sgd_update(net: Mlp, grad: np.ndarray, mu: float) -> Mlp:
     """One plain SGD step, params <- params - mu * grad, in place, where grad
     is the gradient vector backward() returns, laid out like net.params.
@@ -362,8 +368,7 @@ def sgd_update(net: Mlp, grad: np.ndarray, mu: float) -> Mlp:
     is not a finite number >= 0 and a gradient of another shape, and aborts
     on non-finite gradients rather than silently corrupting the model.
     """
-    if not (math.isfinite(mu) and mu >= 0):
-        raise ConfigError(f"learning rate must be finite and >= 0, got {mu}")
+    _check_nonnegative("learning rate", mu)
     if grad.shape != net.params.shape:
         raise ShapeError(f"gradient shape {grad.shape} does not match params shape {net.params.shape}")
     if not np.isfinite(grad).all():
@@ -433,6 +438,12 @@ class LineCursor:
     def error(self, message: str) -> DataError:
         return DataError(f"{self.source}: line {self.pos}: {message}")
 
+    def end(self) -> None:
+        """Raise unless every line has been taken: nothing follows a model's last layer."""
+        if self.peek() is not None:
+            self.take()
+            raise self.error("expected a 'layer' line or the end of the file")
+
 
 def _parse_floats(cursor: LineCursor, expected: int) -> np.ndarray:
     parts = cursor.take().split()
@@ -485,4 +496,7 @@ def save_mlp(net: Mlp, path: str | Path) -> None:
 def load_mlp(path: str | Path, lines: Sequence[str] | None = None) -> Mlp:
     """The dsn-mlp file at path, parsed from lines when the caller has
     already read them."""
-    return mlp_from_cursor(LineCursor(read_lines(path) if lines is None else lines, source=str(path)))
+    cursor = LineCursor(read_lines(path) if lines is None else lines, source=str(path))
+    net = mlp_from_cursor(cursor)
+    cursor.end()
+    return net

@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .data import BLOCK_RECORDS, Corpora, Corpus, cmvn, read_corpus, read_corpus_unlabeled, splice, synth_corpus
-from .dsn import DsnModel, StepTrace, adapted_model, dsn_step, split_pretrained
+from .dsn import DsnModel, StepTrace, adapted_model, apply_step, dsn_step, split_pretrained
 from .errors import ConfigError, ContractError, DataError, TrainingDivergedError
 from .nn import (
     Activation,
@@ -31,7 +31,6 @@ from .nn import (
     cross_entropy_loss,
     forward,
     init_mlp,
-    sgd_update,
 )
 
 # Sub-stream ids; part of the reproducibility contract.
@@ -49,10 +48,6 @@ DATA_FILES = {
     "source_test": "source_test.csv",
     "target_test": "target_test.csv",
 }
-
-
-def _stream(seed: int, stream_id: int) -> Rng:
-    return Rng(seed).derive(stream_id)
 
 
 def prepare_corpora(cfg: ExperimentConfig, need_target_labels: bool) -> Corpora:
@@ -147,11 +142,6 @@ def _chain_spec(in_dim: int, hidden: Sequence[int], hidden_act: Activation,
     return spec
 
 
-def source_net_spec(cfg: ExperimentConfig, feature_dim: int) -> list[tuple[int, int, Activation]]:
-    return _chain_spec(feature_dim, cfg.net.source_hidden, Activation.SIGMOID,
-                       cfg.synth.num_classes, Activation.SOFTMAX)
-
-
 def build_dsn(cfg: ExperimentConfig, source_dnn: Mlp, with_private: bool) -> DsnModel:
     """Split the pretrained classifier and attach freshly initialized heads.
 
@@ -160,25 +150,24 @@ def build_dsn(cfg: ExperimentConfig, source_dnn: Mlp, with_private: bool) -> Dsn
     """
     shared, senone = split_pretrained(source_dnn, cfg.n_h)
     k = shared.out_dim
-    feature_dim = shared.in_dim
     domain = init_mlp(
         _chain_spec(k, cfg.net.domain_hidden, Activation.RELU, 2, Activation.SOFTMAX),
-        _stream(cfg.seed, STREAM_DOMAIN_INIT),
+        Rng(cfg.seed).derive(STREAM_DOMAIN_INIT),
     )
     private_src = private_tgt = recon = None
     beta, gamma = (cfg.beta, cfg.gamma) if with_private else (0.0, 0.0)
     if with_private:
         private_src = init_mlp(
-            _chain_spec(feature_dim, cfg.net.private_hidden, Activation.RELU, k, Activation.SIGMOID),
-            _stream(cfg.seed, STREAM_PRIVATE_SRC_INIT),
+            _chain_spec(shared.in_dim, cfg.net.private_hidden, Activation.RELU, k, Activation.SIGMOID),
+            Rng(cfg.seed).derive(STREAM_PRIVATE_SRC_INIT),
         )
         private_tgt = init_mlp(
-            _chain_spec(feature_dim, cfg.net.private_hidden, Activation.RELU, k, Activation.SIGMOID),
-            _stream(cfg.seed, STREAM_PRIVATE_TGT_INIT),
+            _chain_spec(shared.in_dim, cfg.net.private_hidden, Activation.RELU, k, Activation.SIGMOID),
+            Rng(cfg.seed).derive(STREAM_PRIVATE_TGT_INIT),
         )
         recon = init_mlp(
-            _chain_spec(2 * k, cfg.net.recon_hidden, Activation.RELU, feature_dim, Activation.LINEAR),
-            _stream(cfg.seed, STREAM_RECON_INIT),
+            _chain_spec(2 * k, cfg.net.recon_hidden, Activation.RELU, shared.in_dim, Activation.LINEAR),
+            Rng(cfg.seed).derive(STREAM_RECON_INIT),
         )
     return DsnModel(
         shared=shared,
@@ -258,16 +247,15 @@ def _train(cfg: ExperimentConfig, stream_id: int, sizes: Sequence[int],
     steps = max(sizes) // cfg.batch
     if steps < 1:
         raise ConfigError(f"batch size {cfg.batch} exceeds corpus size {max(sizes)}")
-    schedule = _stream(cfg.seed, stream_id)
+    schedule = Rng(cfg.seed).derive(stream_id)
     samplers = [EpochSampler(n, schedule) for n in sizes]
     trace = []
     for epoch in range(1, cfg.epochs + 1):
-        sums = np.zeros(6)
+        sums = np.zeros(len(fields(StepTrace)))
         try:
             for _ in range(steps):
                 t = step(*(sampler.take(cfg.batch) for sampler in samplers))
-                sums += (t.loss_senone, t.loss_domain, t.loss_diff, t.loss_recon, t.loss_total,
-                         t.domain_accuracy)
+                sums += tuple(vars(t).values())
         except TrainingDivergedError as exc:
             raise TrainingDivergedError(f"epoch {epoch}: {exc}") from None
         trace.append(StepTrace(*(sums / steps)))
@@ -282,19 +270,15 @@ def pretrain_source(
     A non-finite gradient is re-raised prefixed with "source"."""
     if not source_train.is_labeled:
         raise ContractError("pretraining needs a labeled source corpus")
-    net = init_mlp(source_net_spec(cfg, source_train.dim), _stream(cfg.seed, STREAM_SOURCE_INIT))
+    spec = _chain_spec(source_train.dim, cfg.net.source_hidden, Activation.SIGMOID,
+                       cfg.synth.num_classes, Activation.SOFTMAX)
+    net = init_mlp(spec, Rng(cfg.seed).derive(STREAM_SOURCE_INIT))
 
     def step(idx: np.ndarray) -> StepTrace:
         post, acts = forward(net, source_train.rows(idx))
         loss, g_logits = cross_entropy_loss(post, source_train.labels[idx])
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(f"non-finite loss_senone={loss}")
-        grads, _ = backward(net, acts, g_logits, at_logits=True, input_grad=False)
-        try:
-            sgd_update(net, grads, cfg.mu)
-        except TrainingDivergedError as exc:
-            raise TrainingDivergedError(f"source: {exc}") from None
-        return StepTrace(loss, 0.0, 0.0, 0.0, loss, np.nan)
+        grad, _ = backward(net, acts, g_logits, at_logits=True, input_grad=False)
+        return apply_step(StepTrace(loss, 0.0, 0.0, 0.0, loss, np.nan), {"source": (net, grad)}, cfg.mu)
 
     trace = _train(cfg, STREAM_BATCH_PRETRAIN, (len(source_train),), step)
     evals = {}
@@ -358,24 +342,17 @@ def adapt_dsn(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SweepResult:
-    n_h_values: tuple[int, ...]
-    alpha_values: tuple[float, ...]
-    grid: np.ndarray  # target test error per (n_h, alpha); NaN marks a failed cell
-
-
 def sweep(
     cfg: ExperimentConfig,
     source_dnn: Mlp,
     source_train: Corpus,
     target_adapt: Corpus,
     target_test: Corpus,
-) -> SweepResult:
-    """Full adaptation run per (n_h, alpha) cell on identical data and seed.
-
-    A diverged cell is recorded as NaN without aborting the rest; its row
-    average is NaN as well.
+) -> np.ndarray:
+    """Full adaptation run per (n_h, alpha) cell on identical data and seed:
+    the target test error of each cell, rows cfg.sweep_n_h and columns
+    cfg.sweep_alpha. A diverged cell is recorded as NaN without aborting the
+    rest; its row average is NaN as well.
     """
     grid = np.full((len(cfg.sweep_n_h), len(cfg.sweep_alpha)), np.nan)
     for i, n_h in enumerate(cfg.sweep_n_h):
@@ -386,7 +363,7 @@ def sweep(
                 grid[i, j] = evaluate(adapted_model(model), target_test).error_rate
             except TrainingDivergedError:
                 pass
-    return SweepResult(tuple(cfg.sweep_n_h), tuple(cfg.sweep_alpha), grid)
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +397,10 @@ def write_report_csv(report: RunReport, path: str | Path) -> None:
     _write_csv(path, ("kind", "corpus", "a", "b", "value"), rows)
 
 
-def write_sweep_csv(result: SweepResult, path: str | Path) -> None:
-    header = ("n_h", *(f"{a:.17g}" for a in result.alpha_values), "avg")
-    rows = [(n_h, *cells, cells.mean()) for n_h, cells in zip(result.n_h_values, result.grid)]
+def write_sweep_csv(cfg: ExperimentConfig, grid: np.ndarray, path: str | Path) -> None:
+    """sweep's grid, its axes taken from cfg.sweep_n_h and cfg.sweep_alpha."""
+    header = ("n_h", *(f"{a:.17g}" for a in cfg.sweep_alpha), "avg")
+    rows = [(n_h, *cells, cells.mean()) for n_h, cells in zip(cfg.sweep_n_h, grid)]
     _write_csv(path, header, rows)
 
 

@@ -197,9 +197,10 @@ def test_non_finite_gradient_exits_3_naming_the_subnetwork(tmp_path, capsys, mon
 
 
 def _bad_model_file(tmp_path, manifest_edit):
+    # unedited, an evaluate run over the default synthetic corpora accepts it
     rng = Rng(1)
     model = DsnModel(
-        init_mlp([(10, 4, "sigmoid")], rng), init_mlp([(4, 3, "softmax")], rng),
+        init_mlp([(40, 4, "sigmoid")], rng), init_mlp([(4, 10, "softmax")], rng),
         init_mlp([(4, 2, "softmax")], rng), None, None, None, alpha=1.0, beta=0.0, gamma=0.0,
     )
     path = tmp_path / "model.dsn"
@@ -217,6 +218,14 @@ def _bad_nets_line(tmp_path, nets):
     lines[2] = nets
     path.write_text("\n".join(lines) + "\n")
     return mode, line, f"{name}: line 3:"
+
+
+def _trailing_line_model(tmp_path):
+    mode, line, name = _bad_model_file(tmp_path, ("", ""))  # a valid reversal-only model
+    path = tmp_path / name
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines + ["junk"]) + "\n")
+    return mode, line, f"{name}: line {len(lines) + 1}: expected a 'layer' line or the end of the file"
 
 
 def _sigmoid_output_model(tmp_path):
@@ -282,6 +291,11 @@ def _bad_mlp_file(tmp_path, body, line):
         lambda d: _bad_mlp_file(d, "layer 0 2 1 sigmoid\n1 2\n0\nlayer 1 3 1 linear\n1 2 3\n0\n", 5),
         lambda d: _bad_mlp_file(d, "layer 0 2 2 softmax\n1 2\n3 4\n0 0\nlayer 1 2 1 linear\n1 2\n0\n", 6),
         lambda d: _bad_mlp_file(d, "layer 0 0 1 linear\n\n0\n", 2),
+        # a fourth weight row read as the bias leaves the real bias row over
+        lambda d: _bad_mlp_file(d, "layer 0 3 3 linear\n1 0 0\n0 1 0\n0 0 1\n1 1 1\n0 0 0\n", 7),
+        _trailing_line_model,
+        lambda d: (*_bad_model_file(d, ("gamma=0", "gamma=0 alpha=7"))[:2],
+                   "model.dsn: line 2: duplicate manifest key 'alpha'"),
         lambda d: _data_dir(d, "pretrain", "source_train.csv: no records", source_train=_HEADER.format(1)),
         lambda d: _data_dir(d, "pretrain", "source_train.csv: line 3: label -1",
                             source_train=_HEADER.format(1) + "u,0,src,0,1.5\nu,1,src,-1,2.5\n"),
@@ -322,6 +336,9 @@ def _bad_mlp_file(tmp_path, body, line):
         "layer-chain-mismatch",
         "non-final-softmax",
         "zero-width-layer",
+        "extra-weight-row",
+        "trailing-line",
+        "repeated-manifest-key",
         "empty-source-train",
         "unlabeled-source-train",
         "empty-target-adapt",

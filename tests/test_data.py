@@ -221,9 +221,8 @@ def test_splice_preserves_counts(left, right, utt_ids):
     feats = Rng(len(utt_ids)).normals(2 * len(utt_ids)).reshape(-1, 2)
     irregular = Corpus(domain=1, utt_ids=utt_ids, labels=np.full(len(utt_ids), -1), features=feats)
     assert np.array_equal(model_input_oracle(splice(irregular, left, right)), splice_oracle(irregular, left, right))
-    windows = replace(irregular, features=splice_oracle(irregular, left, right))
-    twice = splice(splice(irregular, left, right), right, left)
-    assert np.array_equal(model_input_oracle(twice), splice_oracle(windows, right, left))
+    with pytest.raises(ContractError, match="splice takes raw frames"):  # spliced twice
+        splice(splice(irregular, left, right), right, left)
 
 
 def _same_bits(a, b):
@@ -244,14 +243,12 @@ def test_rows_match_the_materialized_formula_bit_for_bit(left, right):
         once = splice(raw, left, right)
         norm = (rng.normals(once.dim), np.abs(rng.normals(once.dim)) + 0.5)
         normed = replace(once, norm=norm)
-        twice, normed_twice = splice(once, right, 1), splice(normed, right, 1)
-        # spliced twice is the splice of the materialized windows, normalized or not
-        windows = replace(raw, features=splice_oracle(raw, left, right))
-        assert np.array_equal(model_input_oracle(twice), splice_oracle(windows, right, 1))
-        normed_windows = replace(raw, features=model_input_oracle(normed))
-        assert _same_bits(model_input_oracle(normed_twice), splice_oracle(normed_windows, right, 1))
+        # splice takes raw frames only: not spliced twice, nor normalized then spliced
+        for done in (once, normed, replace(raw, norm=(norm[0][:3], norm[1][:3]))):
+            with pytest.raises(ContractError, match="splice takes raw frames"):
+                splice(done, right, 1)
         picks = rng.permutation(n)[:9]
-        for corpus in (raw, once, normed, twice, normed_twice):
+        for corpus in (raw, once, normed):
             expected = model_input_oracle(corpus)
             for index in (picks, np.array([n - 1, 0, 0, n - 1]), np.arange(0), slice(None), slice(2, 9), slice(5, 5)):
                 got = corpus.rows(index)

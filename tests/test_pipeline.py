@@ -302,6 +302,16 @@ def test_pretrain_names_the_source_net_of_a_non_finite_gradient(prepared, monkey
     assert str(exc.value) == "epoch 1: source: non-finite gradient; training aborted"
 
 
+def test_pretrain_names_a_non_finite_loss(prepared):
+    # a nan frame makes the posteriors of its batch, and so the cross-entropy, nan
+    features = prepared.source_train.features.copy()
+    features[0, 0] = np.nan
+    corpus = replace(prepared.source_train, features=features)
+    with pytest.raises(TrainingDivergedError) as exc:
+        pretrain_source(tiny_cfg(batch=len(corpus)), corpus)
+    assert str(exc.value) == "epoch 1: non-finite loss_senone=nan"
+
+
 def test_pretrain_batch_too_large(prepared):
     with pytest.raises(ConfigError):
         pretrain_source(tiny_cfg(batch=10_000), prepared.source_train)
@@ -400,12 +410,12 @@ def test_adapt_is_deterministic(prepared, source_dnn):
 
 def test_sweep_grid_shape_and_determinism(prepared, source_dnn, tmp_path):
     cfg = tiny_cfg(epochs=1, sweep_n_h=(1, 2), sweep_alpha=(1.0, 8.0))
-    result = sweep(cfg, source_dnn, prepared.source_train, prepared.target_adapt, prepared.target_test)
-    assert result.grid.shape == (2, 2)
-    assert np.isfinite(result.grid).all()
+    grid = sweep(cfg, source_dnn, prepared.source_train, prepared.target_adapt, prepared.target_test)
+    assert grid.shape == (2, 2)
+    assert np.isfinite(grid).all()
     again = sweep(cfg, source_dnn, prepared.source_train, prepared.target_adapt, prepared.target_test)
-    assert np.array_equal(result.grid, again.grid)
-    write_sweep_csv(result, tmp_path / "sweep.csv")
+    assert np.array_equal(grid, again)
+    write_sweep_csv(cfg, grid, tmp_path / "sweep.csv")
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert lines[0] == "n_h,1,8,avg"
     assert len(lines) == 3
@@ -416,7 +426,8 @@ def test_sweep_grid_shape_and_determinism(prepared, source_dnn, tmp_path):
 def test_sweep_header_parses_back_to_the_configured_alphas(tmp_path):
     # 6 significant digits would write "n_h,1,1,0.123457,..."
     alphas = (1.0, 1.0000001, 0.1234567, 4.5, 1e-300, 0.1)
-    pipeline.write_sweep_csv(pipeline.SweepResult((1,), alphas, np.zeros((1, len(alphas)))), tmp_path / "sweep.csv")
+    cfg = tiny_cfg(sweep_n_h=(1,), sweep_alpha=alphas)
+    pipeline.write_sweep_csv(cfg, np.zeros((1, len(alphas))), tmp_path / "sweep.csv")
     header = (tmp_path / "sweep.csv").read_text().splitlines()[0].split(",")
     assert header[0] == "n_h" and header[-1] == "avg"
     assert tuple(float(a) for a in header[1:-1]) == alphas
@@ -426,13 +437,13 @@ def test_sweep_marks_diverged_cell_nan(prepared, source_dnn):
     # a learning rate large enough to overflow the reconstruction path
     cfg = tiny_cfg(epochs=2, mu=1e150, sweep_n_h=(1, 2), sweep_alpha=(1.0,))
     with np.errstate(all="ignore"):
-        result = sweep(
+        grid = sweep(
             cfg, source_dnn, prepared.source_train, prepared.target_adapt, prepared.target_test
         )
     # every cell was attempted and recorded; the failures did not abort the loop
-    assert result.grid.shape == (2, 1)
-    assert np.isnan(result.grid).all()
-    assert np.isnan(result.grid.mean(axis=1)).all()
+    assert grid.shape == (2, 1)
+    assert np.isnan(grid).all()
+    assert np.isnan(grid.mean(axis=1)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +471,7 @@ def test_report_files_are_pinned_byte_for_byte(tmp_path):
     report = pipeline.RunReport("adapt_dsn", trace, {"source_test": pipeline.EvalResult(5, 2, 0.4, confusion)})
     pipeline.write_report_csv(report, tmp_path / "report.csv")
     grid = np.array([[0.25, np.nan], [0.1, 0.3]])
-    pipeline.write_sweep_csv(pipeline.SweepResult((1, 2), (1.0, 4.5), grid), tmp_path / "sweep.csv")
+    pipeline.write_sweep_csv(tiny_cfg(sweep_n_h=(1, 2), sweep_alpha=(1.0, 4.5)), grid, tmp_path / "sweep.csv")
     rows = [
         pipeline.TrendSeedResult(1, 0.1, 0.35, 0.1, 0.3, 0.125, 0.25, 3.0, 1.5),
         pipeline.TrendSeedResult(2, 0.2, 0.45, 0.2, 0.4, 0.375, 0.3, 2.0, 0.5),
