@@ -104,31 +104,29 @@ def _run_mode(mode: str, cfg: ExperimentConfig, out_dir: Path) -> None:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"--out {out_dir}: cannot make the output directory: {exc.strerror}") from None
-    if mode in ("pretrain", "adapt_grl", "adapt_dsn"):
-        if mode == "pretrain":
-            model, report = pretrain_source(cfg, prepared.source_train, prepared.source_test)
-        else:
-            runner = adapt_grl if mode == "adapt_grl" else adapt_dsn
-            model, report = runner(cfg, nets[0], prepared.source_train, prepared.target_adapt, prepared.source_test)
-        (save_mlp if mode == "pretrain" else save_dsn_model)(model, out_dir / "model.dsn")
-        write_trace_csv(report.trace, out_dir / "trace.csv")
-        write_report_csv(report, out_dir / "report.csv")
-    elif mode == "evaluate":
-        report = RunReport(
-            "evaluate",
-            [],
-            {
-                "source_test": evaluate(nets, prepared.source_test),
-                "target_test": evaluate(nets, prepared.target_test),
-            },
-        )
-        write_report_csv(report, out_dir / "report.csv")
-    elif mode == "sweep":
+    if mode == "sweep":
         source_dnn = nets[0] if nets is not None else pretrain_source(cfg, prepared.source_train)[0]
         grid = sweep(
             cfg, source_dnn, prepared.source_train, prepared.target_adapt, prepared.target_test
         )
         write_sweep_csv(cfg, grid, out_dir / "sweep.csv")
+        return
+    if mode == "evaluate":
+        report = RunReport("evaluate", [], {})
+    elif mode == "pretrain":
+        model, report = pretrain_source(cfg, prepared.source_train)
+        nets = (model,)
+    else:
+        runner = adapt_grl if mode == "adapt_grl" else adapt_dsn
+        model, report = runner(cfg, nets[0], prepared.source_train, prepared.target_adapt)
+        nets = adapted_model(model)
+    # a training mode loads no target labels, so it is scored on source_test only
+    for name in ("source_test", "target_test") if mode == "evaluate" else ("source_test",):
+        report.evals[name] = evaluate(nets, getattr(prepared, name))
+    if mode != "evaluate":
+        (save_mlp if mode == "pretrain" else save_dsn_model)(model, out_dir / "model.dsn")
+        write_trace_csv(report.trace, out_dir / "trace.csv")
+    write_report_csv(report, out_dir / "report.csv")
 
 
 def main(argv: list[str] | None = None) -> int:

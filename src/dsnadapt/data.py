@@ -368,7 +368,7 @@ def _read_corpus(path: str | Path, parse_labels: bool) -> Corpus:
 def _load_sidecar(sidecar: Path, key: tuple[str, str, int]) -> Corpus | None:
     """The corpus a sidecar holds under key, or None on a miss."""
     try:
-        with np.load(sidecar, allow_pickle=False) as z:
+        with open(sidecar, "rb") as file, np.load(file, allow_pickle=False) as z:  # closed even if np.load raises
             if (z["digest"].item(), z["mode"].item(), z["version"].item()) != key:
                 return None
             domain, features, labels, runs, names = (z[k] for k in ("domain", "features", "labels", "runs", "names"))

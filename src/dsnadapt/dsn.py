@@ -52,12 +52,27 @@ from .nn import (
 )
 
 
+def net_shapes(k: int, d: int, q: int) -> dict[str, tuple[int, int, Activation]]:
+    """Input width, output width and last activation of every sub-network but
+    the shared extractor, for k shared features, d input features and q
+    classes. The reconstructor reads the concatenated components."""
+    return {
+        "senone": (k, q, Activation.SOFTMAX),
+        "domain": (k, 2, Activation.SOFTMAX),
+        "private_src": (d, k, Activation.SIGMOID),
+        "private_tgt": (d, k, Activation.SIGMOID),
+        "recon": (2 * k, d, Activation.LINEAR),
+    }
+
+
 @dataclass
 class DsnModel:
     """The six sub-networks plus loss coefficients.
 
     private_src, private_tgt and recon may be None, which is the
     reversal-only baseline topology (no difference or reconstruction terms).
+    Every present net must fit its net_shapes row; a misfit is a ConfigError
+    whose message starts with the net's name and a colon.
     """
 
     shared: Mlp
@@ -73,28 +88,14 @@ class DsnModel:
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma"):
             _check_nonnegative(name, getattr(self, name))
-        k = self.shared.out_dim
-        if self.senone.in_dim != k or self.domain.in_dim != k:
-            raise ConfigError("senone/domain heads must consume the shared dim")
-        if self.senone.layers[-1].activation is not Activation.SOFTMAX:
-            raise ConfigError("senone head must end in softmax")
-        if self.domain.out_dim != 2 or self.domain.layers[-1].activation is not Activation.SOFTMAX:
-            raise ConfigError("domain classifier must be a 2-way softmax")
         privates = (self.private_src, self.private_tgt, self.recon)
         if any(p is None for p in privates) != all(p is None for p in privates):
             raise ConfigError("private extractors and reconstructor must be present together")
-        if self.private_src is not None:
-            for p in (self.private_src, self.private_tgt):
-                if p.out_dim != k or p.layers[-1].activation is not Activation.SIGMOID:
-                    raise ConfigError("private extractors must end in sigmoid of the shared dim")
-                if p.in_dim != self.shared.in_dim:
-                    raise ConfigError("private extractors must consume the input features")
-            if self.recon.in_dim != 2 * k:
-                raise ConfigError("reconstructor input must be the concatenated components (2K)")
-            if self.recon.out_dim != self.shared.in_dim:
-                raise ConfigError("reconstructor must emit the input feature dim")
-            if self.recon.layers[-1].activation is not Activation.LINEAR:
-                raise ConfigError("reconstructor output must be linear")
+        for name, (din, dout, act) in net_shapes(self.shared.out_dim, self.shared.in_dim, self.senone.out_dim).items():
+            net = getattr(self, name)
+            if net is not None and (net.in_dim, net.out_dim, net.layers[-1].activation) != (din, dout, act):
+                raise ConfigError(f"{name}: must map {din} -> {dout} features and end in {act.value}, "
+                                  f"not {net.in_dim} -> {net.out_dim} ending in {net.layers[-1].activation.value}")
 
     @property
     def n_h(self) -> int:
@@ -303,13 +304,16 @@ def load_dsn_model(path: str | Path, lines: Sequence[str] | None = None) -> DsnM
     if len(set(present)) < len(present) or not {"shared", "senone", "domain"} <= set(present):
         raise cursor.error(f"'nets' must list shared, senone and domain, and no name twice; found {present}")
     nets: dict[str, Mlp | None] = {name: None for name in _NET_ORDER}
+    starts = {}  # the 'dsn-mlp v1' line of each net's block
     for name in present:
+        starts[name] = cursor.pos + 1
         nets[name] = mlp_from_cursor(cursor)
     cursor.end()
     try:
         model = DsnModel(**nets, **coefficients)
-    except ConfigError as exc:
-        raise cursor.error(str(exc)) from None
+    except ConfigError as exc:  # a misfit names its net; the together rule belongs to the 'nets' line
+        line = starts.get(str(exc).partition(":")[0], 3)
+        raise DataError(f"{path}: line {line}: {exc}") from None
     for key, expected in (
         ("n_h", model.n_h),
         ("k", model.shared.out_dim),

@@ -217,16 +217,10 @@ def init_mlp(spec: Sequence[LayerSpec], rng: Rng) -> Mlp:
     drawn row-major per layer in spec order; biases start at zero. The draw
     order is part of the format: the same seed always yields the same net.
     """
-    if not spec:
-        raise ConfigError("layer spec is empty")
     layers = []
     for k, (din, dout, act) in enumerate(spec):
-        if din < 1 or dout < 1:
+        if din < 1 or dout < 1:  # guards the division below; Mlp checks the rest of the spec
             raise ConfigError(f"layer {k}: dimensions must be >= 1")
-        if k > 0 and spec[k - 1][1] != din:
-            raise ConfigError(
-                f"layer {k} in_dim {din} does not chain from layer {k - 1} out_dim {spec[k - 1][1]}"
-            )
         s = math.sqrt(6.0 / (din + dout))
         w = rng.uniforms(dout * din, -s, s).reshape(dout, din)
         layers.append(DenseLayer(w, np.zeros(dout), Activation(act)))

@@ -6,8 +6,9 @@ identical batch schedules, which is what makes the beta = gamma = 0
 reduction bit-exact.
 
 Adaptation never reads target labels: file-backed target corpora go through
-the unlabeled reader, and the adaptation entry points are never handed the
-labeled target test corpus at all.
+the unlabeled reader, and the adaptation entry points take only source_train
+and target_adapt. No training phase scores its model; callers run evaluate
+on the test corpora after training.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .config import ExperimentConfig
-from .data import BLOCK_RECORDS, Corpora, Corpus, cmvn, read_corpus, read_corpus_unlabeled, splice, synth_corpus
-from .dsn import DsnModel, StepTrace, adapted_model, apply_step, dsn_step, split_pretrained
+from .data import (_DOMAIN_TAGS, BLOCK_RECORDS, Corpora, Corpus, cmvn, read_corpus, read_corpus_unlabeled, splice,
+                   synth_corpus)
+from .dsn import DsnModel, StepTrace, adapted_model, apply_step, dsn_step, net_shapes, split_pretrained
 from .errors import ConfigError, ContractError, DataError, TrainingDivergedError
 from .nn import (
     Activation,
@@ -90,6 +92,10 @@ def _read_data_dir(root: Path, need_target_labels: bool) -> Corpora:
         corpus = read_corpus_unlabeled(path) if name == "target_adapt" else read_corpus(path)
         if len(corpus) == 0:
             raise DataError(f"{path}: no records")
+        domain = int(name.startswith("target"))
+        if corpus.domain != domain:  # every record carries the file's one tag, so line 2's is wrong
+            raise DataError(f"{path}: line 2: domain tag {_DOMAIN_TAGS[corpus.domain]!r}; "
+                            f"{name} holds {('source', 'target')[domain]} frames")
         if name != "target_adapt" and not corpus.is_labeled:
             row = int(np.argmax(corpus.labels < 0))
             raise DataError(f"{path}: line {row + 2}: label {corpus.labels[row]}; every {name} record needs one")
@@ -131,55 +137,31 @@ class EpochSampler:
 # ---------------------------------------------------------------------------
 
 
-def _chain_spec(in_dim: int, hidden: Sequence[int], hidden_act: Activation,
-                out_dim: int, out_act: Activation) -> list[tuple[int, int, Activation]]:
-    spec = []
-    prev = in_dim
-    for width in hidden:
-        spec.append((prev, width, hidden_act))
-        prev = width
-    spec.append((prev, out_dim, out_act))
-    return spec
+def _chain_spec(hidden: Sequence[int], hidden_act: Activation, in_dim: int, out_dim: int,
+                out_act: Activation) -> list[tuple[int, int, Activation]]:
+    widths = [in_dim, *hidden, out_dim]
+    return list(zip(widths, widths[1:], [hidden_act] * len(hidden) + [out_act]))
 
 
 def build_dsn(cfg: ExperimentConfig, source_dnn: Mlp, with_private: bool) -> DsnModel:
-    """Split the pretrained classifier and attach freshly initialized heads.
+    """Split the pretrained classifier and attach freshly initialized heads:
+    each fits its net_shapes row, with ReLU hidden layers of its cfg.net widths.
 
     The reversal-only baseline (with_private=False) carries no private
     extractors or reconstructor and forces beta = gamma = 0.
     """
     shared, senone = split_pretrained(source_dnn, cfg.n_h)
-    k = shared.out_dim
-    domain = init_mlp(
-        _chain_spec(k, cfg.net.domain_hidden, Activation.RELU, 2, Activation.SOFTMAX),
-        Rng(cfg.seed).derive(STREAM_DOMAIN_INIT),
-    )
-    private_src = private_tgt = recon = None
-    beta, gamma = (cfg.beta, cfg.gamma) if with_private else (0.0, 0.0)
+    heads = {"domain": (cfg.net.domain_hidden, STREAM_DOMAIN_INIT)}
     if with_private:
-        private_src = init_mlp(
-            _chain_spec(shared.in_dim, cfg.net.private_hidden, Activation.RELU, k, Activation.SIGMOID),
-            Rng(cfg.seed).derive(STREAM_PRIVATE_SRC_INIT),
-        )
-        private_tgt = init_mlp(
-            _chain_spec(shared.in_dim, cfg.net.private_hidden, Activation.RELU, k, Activation.SIGMOID),
-            Rng(cfg.seed).derive(STREAM_PRIVATE_TGT_INIT),
-        )
-        recon = init_mlp(
-            _chain_spec(2 * k, cfg.net.recon_hidden, Activation.RELU, shared.in_dim, Activation.LINEAR),
-            Rng(cfg.seed).derive(STREAM_RECON_INIT),
-        )
-    return DsnModel(
-        shared=shared,
-        senone=senone,
-        domain=domain,
-        private_src=private_src,
-        private_tgt=private_tgt,
-        recon=recon,
-        alpha=cfg.alpha,
-        beta=beta,
-        gamma=gamma,
-    )
+        heads["private_src"] = (cfg.net.private_hidden, STREAM_PRIVATE_SRC_INIT)
+        heads["private_tgt"] = (cfg.net.private_hidden, STREAM_PRIVATE_TGT_INIT)
+        heads["recon"] = (cfg.net.recon_hidden, STREAM_RECON_INIT)
+    shapes = net_shapes(shared.out_dim, shared.in_dim, senone.out_dim)
+    nets = {name: None for name in ("private_src", "private_tgt", "recon")}
+    for name, (hidden, stream) in heads.items():
+        nets[name] = init_mlp(_chain_spec(hidden, Activation.RELU, *shapes[name]), Rng(cfg.seed).derive(stream))
+    beta, gamma = (cfg.beta, cfg.gamma) if with_private else (0.0, 0.0)
+    return DsnModel(shared=shared, senone=senone, **nets, alpha=cfg.alpha, beta=beta, gamma=gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -262,15 +244,13 @@ def _train(cfg: ExperimentConfig, stream_id: int, sizes: Sequence[int],
     return trace
 
 
-def pretrain_source(
-    cfg: ExperimentConfig, source_train: Corpus, source_test: Corpus | None = None
-) -> tuple[Mlp, RunReport]:
+def pretrain_source(cfg: ExperimentConfig, source_train: Corpus) -> tuple[Mlp, RunReport]:
     """Minibatch cross-entropy training of the source classifier. A record's
     senone and total loss are the cross-entropy; its domain accuracy is nan.
     A non-finite gradient is re-raised prefixed with "source"."""
     if not source_train.is_labeled:
         raise ContractError("pretraining needs a labeled source corpus")
-    spec = _chain_spec(source_train.dim, cfg.net.source_hidden, Activation.SIGMOID,
+    spec = _chain_spec(cfg.net.source_hidden, Activation.SIGMOID, source_train.dim,
                        cfg.synth.num_classes, Activation.SOFTMAX)
     net = init_mlp(spec, Rng(cfg.seed).derive(STREAM_SOURCE_INIT))
 
@@ -281,10 +261,7 @@ def pretrain_source(
         return apply_step(StepTrace(loss, 0.0, 0.0, 0.0, loss, np.nan), {"source": (net, grad)}, cfg.mu)
 
     trace = _train(cfg, STREAM_BATCH_PRETRAIN, (len(source_train),), step)
-    evals = {}
-    if source_test is not None:
-        evals["source_test"] = evaluate((net,), source_test)
-    return net, RunReport("pretrain", trace, evals)
+    return net, RunReport("pretrain", trace, {})
 
 
 def _adapt(
@@ -292,7 +269,6 @@ def _adapt(
     source_dnn: Mlp,
     source_train: Corpus,
     target_adapt: Corpus,
-    source_test: Corpus | None,
     with_private: bool,
 ) -> tuple[DsnModel, RunReport]:
     if not source_train.is_labeled:
@@ -308,11 +284,7 @@ def _adapt(
         return dsn_step(model, x, source_train.labels[si], cfg.mu)[1]
 
     trace = _train(cfg, STREAM_BATCH_ADAPT, (len(source_train), len(target_adapt)), step)
-    evals = {}
-    if source_test is not None:
-        evals["source_test"] = evaluate(adapted_model(model), source_test)
-    mode = "adapt_dsn" if with_private else "adapt_grl"
-    return model, RunReport(mode, trace, evals)
+    return model, RunReport("adapt_dsn" if with_private else "adapt_grl", trace, {})
 
 
 def adapt_grl(
@@ -320,10 +292,9 @@ def adapt_grl(
     source_dnn: Mlp,
     source_train: Corpus,
     target_adapt: Corpus,
-    source_test: Corpus | None = None,
 ) -> tuple[DsnModel, RunReport]:
     """Reversal-only baseline: no private extractors, beta = gamma = 0."""
-    return _adapt(cfg, source_dnn, source_train, target_adapt, source_test, with_private=False)
+    return _adapt(cfg, source_dnn, source_train, target_adapt, with_private=False)
 
 
 def adapt_dsn(
@@ -331,10 +302,9 @@ def adapt_dsn(
     source_dnn: Mlp,
     source_train: Corpus,
     target_adapt: Corpus,
-    source_test: Corpus | None = None,
 ) -> tuple[DsnModel, RunReport]:
     """Full model: private extractors and reconstructor freshly initialized."""
-    return _adapt(cfg, source_dnn, source_train, target_adapt, source_test, with_private=True)
+    return _adapt(cfg, source_dnn, source_train, target_adapt, with_private=True)
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,17 @@ def _trailing_line_model(tmp_path):
     return mode, line, f"{name}: line {len(lines) + 1}: expected a 'layer' line or the end of the file"
 
 
+def _sigmoid_senone_model(tmp_path):
+    mode, line, name = _bad_model_file(tmp_path, ("", ""))  # a valid reversal-only model
+    path = tmp_path / name
+    lines = path.read_text().splitlines()
+    senone = [i for i, text in enumerate(lines, 1) if text == "dsn-mlp v1"][1]  # its block's first line
+    assert lines[senone] == "layer 0 4 10 softmax"  # the block's one layer
+    lines[senone] = "layer 0 4 10 sigmoid"
+    path.write_text("\n".join(lines) + "\n")
+    return mode, line, f"{name}: line {senone}: senone: must map 4 -> 10 features and end in softmax"
+
+
 def _sigmoid_output_model(tmp_path):
     path = tmp_path / "sigmoid.mlp"
     save_mlp(init_mlp([(40, 8, "sigmoid"), (8, 8, "sigmoid"), (8, 10, "sigmoid")], Rng(1)), path)
@@ -294,11 +305,19 @@ def _bad_mlp_file(tmp_path, body, line):
         # a fourth weight row read as the bias leaves the real bias row over
         lambda d: _bad_mlp_file(d, "layer 0 3 3 linear\n1 0 0\n0 1 0\n0 0 1\n1 1 1\n0 0 0\n", 7),
         _trailing_line_model,
+        _sigmoid_senone_model,
         lambda d: (*_bad_model_file(d, ("gamma=0", "gamma=0 alpha=7"))[:2],
                    "model.dsn: line 2: duplicate manifest key 'alpha'"),
         lambda d: _data_dir(d, "pretrain", "source_train.csv: no records", source_train=_HEADER.format(1)),
         lambda d: _data_dir(d, "pretrain", "source_train.csv: line 3: label -1",
                             source_train=_HEADER.format(1) + "u,0,src,0,1.5\nu,1,src,-1,2.5\n"),
+        lambda d: _data_dir(d, "pretrain",
+                            "source_train.csv: line 2: domain tag 'tgt'; source_train holds source frames",
+                            source_train=_HEADER.format(1) + "u,0,tgt,0,1.5\nu,1,tgt,1,2.5\n"),
+        lambda d: _data_dir(d, "adapt_dsn",
+                            "target_adapt.csv: line 2: domain tag 'src'; target_adapt holds target frames",
+                            source_train=_HEADER.format(1) + "u,0,src,0,1.5\n",
+                            target_adapt=_HEADER.format(1) + "v,0,src,-1,1.5\n"),
         lambda d: _data_dir(d, "adapt_dsn", "target_adapt.csv: no records",
                             source_train=_HEADER.format(1) + "u,0,src,0,1.5\n", target_adapt=_HEADER.format(1)),
         lambda d: _data_dir(d, "pretrain", "source_train.csv has dim=2",
@@ -338,9 +357,12 @@ def _bad_mlp_file(tmp_path, body, line):
         "zero-width-layer",
         "extra-weight-row",
         "trailing-line",
+        "sigmoid-senone-in-model",
         "repeated-manifest-key",
         "empty-source-train",
         "unlabeled-source-train",
+        "source-train-tagged-tgt",
+        "target-adapt-tagged-src",
         "empty-target-adapt",
         "different-dims",
         "too-few-classes",
@@ -401,3 +423,16 @@ def test_second_run_over_one_data_dir_loads_sidecars_and_matches_the_first(tmp_p
                                "pretrain/trace.csv"]  # no sidecar in --out
     for name in first:
         assert (tmp_path / "second" / name).read_bytes() == (tmp_path / "first" / name).read_bytes()
+
+
+def test_adapt_report_scores_source_test_and_no_target_test(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text(_TINY)
+    assert main(["pretrain", "--config", str(config), "--out", str(tmp_path / "pretrain")]) == 0
+    config.write_text(_TINY + f"pretrained_model = {tmp_path / 'pretrain' / 'model.dsn'}\n")
+    assert main(["adapt_grl", "--config", str(config), "--out", str(tmp_path / "adapt")]) == 0
+    rows = [line.split(",") for line in (tmp_path / "adapt" / "report.csv").read_text().splitlines()[1:]]
+    assert rows[0] == ["mode", "", "", "", "adapt_grl"]
+    corpora = {row[1] for row in rows if row[0] in ("frames", "errors", "error_rate", "confusion")}
+    assert corpora == {"source_test"}  # no target_test row: adaptation loads no target labels
+    assert len((tmp_path / "adapt" / "trace.csv").read_text().splitlines()) == 1 + 2  # header, then 2 epochs

@@ -3,6 +3,7 @@
 import copy
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -654,4 +655,54 @@ def test_loader_names_the_manifest_line_of_a_bad_coefficient(tmp_path, edit):
     path.write_text("\n".join(lines) + "\n")
     name = edit[0].split("=")[0]
     with pytest.raises(DataError, match=f"^{re.escape(str(path))}: line 2: .*{name} must be finite and >= 0"):
+        load_dsn_model(path)
+
+
+# every net but the shared extractor and each part of its net_shapes row; a
+# senone head's output width is q itself, so no head misfits it
+MISFITS = [(name, part) for name in dsn.net_shapes(K, D, Q) for part in ("in", "out", "activation")
+           if (name, part) != ("senone", "out")]
+
+
+@pytest.mark.parametrize("name, part", MISFITS)
+def test_model_rejects_a_net_that_misfits_its_row_naming_it(name, part):
+    din, dout, act = dsn.net_shapes(K, D, Q)[name]
+    spec = {"in": (din + 1, dout, act), "out": (din, dout + 1, act), "activation": (din, dout, Activation.RELU)}
+    bad = init_mlp([spec[part]], Rng(30))
+    with pytest.raises(ConfigError, match=f"^{name}: must map {din} -> {dout} features and end in {act.value}, "):
+        replace(tiny_model(), **{name: bad})
+
+
+def test_model_rejects_private_nets_without_the_reconstructor():
+    with pytest.raises(ConfigError, match="must be present together"):
+        replace(tiny_model(), recon=None)
+
+
+def _block_headers(lines):
+    return [i for i, line in enumerate(lines, 1) if line == "dsn-mlp v1"]
+
+
+@pytest.mark.parametrize("name", list(dsn.net_shapes(K, D, Q)))
+def test_loader_names_the_block_of_a_misfit_net(tmp_path, name):
+    path = tmp_path / "model.dsn"
+    save_dsn_model(tiny_model(seed=25), path)
+    lines = path.read_text().splitlines()
+    present = lines[2].split()[1:]
+    headers = _block_headers(lines) + [len(lines) + 1]
+    start, stop = headers[present.index(name)], headers[present.index(name) + 1]
+    last_layer = max(i for i in range(start, stop) if lines[i - 1].startswith("layer "))
+    words = lines[last_layer - 1].split()
+    lines[last_layer - 1] = " ".join(words[:-1] + ["relu"])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: line {start}: {name}: must map "):
+        load_dsn_model(path)
+
+
+def test_loader_names_the_nets_line_when_the_reconstructor_is_missing(tmp_path):
+    path = tmp_path / "model.dsn"
+    save_dsn_model(tiny_model(seed=26), path)
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2].replace(" recon", "")
+    path.write_text("\n".join(lines[: _block_headers(lines)[-1] - 1]) + "\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: line 3: private extractors and reconstructor"):
         load_dsn_model(path)
