@@ -13,13 +13,14 @@ import math
 import os
 import secrets
 from dataclasses import dataclass, replace
+from itertools import chain, islice
 from pathlib import Path
-from typing import Sequence
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, DataError
-from .nn import Rng, _box_muller, read_bytes, read_lines
+from .nn import Rng, _box_muller
 
 VARIANCE_FLOOR = 1e-8
 
@@ -154,40 +155,38 @@ def class_means(cfg: SynthConfig, rng: Rng) -> np.ndarray:
     return c * dirs / norms
 
 
-def _gen_corpus(
-    cfg: SynthConfig,
-    rng: Rng,
-    means: np.ndarray,
-    channel: np.ndarray | None,
-    prefix: str,
-    n_utts: int,
-    labeled: bool,
-) -> Corpus:
+def _gen_corpus(cfg: SynthConfig, rng: Rng, means: np.ndarray, channel: np.ndarray | None, prefix: str,
+                n_utts: int, labeled: bool) -> Corpus:
     """Draw order per utterance: frame labels first, then the base feature
     normals row-major, then (target only) the additive noise normals. A
     corpus drawn through the channel is the target domain.
 
-    All of it comes from one block of raw draws, a row per utterance: f label
-    draws, then w = f * d rounded up to even draws for the base normals (what
-    Rng.normals(f * d) takes), then (target only) w for the noise."""
+    Raw draws come a run of utterances (about 8 * BLOCK_RECORDS frames) at a
+    time, a row per utterance: f label draws, then w = f * d rounded up to
+    even draws for the base normals (what Rng.normals(f * d) takes), then
+    (target only) w for the noise. Each run's frames are made in their slice
+    of the output, so memory beyond the corpus is one run's."""
     d, f = cfg.base_dim, cfg.frames_per_utterance
     w = f * d + (f * d) % 2
     cols = f + w if channel is None else f + 2 * w
-    raw = rng._raw_block(n_utts * cols).reshape(n_utts, cols)
-    labels = (raw[:, :f] % np.uint64(cfg.num_classes)).astype(np.int64)
-    feats = means[labels] + _box_muller(raw[:, f : f + w])[:, : f * d].reshape(n_utts, f, d)
-    if channel is not None:
-        # stacked, so BLAS makes one (f, d) @ (d, d) product per utterance as a
-        # per-utterance draw does; one (n_utts * f, d) product can differ in the last bit
-        noise = _box_muller(raw[:, f + w :])[:, : f * d].reshape(n_utts, f, d)
-        feats = np.matmul(feats, channel.T) + cfg.noise_std * noise
+    labels, feats = np.empty((n_utts, f), dtype=np.int64), np.empty((n_utts, f, d))
+    per_block = max(1, 8 * BLOCK_RECORDS // f)
+    for u in range(0, n_utts, per_block):
+        out, lab = feats[u : u + per_block], labels[u : u + per_block]
+        raw = rng._raw_block(len(out) * cols).reshape(len(out), cols)
+        lab[...] = raw[:, :f] % np.uint64(cfg.num_classes)
+        # the normals before means[lab], which would sit beside _box_muller's peak (a + b is b + a in IEEE)
+        np.add(_box_muller(raw[:, f : f + w])[:, : f * d].reshape(out.shape), means[lab], out=out)
+        if channel is not None:
+            # stacked, so BLAS makes one (f, d) @ (d, d) product per utterance as a
+            # per-utterance draw does; one (len(out) * f, d) product can differ in the last bit
+            noise = _box_muller(raw[:, f + w :])[:, : f * d].reshape(out.shape)
+            noise *= cfg.noise_std
+            out[...] = np.matmul(out, channel.T)
+            out += noise
     utt_ids = [utt for u in range(n_utts) for utt in [f"{prefix}-{u:05d}"] * f]  # one str per utterance
-    return Corpus(
-        domain=0 if channel is None else 1,
-        utt_ids=utt_ids,
-        labels=labels.ravel() if labeled else np.full(n_utts * f, -1, dtype=np.int64),
-        features=feats.reshape(n_utts * f, d),
-    )
+    return Corpus(domain=0 if channel is None else 1, utt_ids=utt_ids, features=feats.reshape(n_utts * f, d),
+                  labels=labels.ravel() if labeled else np.full(n_utts * f, -1, dtype=np.int64))
 
 
 def synth_corpus(cfg: SynthConfig) -> Corpora:
@@ -277,14 +276,12 @@ def _pooled_column_sum(stats_from: Sequence[Corpus], mean: np.ndarray | None = N
 #
 # Both directions work on BLOCK_RECORDS records at a time, so a file costs a
 # few numpy calls per block rather than Python work per value, and memory
-# beyond the file's lines and the result stays one block's worth. The reader
-# checks a whole block before it keeps any of it: field counts, frame_idx
-# (carried across block edges), the domain tag, labels, then feature values
-# and their finiteness. A faulty file is a DataError naming its earliest
-# faulty line; a line with several faults reports the first in that order.
-#
-# The file's bytes serve only the sidecar key and the decode, and are dropped
-# before the parse, which holds the decoded lines and the result.
+# beyond the result stays one block's worth: the reader holds one block of
+# the file's lines, never the whole file. The reader checks a whole block
+# before it keeps any of it: UTF-8, field counts, frame_idx (carried across
+# block edges), the domain tag, labels, then feature values and their
+# finiteness. A faulty file is a DataError naming its earliest faulty line; a
+# line with several faults reports the first in that order.
 #
 # Each file is parsed once per reader mode. A successful parse is saved beside
 # the file as the hidden sidecar .<file name>.<labeled|unlabeled>.npz, keyed by
@@ -292,13 +289,13 @@ def _pooled_column_sum(stats_from: Sequence[Corpus], mean: np.ndarray | None = N
 # whose key matches the sidecar's loads it (numpy arrays only, no pickle, with
 # dtypes, shapes and finiteness checked) instead of parsing; any other sidecar,
 # or one that does not load, is a miss, and the read parses the file and
-# replaces it. Bump SIDECAR_VERSION whenever the reader's checks or output
-# change, so no sidecar written before serves a read after. The sidecar is
-# written to a unique temporary name and moved into place with os.replace, so
-# a reader never sees half of one; where the directory cannot be written, the
-# read skips the sidecar and the next read parses again. The labeled and
-# unlabeled reads of a file never share a sidecar, so an unlabeled read never
-# returns labels.
+# replaces it, if the bytes parsed hash to the key. Bump SIDECAR_VERSION
+# whenever the reader's checks or output change, so no sidecar written before
+# serves a read after. The sidecar is written to a unique temporary name and
+# moved into place with os.replace, so a reader never sees half of one; where
+# the directory cannot be written, the read skips the sidecar and the next
+# read parses again. The labeled and unlabeled reads of a file never share a
+# sidecar, so an unlabeled read never returns labels.
 # ---------------------------------------------------------------------------
 
 BLOCK_RECORDS = 2048
@@ -354,15 +351,43 @@ def _first_uncastable(fields: np.ndarray, dtype: type) -> int:
 
 
 def _read_corpus(path: str | Path, parse_labels: bool) -> Corpus:
-    raw = read_bytes(path)
-    key = (hashlib.sha256(raw).hexdigest(), "labeled" if parse_labels else "unlabeled", SIDECAR_VERSION)
-    sidecar = Path(path).with_name(f".{Path(path).name}.{key[1]}.npz")
-    corpus = _load_sidecar(sidecar, key)
-    if corpus is None:
-        lines, raw = read_lines(path, raw), None
-        corpus = _parse_corpus(lines, path, parse_labels)
-        _save_sidecar(sidecar, key, corpus)
+    try:
+        with open(path, "rb") as file:
+            keyed, parsed = hashlib.sha256(), hashlib.sha256()
+            while chunk := file.read(1 << 16):
+                keyed.update(chunk)
+            key = (keyed.hexdigest(), "labeled" if parse_labels else "unlabeled", SIDECAR_VERSION)
+            sidecar = Path(path).with_name(f".{Path(path).name}.{key[1]}.npz")
+            corpus = _load_sidecar(sidecar, key)
+            if corpus is None:
+                file.seek(0)
+                corpus = _parse_corpus(_line_blocks(file, path, parsed.update), path, parse_labels)
+                if parsed.hexdigest() == key[0]:  # the bytes parsed are the bytes keyed
+                    _save_sidecar(sidecar, key, corpus)
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from None
     return corpus
+
+
+def _line_blocks(file: BinaryIO, path: str | Path, update: Callable[[bytes], object]) -> Iterator[list[str]]:
+    """The file's lines as str.splitlines numbers the whole text's, split
+    BLOCK_RECORDS binary lines at a time (a newline byte ends a line and no
+    UTF-8 sequence), each block's bytes passed to update. A byte that is not
+    UTF-8 is a DataError naming its line, raised after the lines before it."""
+    count = 0
+    while raw := b"".join(islice(file, BLOCK_RECORDS)):
+        update(raw)
+        try:
+            lines = raw.decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            lines = (raw[: exc.start].decode("utf-8") + ".").splitlines()  # the last is the bad byte's line
+            if len(lines) > 1:
+                yield lines[:-1]
+            raise DataError(f"{path}: line {count + len(lines)}: not UTF-8 text") from None
+        count += len(lines)
+        del raw
+        yield lines
+        del lines  # before the next block is read
 
 
 def _load_sidecar(sidecar: Path, key: tuple[str, str, int]) -> Corpus | None:
@@ -414,17 +439,17 @@ def _save_sidecar(sidecar: Path, key: tuple[str, str, int], corpus: Corpus) -> N
         pass  # a directory that cannot take the sidecar only costs the next read a parse
 
 
-def _parse_corpus(lines: list[str], path: str | Path, parse_labels: bool) -> Corpus:
-    if not lines:
+def _parse_corpus(blocks: Iterator[list[str]], path: str | Path, parse_labels: bool) -> Corpus:
+    """The corpus of a file's lines, given in non-empty blocks, the header first."""
+    block = next(blocks, None)
+    if block is None:
         raise DataError(f"{path}: empty file")
-    dim = _parse_header(lines[0], str(path))
-    n = len(lines) - 1
+    dim = _parse_header(block[0], str(path))
     utt_ids: list[str] = []
-    labels = np.full(n, -1, dtype=np.int64)
-    features = np.empty((n, dim))
-    tag, last_utt, last_pos = None, None, -1
-    for start in range(0, n, BLOCK_RECORDS):
-        block = lines[1 + start : 1 + start + BLOCK_RECORDS]
+    labels = np.empty(0, dtype=np.int64)
+    features = np.empty((0, dim))
+    tag, last_utt, last_pos, start = None, None, -1, 0
+    for block in chain([block[1:]] if len(block) > 1 else [], blocks):
         # (row, message) of the earliest fault found so far; each later check
         # looks only at the m rows above it
         fault, m = None, len(block)
@@ -472,13 +497,15 @@ def _parse_corpus(lines: list[str], path: str | Path, parse_labels: bool) -> Cor
         if fault is not None:
             raise DataError(f"{path}: line {start + 2 + fault[0]}: {fault[1]}")
 
-        if parse_labels:
-            labels[start : start + m] = block_labels
-        features[start : start + m] = block_features
+        # realloc, which keeps no second copy of the rows kept so far; no view of either array is held
+        features.resize((start + m, dim), refcheck=False)
+        labels.resize(start + m, refcheck=False)
+        features[start:], labels[start:] = block_features, block_labels if parse_labels else -1
         if not new[0]:
             utt[0] = last_utt
         utt_ids += utt[np.maximum(run_start, 0)].tolist()  # one str per utterance, shared by its records
-        last_utt, last_pos = utt_ids[-1], int(pos[-1])
+        last_utt, last_pos, start = utt_ids[-1], int(pos[-1]), start + m
+        del block, rows, utt, previous  # before the next block is read
     return Corpus(_DOMAIN_TAGS.index(tag) if tag else 0, utt_ids, labels, features)
 
 

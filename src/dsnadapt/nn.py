@@ -71,12 +71,15 @@ class Rng:
 
     def _raw_block(self, n: int) -> np.ndarray:
         """Next n raw 64-bit draws as a uint64 array."""
-        ks = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
+        z = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
         self._count += n
-        z = np.uint64(self._seed) + ks * np.uint64(_GOLDEN)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+        z *= np.uint64(_GOLDEN)  # in place, so n draws hold two arrays of n at most
+        z += np.uint64(self._seed)
+        for shift, mix in ((30, _MIX1), (27, _MIX2)):
+            z ^= z >> np.uint64(shift)
+            z *= np.uint64(mix)
+        z ^= z >> np.uint64(31)
+        return z
 
     def uniforms(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
         u = (self._raw_block(n) >> np.uint64(11)).astype(np.float64) * _DOUBLE_UNIT
@@ -392,23 +395,13 @@ def mlp_to_lines(net: Mlp) -> list[str]:
     return lines
 
 
-def read_bytes(path: str | Path) -> bytes:
-    """The bytes of a file; a file that cannot be read is a DataError naming it."""
+def read_lines(path: str | Path) -> list[str]:
+    """The lines of a UTF-8 text file; a file that cannot be read or decoded
+    is a DataError naming it."""
     try:
-        return Path(path).read_bytes()
-    except OSError as exc:
-        raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from None
-
-
-def read_lines(path: str | Path, raw: bytes | None = None) -> list[str]:
-    """The lines of a UTF-8 text file, decoded from raw when the caller has
-    already read its bytes; a file that cannot be read or decoded is a
-    DataError naming it."""
-    raw = read_bytes(path) if raw is None else raw
-    try:
-        return raw.decode("utf-8").splitlines()
-    except UnicodeError as exc:
-        raise DataError(f"{path}: cannot read: {exc}") from None
+        return Path(path).read_bytes().decode("utf-8").splitlines()
+    except (OSError, UnicodeError) as exc:
+        raise DataError(f"{path}: cannot read: {getattr(exc, 'strerror', None) or exc}") from None
 
 
 class LineCursor:

@@ -25,15 +25,7 @@ from .data import (_DOMAIN_TAGS, BLOCK_RECORDS, Corpora, Corpus, cmvn, read_corp
                    synth_corpus)
 from .dsn import DsnModel, StepTrace, adapted_model, apply_step, dsn_step, net_shapes, split_pretrained
 from .errors import ConfigError, ContractError, DataError, TrainingDivergedError
-from .nn import (
-    Activation,
-    Mlp,
-    Rng,
-    backward,
-    cross_entropy_loss,
-    forward,
-    init_mlp,
-)
+from .nn import Activation, Mlp, Rng, backward, cross_entropy_loss, forward, init_mlp
 
 # Sub-stream ids; part of the reproducibility contract.
 STREAM_SOURCE_INIT = 0
@@ -189,24 +181,21 @@ def evaluate(nets: Sequence[Mlp], corpus: Corpus) -> EvalResult:
     lowest class index.
 
     The model input (Corpus.rows) goes through the nets BLOCK_RECORDS rows
-    at a time, so the windows and activations of a block or two are held,
-    not the whole set's. A tail shorter than BLOCK_RECORDS joins the block
-    before it, so no block is shorter unless the whole set is: OpenBLAS can
-    take another path for products of a few rows, and a block of a few
-    hundred rows or more gives the whole-set product's posteriors bit for
-    bit."""
+    at a time, so the windows and activations of one block are held, not the
+    whole set's. A block of a few hundred rows or more gives the whole-set
+    product's posteriors bit for bit; OpenBLAS can take another path for a
+    last block of a few rows, whose posteriors may move in the last bit."""
     if not corpus.is_labeled:
         raise ContractError("evaluation needs a labeled corpus")
     q, n = nets[-1].out_dim, len(corpus)
     if int(corpus.labels.max()) >= q:
         raise DataError(f"label {int(corpus.labels.max())} out of range for {q} classes")
     pred = np.empty(n, dtype=np.int64)
-    starts = range(0, max(n // BLOCK_RECORDS, 1) * BLOCK_RECORDS, BLOCK_RECORDS)
-    for start, stop in zip(starts, [*starts[1:], n]):
-        x = corpus.rows(slice(start, stop))
+    for start in range(0, n, BLOCK_RECORDS):
+        x = corpus.rows(slice(start, start + BLOCK_RECORDS))
         for net in nets:
             x, _ = forward(net, x)
-        pred[start:stop] = x.argmax(axis=1)
+        pred[start : start + BLOCK_RECORDS] = x.argmax(axis=1)
     errors = int((pred != corpus.labels).sum())
     confusion = np.zeros((q, q), dtype=np.int64)
     np.add.at(confusion, (corpus.labels, pred), 1)

@@ -268,9 +268,9 @@ def _data_dir(tmp_path, mode, name, **files):
     return mode, line, name
 
 
-def _unreadable_corpus(tmp_path, make):
+def _unreadable_corpus(tmp_path, make, message):
     make(tmp_path / "source_train.csv")
-    return "pretrain", f"data_dir = {tmp_path}", "source_train.csv: cannot read:"
+    return "pretrain", f"data_dir = {tmp_path}", f"source_train.csv: {message}"
 
 
 def _few_classes_model(tmp_path):
@@ -332,8 +332,9 @@ def _bad_mlp_file(tmp_path, body, line):
         lambda d: _bad_nets_line(d, "nets shared"),
         lambda d: _bad_nets_line(d, "nets shared senone domain domain"),
         _sigmoid_output_model,
-        lambda d: _unreadable_corpus(d, lambda p: p.write_bytes(_HEADER.format(1).encode() + b"u\xe9,0,src,0,1.5\n")),
-        lambda d: _unreadable_corpus(d, Path.mkdir),
+        lambda d: _unreadable_corpus(d, lambda p: p.write_bytes(_HEADER.format(1).encode() + b"u\xe9,0,src,0,1.5\n"),
+                                     "line 2: not UTF-8 text"),
+        lambda d: _unreadable_corpus(d, Path.mkdir, "cannot read:"),
         lambda d: _data_dir(d, "pretrain", f"{d / 'source_train.csv'} and {d / 'target_adapt.csv'}: feature dim 2 of 2: "
                             "its mean or variance overflows float64",
                             source_train=_HEADER.format(2) + "u,0,src,0,1.5,1e200\nu,1,src,1,2.5,-1e200\n",

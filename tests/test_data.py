@@ -2,7 +2,6 @@
 
 import statistics
 import sys
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -72,6 +71,19 @@ def test_synth_matches_the_per_utterance_oracle(monkeypatch, frames, base_dim, u
     # num_classes above 2 * base_dim draws random class means first
     cfg = toy_cfg(num_classes=2 * base_dim + 1, base_dim=base_dim, utterances_per_domain=utterances,
                   frames_per_utterance=frames, seed=1000 * frames + 10 * base_dim + utterances)
+    _assert_synth_matches_the_per_utterance_oracle(monkeypatch, cfg)
+
+
+@pytest.mark.parametrize("frames, base_dim, utterances", [(100, 8, 400), (7, 3, 5000)])
+def test_synth_in_several_raw_blocks_matches_the_per_utterance_oracle(monkeypatch, frames, base_dim, utterances):
+    # 163 and 2,340 utterances per raw block: each training corpus takes three
+    # blocks, the last one short, and each test corpus one
+    cfg = toy_cfg(base_dim=base_dim, utterances_per_domain=utterances, frames_per_utterance=frames, seed=frames)
+    _assert_synth_matches_the_per_utterance_oracle(monkeypatch, cfg)
+
+
+def _assert_synth_matches_the_per_utterance_oracle(monkeypatch, cfg):
+    frames = cfg.frames_per_utterance
     got = synth_corpus(cfg)
     monkeypatch.setattr(data, "_gen_corpus", gen_corpus_by_utterance)
     want = synth_corpus(cfg)
@@ -82,6 +94,25 @@ def test_synth_matches_the_per_utterance_oracle(monkeypatch, frames, base_dim, u
         assert np.array_equal(a.labels, b.labels)
         assert a.utt_ids == b.utt_ids
         assert len({id(u) for u in a.utt_ids}) == len(a) // frames  # one str per utterance
+
+
+def _held_bytes(corpus):
+    """Traced bytes of a corpus's arrays and of its utt id list with the strs it holds."""
+    ids = {id(u): u for u in corpus.utt_ids}.values()
+    return corpus.features.nbytes + corpus.labels.nbytes + sys.getsizeof(corpus.utt_ids) + sum(map(sys.getsizeof, ids))
+
+
+def test_synthesis_holds_one_run_of_draws_beyond_its_corpora():
+    # beyond the corpora it returns, synthesis holds one run of raw draws and
+    # what is made from it: about 6.5 MB at 400 utterances and 7.3 MB at 1,600.
+    # Drawing a corpus in one block held 13.2 and 53.0 MB.
+    beyond = []
+    for utterances in (400, 1600):
+        cfg = toy_cfg(utterances_per_domain=utterances, frames_per_utterance=100)
+        got = []
+        peak = traced_peak_bytes(lambda: got.append(synth_corpus(cfg)))
+        beyond.append(peak - sum(_held_bytes(c) for c in vars(got[0]).values()))
+    assert beyond[1] < 1.4 * beyond[0]
 
 
 def test_synth_shapes_and_labeling():
@@ -490,6 +521,7 @@ _FAULTS = {
     "label-overflow": lambda f: ([*f[:3], "9" * 20, *f[4:]], f"bad label '{'9' * 20}'"),
     "bad-float": lambda f: ([*f[:5], "1.5.2", *f[6:]], "bad feature value"),
     "non-finite": lambda f: ([*f[:-1], "-inf"], "non-finite feature value"),
+    "not-utf8": lambda f: ([*f[:4], f[4] + "\udcff", *f[5:]], "not UTF-8 text"),  # written as the byte 0xff
 }
 
 
@@ -507,7 +539,7 @@ def _faulty_file(tmp_path, faults: dict[int, str]):
         fields, message = _FAULTS[kind](lines[record + 1].split(","))
         lines[record + 1] = ",".join(fields)
         expected[record + 2] = message
-    path.write_text("\n".join(lines) + "\n")
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
     return path, expected
 
 
@@ -536,9 +568,13 @@ def test_one_fault_at_a_block_edge_names_its_line(tmp_path, kind, record):
         {9: "short-record", 2: "bad-label"},
         {BLOCK_RECORDS - 1: "bad-label", BLOCK_RECORDS: "domain-tag"},
         {BLOCK_RECORDS + 2: "short-record", 1: "non-finite"},
+        {BLOCK_RECORDS + 1: "bad-float", BLOCK_RECORDS + 3: "not-utf8"},
+        {BLOCK_RECORDS + 1: "not-utf8", BLOCK_RECORDS + 3: "bad-float"},
+        {3: "not-utf8", BLOCK_RECORDS + 3: "short-record"},
     ],
     ids=["bad-float-first", "non-finite-first", "short-record-first", "bad-label-first",
-         "either-side-of-a-block-edge", "in-two-blocks"],
+         "either-side-of-a-block-edge", "in-two-blocks", "bad-float-before-a-bad-byte",
+         "bad-byte-before-a-bad-float", "bad-byte-in-the-first-block"],
 )
 def test_several_faults_name_the_earliest(tmp_path, faults):
     path, expected = _faulty_file(tmp_path, faults)
@@ -651,6 +687,43 @@ def test_writer_rejects_ids_that_split_a_record(tmp_path, utt_id):
     assert not path.exists()  # rejected before the file is opened
 
 
+# Each edit of one record's line: (what goes after its 9th character, its
+# line end). None is the file's last line written without a line end.
+_LINE_EDITS = {"crlf": ("", "\r\n"), "lone-cr": ("", "\r"),
+               **{f"split-by-{ord(c):x}": (c, "\n") for c in "\x0b\x0c\x1c\x85\u2028"}}
+
+
+@pytest.mark.parametrize("record", [BLOCK_RECORDS - 3, BLOCK_RECORDS - 2, BLOCK_RECORDS - 1, BLOCK_RECORDS])
+@pytest.mark.parametrize("edit", [*_LINE_EDITS, None])
+def test_lines_are_numbered_as_in_the_whole_text(tmp_path, edit, record):
+    # the first block of the file's lines ends after record BLOCK_RECORDS - 2;
+    # each edit sits on either side of that edge
+    n = BLOCK_RECORDS + 2 if edit else record + 1
+    corpus = Corpus(1, [f"u{i // 3}" for i in range(n)], np.arange(n) % 4, np.arange(2.0 * n).reshape(n, 2) / 7)
+    path = tmp_path / "c.csv"
+    write_corpus(corpus, path)
+    lines = [line + "\n" for line in path.read_text(encoding="utf-8").splitlines()]
+    inside, end = _LINE_EDITS[edit] if edit else ("", "")
+    lines[record + 1] = lines[record + 1][:9] + inside + lines[record + 1][9:-1] + end
+    text = "".join(lines)
+    path.write_bytes(text.encode("utf-8"))
+    splits = edit is not None and edit.startswith("split-by-")
+    for mode, reader in _READERS.items():
+        if splits:
+            with pytest.raises(DataError) as expected:
+                data._parse_corpus(iter([text.splitlines()]), path, mode == "labeled")
+            assert f"{path}: line {record + 2}: expected 6 fields" in str(expected.value)
+            with pytest.raises(DataError) as got:
+                reader(path)
+            assert str(got.value) == str(expected.value)
+            continue
+        expected = data._parse_corpus(iter([text.splitlines()]), path, mode == "labeled")
+        loaded = reader(path)
+        assert len(loaded) == n and loaded.utt_ids == expected.utt_ids == corpus.utt_ids
+        assert np.array_equal(loaded.labels, expected.labels)
+        assert _same_bits(loaded.features, expected.features) and _same_bits(loaded.features, corpus.features)
+
+
 def test_writer_rejects_spliced_or_normalized_corpora(tmp_path):
     # a file holds raw frames under spliced=0, so a corpus whose model input
     # is not its features has no faithful file
@@ -739,28 +812,50 @@ def test_changed_byte_forces_a_parse(tmp_path, monkeypatch):
     assert len(parses) == 2
 
 
-def test_cold_read_drops_the_file_bytes_before_the_parse(tmp_path, monkeypatch):
-    # the bytes serve the sidecar key and the decode; holding them through the
-    # parse puts the file's size beside the decoded lines
+def test_cold_read_holds_a_block_beyond_its_result(tmp_path):
+    # a cold read (a parse, then a sidecar save) holds one block of the file's
+    # lines beside its result, about 1.3 MB here; holding the file, all its lines
+    # or a second copy of the result would grow with the file
+    beyond = {}
+    for blocks in (3, 12):
+        n = blocks * BLOCK_RECORDS
+        path = tmp_path / f"c{blocks}.csv"
+        write_corpus(Corpus(0, [f"u{i // 100}" for i in range(n)], np.arange(n) % 5,
+                            Rng(4).normals(2 * n).reshape(n, 2)), path)
+        for mode, reader in _READERS.items():
+            got = []
+            peak = traced_peak_bytes(lambda: got.append(reader(path)))
+            assert _sidecar(path, mode).is_file()  # the read parsed and saved
+            beyond[blocks, mode] = peak - _held_bytes(got[0])
+    block = path.stat().st_size / 12
+    for mode in _READERS:
+        assert beyond[12, mode] < beyond[3, mode] + block
+
+
+def test_file_rewritten_during_the_parse_leaves_no_sidecar(tmp_path, monkeypatch):
+    # the sidecar is keyed by the bytes hashed before the parse, so it may hold
+    # only a parse of those bytes
     path = tmp_path / "c.csv"
     n = 3 * BLOCK_RECORDS
-    write_corpus(Corpus(0, ["u"] * n, np.arange(n) % 5, Rng(4).normals(8 * n).reshape(n, 8)), path)
-    beside_lines, parse = [], data._parse_corpus
+    corpus = Corpus(0, ["u"] * n, np.arange(n) % 5, Rng(4).normals(2 * n).reshape(n, 2))
+    write_corpus(corpus, path)
+    rewritten = replace(corpus, labels=np.arange(n) % 5 + 1)  # the same length, other bytes past the first block
+    parses, parse = [], data._parse_corpus
 
-    def spy(lines, *args):
-        held = tracemalloc.get_traced_memory()[0] - sys.getsizeof(lines) - sum(map(sys.getsizeof, lines))
-        beside_lines.append(held - base)
-        return parse(lines, *args)
+    def rewrite_after_the_first_block(blocks):
+        yield next(blocks)
+        write_corpus(rewritten, path)
+        yield from blocks
+
+    def spy(blocks, *args):
+        parses.append(args[0])
+        return parse(rewrite_after_the_first_block(blocks) if len(parses) == 1 else blocks, *args)
 
     monkeypatch.setattr(data, "_parse_corpus", spy)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        read_corpus(path)
-    finally:
-        tracemalloc.stop()
-    assert len(beside_lines) == 1  # a cold read parses
-    assert beside_lines[0] < path.stat().st_size / 4
+    read_corpus(path)
+    assert not _sidecar(path, "labeled").exists()
+    assert np.array_equal(read_corpus(path).labels, rewritten.labels)  # parses the file as it now is
+    assert np.array_equal(read_corpus(path).labels, rewritten.labels) and len(parses) == 2  # then a sidecar hit
 
 
 def test_file_made_faulty_after_caching_names_its_line_on_every_read(tmp_path):

@@ -113,19 +113,18 @@ def test_prepare_matches_the_plain_formula_bit_for_bit(tmp_path, make, need_targ
 
 def test_prepare_holds_no_spliced_copy():
     # at cli_files size the prepared corpora hold their raw frames and window
-    # tables, 10.4 MB at the default +-2 window, and the peak is synthesis's
-    # own, about 2.05x of that at +-2 and the same bytes at +-5; a spliced copy
-    # of the corpora would add 32 MB (3.1x of them) at +-2 and 70 MB at +-5
-    peaks, held = [], []
+    # tables, 10.4 MB at the default +-2 window and 15.2 MB at +-5; the peak is
+    # about 1.41x of them at +-2 (synthesis's) and 1.32x at +-5 (cmvn's, beside
+    # the window tables). A spliced copy of the corpora would add 32 MB (3.1x
+    # of them) at +-2 and 70 MB at +-5.
     for width in (2, 5):
         cfg = pipeline.trend_profile(1)
         cfg = replace(cfg, synth=replace(cfg.synth, utterances_per_domain=400), splice=SpliceConfig(width, width))
         prepared = []
-        peaks.append(traced_peak_bytes(lambda: prepared.append(prepare_corpora(cfg, need_target_labels=True))))
-        held.append(sum(c.features.nbytes + c.context.nbytes for c in _corpora(prepared[0])))
+        peak = traced_peak_bytes(lambda: prepared.append(prepare_corpora(cfg, need_target_labels=True)))
+        held = sum(c.features.nbytes + c.context.nbytes for c in _corpora(prepared[0]))
         assert all(c.features.shape == (len(c), cfg.synth.base_dim) for c in _corpora(prepared[0]))
-    assert peaks[0] < 2.25 * held[0]
-    assert peaks[1] < 1.01 * peaks[0]
+        assert peak < 1.5 * held
 
 
 def test_sampler_covers_every_index_each_pass():
@@ -204,11 +203,12 @@ def _first_rows(corpus, n):
         (1, [1]),
         (2047, [2047]),
         (2048, [2048]),
-        (2049, [2049]),
-        (4095, [4095]),
+        (2049, [2048, 1]),
+        (4095, [2048, 2047]),
         (4096, [2048, 2048]),
-        (4097, [2048, 2049]),
-        (10000, [2048, 2048, 2048, 3856]),  # a tail of 1,808 joins the block before it
+        (4097, [2048, 2048, 1]),
+        (10000, [2048, 2048, 2048, 2048, 1808]),
+        (2304, [2048, 256]),
     ],
 )
 def test_evaluate_blocks_match_the_whole_set_oracle(trend_nets, monkeypatch, nets_name, n, blocks):
@@ -229,15 +229,20 @@ def test_evaluate_blocks_match_the_whole_set_oracle(trend_nets, monkeypatch, net
     assert (got.frames, got.errors, got.error_rate) == (expected.frames, expected.errors, expected.error_rate)
     assert got.confusion.dtype == np.int64 and np.array_equal(got.confusion, expected.confusion)
     assert [len(out) for out in outputs] == blocks
-    # each block's posteriors are the whole-set product's, bit for bit; a BLAS
-    # whose small products take another path than its large ones fails here
-    assert np.array_equal(np.concatenate(outputs).view(np.uint64), posteriors.view(np.uint64))
+    got_posteriors = np.concatenate(outputs)
+    if min(blocks) >= 256 or len(blocks) == 1:
+        # each block's posteriors are the whole-set product's, bit for bit; a BLAS
+        # whose products of a few hundred rows take another path than its large ones fails here
+        assert np.array_equal(got_posteriors.view(np.uint64), posteriors.view(np.uint64))
+    else:
+        # a block of a few rows may take BLAS's small-product path and move the last bits
+        np.testing.assert_allclose(got_posteriors, posteriors, rtol=1e-12, atol=0)
 
 
 def test_evaluate_holds_a_block():
-    # 40k rows: at most two blocks' activations (the last holds the tail, 3,136
-    # rows) and the predictions, about 0.13x the whole set's activations; a
-    # whole-set pass holds about 1.02x
+    # 40k rows: at most two blocks' activations (2,048 rows each) and the
+    # predictions, about 0.1x the whole set's activations; a whole-set pass
+    # holds about 1.02x
     n = 40_000
     net = init_mlp([(40, 48, "sigmoid"), (48, 48, "sigmoid"), (48, 48, "sigmoid"), (48, 10, "softmax")], Rng(3))
     corpus = Corpus(0, ["u"] * n, np.arange(n) % 10, Rng(5).normals(40 * n).reshape(n, 40))
