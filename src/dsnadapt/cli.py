@@ -8,6 +8,12 @@ config key it names (`--n-h` sets `n_h`; `--seed` also sets `synth.seed`) over
 the file's value; see config.py for the key scheme. Exit codes: 0 success,
 1 config error, 2 data error, 3 training divergence.
 
+`sweep` writes `sweep.csv`, one line per model under the header
+`seed,method,n_h,alpha,source_error,target_error`: the pretrained net (method
+`pretrain`, n_h and alpha empty), then `adapt_grl` and `adapt_dsn` at each
+(sweep.n_h, sweep.alpha) cell, scored by frame error rate on source_test and
+target_test. A run that diverges gets nan errors; the sweep goes on and exits 0.
+
 A `data_dir` gains hidden `.<file>.labeled.npz` and `.<file>.unlabeled.npz`
 sidecars: each corpus file's parsed frames, which later runs load instead of
 parsing the file again while its bytes are unchanged (see data.py).
@@ -26,9 +32,8 @@ from .dsn import adapted_model, load_dsn_model, save_dsn_model
 from .errors import ConfigError, DataError, TrainingDivergedError
 from .nn import Activation, Mlp, load_mlp, read_lines, save_mlp
 from .pipeline import (
+    ADAPTERS,
     DATA_FILES,
-    adapt_dsn,
-    adapt_grl,
     evaluate,
     prepare_corpora,
     pretrain_source,
@@ -52,12 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_pretrained(cfg: ExperimentConfig) -> Mlp:
-    if cfg.pretrained_model is None:
-        raise ConfigError("this mode needs 'pretrained_model = <path>' in the config")
-    return load_mlp(cfg.pretrained_model)
-
-
 def _load_eval_nets(cfg: ExperimentConfig) -> tuple[Mlp, ...]:
     if cfg.model_path is None:
         raise ConfigError("evaluate mode needs 'model_path = <path>' in the config")
@@ -74,8 +73,10 @@ def _run_mode(mode: str, cfg: ExperimentConfig, out_dir: Path) -> None:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
     if mode == "evaluate":
         nets, model_file = _load_eval_nets(cfg), cfg.model_path
-    elif mode in ("adapt_grl", "adapt_dsn") or (mode == "sweep" and cfg.pretrained_model is not None):
-        nets, model_file = (_load_pretrained(cfg),), cfg.pretrained_model
+    elif mode in ADAPTERS or (mode == "sweep" and cfg.pretrained_model is not None):
+        if cfg.pretrained_model is None:
+            raise ConfigError("this mode needs 'pretrained_model = <path>' in the config")
+        nets, model_file = (load_mlp(cfg.pretrained_model),), cfg.pretrained_model
     else:
         nets = model_file = None
     prepared = prepare_corpora(cfg, need_target_labels=mode in ("evaluate", "sweep"))
@@ -86,7 +87,7 @@ def _run_mode(mode: str, cfg: ExperimentConfig, out_dir: Path) -> None:
         last = nets[-1].layers[-1].activation
         if mode != "evaluate" and last is not Activation.SOFTMAX:
             raise DataError(f"{model_file}: the model's last layer is {last.value}, not softmax")
-    if mode in ("adapt_grl", "adapt_dsn", "sweep"):  # n_h splits the pretrained net, or the one built here
+    if mode in ADAPTERS or mode == "sweep":  # n_h splits the pretrained net, or the one built here
         key, n_h = ("sweep.n_h", max(cfg.sweep_n_h)) if mode == "sweep" else ("n_h", cfg.n_h)
         hidden, net_name = ((len(cfg.net.source_hidden), "net.source_hidden") if nets is None
                             else (len(nets[0].layers) - 1, model_file))
@@ -106,10 +107,7 @@ def _run_mode(mode: str, cfg: ExperimentConfig, out_dir: Path) -> None:
         raise ConfigError(f"--out {out_dir}: cannot make the output directory: {exc.strerror}") from None
     if mode == "sweep":
         source_dnn = nets[0] if nets is not None else pretrain_source(cfg, prepared.source_train)[0]
-        grid = sweep(
-            cfg, source_dnn, prepared.source_train, prepared.target_adapt, prepared.target_test
-        )
-        write_sweep_csv(cfg, grid, out_dir / "sweep.csv")
+        write_sweep_csv(sweep(cfg, source_dnn, prepared), out_dir / "sweep.csv")
         return
     if mode == "evaluate":
         report = RunReport("evaluate", [], {})
@@ -117,8 +115,7 @@ def _run_mode(mode: str, cfg: ExperimentConfig, out_dir: Path) -> None:
         model, report = pretrain_source(cfg, prepared.source_train)
         nets = (model,)
     else:
-        runner = adapt_grl if mode == "adapt_grl" else adapt_dsn
-        model, report = runner(cfg, nets[0], prepared.source_train, prepared.target_adapt)
+        model, report = ADAPTERS[mode](cfg, nets[0], prepared.source_train, prepared.target_adapt)
         nets = adapted_model(model)
     # a training mode loads no target labels, so it is scored on source_test only
     for name in ("source_test", "target_test") if mode == "evaluate" else ("source_test",):

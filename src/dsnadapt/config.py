@@ -2,7 +2,8 @@
 
 The dataclass fields below are the only declaration of keys, types and
 defaults. A key is `section.field` for the nested synth/splice/net sections
-and the bare field name otherwise; the sweep grid is spelled `sweep.n_h` and
+and the bare field name otherwise; the sweep grid, whose every (n_h, alpha)
+cell the `sweep` mode adapts with both methods, is spelled `sweep.n_h` and
 `sweep.alpha`. A value parses as the type of its field's default: tuples are
 comma-separated lists, and a None default means a path string.
 

@@ -20,7 +20,7 @@ from typing import BinaryIO, Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigError, ContractError, DataError
-from .nn import Rng, _box_muller
+from .nn import Rng, _box_muller, utf8_lines
 
 VARIANCE_FLOOR = 1e-8
 
@@ -377,16 +377,13 @@ def _line_blocks(file: BinaryIO, path: str | Path, update: Callable[[bytes], obj
     count = 0
     while raw := b"".join(islice(file, BLOCK_RECORDS)):
         update(raw)
-        try:
-            lines = raw.decode("utf-8").splitlines()
-        except UnicodeDecodeError as exc:
-            lines = (raw[: exc.start].decode("utf-8") + ".").splitlines()  # the last is the bad byte's line
-            if len(lines) > 1:
-                yield lines[:-1]
-            raise DataError(f"{path}: line {count + len(lines)}: not UTF-8 text") from None
-        count += len(lines)
+        lines, bad = utf8_lines(raw)
         del raw
-        yield lines
+        if lines:
+            yield lines
+        if bad:
+            raise DataError(f"{path}: line {count + bad}: not UTF-8 text")
+        count += len(lines)
         del lines  # before the next block is read
 
 

@@ -233,11 +233,11 @@ def apply_step(trace: StepTrace, updates: dict[str, tuple[Mlp, np.ndarray]], mu:
     return trace
 
 
-def dsn_step(model: DsnModel, x: Matrix, source_y: np.ndarray, mu: float) -> tuple[DsnModel, StepTrace]:
+def dsn_step(model: DsnModel, x: Matrix, source_y: np.ndarray, mu: float) -> StepTrace:
     """One joint SGD update over every sub-network from the stacked batch of
     dsn_gradients, checked and applied by apply_step; mutates the model."""
     trace, grads = dsn_gradients(model, x, source_y)
-    return model, apply_step(trace, {name: (getattr(model, name), g) for name, g in grads.items()}, mu)
+    return apply_step(trace, {name: (getattr(model, name), g) for name, g in grads.items()}, mu)
 
 
 def adapted_model(model: DsnModel) -> tuple[Mlp, Mlp]:

@@ -357,13 +357,13 @@ def _check_nonnegative(name: str, value: float) -> None:
         raise ConfigError(f"{name} must be finite and >= 0, got {value}")
 
 
-def sgd_update(net: Mlp, grad: np.ndarray, mu: float) -> Mlp:
+def sgd_update(net: Mlp, grad: np.ndarray, mu: float) -> None:
     """One plain SGD step, params <- params - mu * grad, in place, where grad
     is the gradient vector backward() returns, laid out like net.params.
 
-    Returns the same (mutated) net for chaining. Rejects a learning rate that
-    is not a finite number >= 0 and a gradient of another shape, and aborts
-    on non-finite gradients rather than silently corrupting the model.
+    Rejects a learning rate that is not a finite number >= 0 and a gradient of
+    another shape, and aborts on non-finite gradients rather than silently
+    corrupting the model.
     """
     _check_nonnegative("learning rate", mu)
     if grad.shape != net.params.shape:
@@ -371,7 +371,6 @@ def sgd_update(net: Mlp, grad: np.ndarray, mu: float) -> Mlp:
     if not np.isfinite(grad).all():
         raise TrainingDivergedError("non-finite gradient; training aborted")
     np.subtract(net.params, mu * grad, out=net.params)
-    return net
 
 
 # ---------------------------------------------------------------------------
@@ -395,13 +394,26 @@ def mlp_to_lines(net: Mlp) -> list[str]:
     return lines
 
 
-def read_lines(path: str | Path) -> list[str]:
-    """The lines of a UTF-8 text file; a file that cannot be read or decoded
-    is a DataError naming it."""
+def utf8_lines(raw: bytes) -> tuple[list[str], int]:
+    """raw's lines as str.splitlines numbers them, up to the first byte that
+    is not UTF-8, and the number of that byte's line (0 when there is none)."""
     try:
-        return Path(path).read_bytes().decode("utf-8").splitlines()
-    except (OSError, UnicodeError) as exc:
-        raise DataError(f"{path}: cannot read: {getattr(exc, 'strerror', None) or exc}") from None
+        return raw.decode("utf-8").splitlines(), 0
+    except UnicodeDecodeError as exc:
+        lines = (raw[: exc.start].decode("utf-8") + ".").splitlines()  # the last is the bad byte's line
+        return lines[:-1], len(lines)
+
+
+def read_lines(path: str | Path) -> list[str]:
+    """The lines of a UTF-8 text file; a file that cannot be read is a
+    DataError naming it, and a byte that is not UTF-8 one naming its line."""
+    try:
+        lines, bad = utf8_lines(Path(path).read_bytes())
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    if bad:
+        raise DataError(f"{path}: line {bad}: not UTF-8 text")
+    return lines
 
 
 class LineCursor:

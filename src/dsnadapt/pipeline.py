@@ -13,10 +13,10 @@ on the test corpora after training.
 
 from __future__ import annotations
 
-import statistics
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
+from itertools import product
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -253,13 +253,8 @@ def pretrain_source(cfg: ExperimentConfig, source_train: Corpus) -> tuple[Mlp, R
     return net, RunReport("pretrain", trace, {})
 
 
-def _adapt(
-    cfg: ExperimentConfig,
-    source_dnn: Mlp,
-    source_train: Corpus,
-    target_adapt: Corpus,
-    with_private: bool,
-) -> tuple[DsnModel, RunReport]:
+def _adapt(cfg: ExperimentConfig, source_dnn: Mlp, source_train: Corpus, target_adapt: Corpus,
+           with_private: bool) -> tuple[DsnModel, RunReport]:
     if not source_train.is_labeled:
         raise ContractError("adaptation needs a labeled source corpus")
     if source_train.dim != target_adapt.dim:
@@ -270,7 +265,7 @@ def _adapt(
         x = np.empty((len(si) + len(ti), source_train.dim))  # one stacked batch, source rows first
         source_train.rows(si, out=x[: len(si)])
         target_adapt.rows(ti, out=x[len(si) :])
-        return dsn_step(model, x, source_train.labels[si], cfg.mu)[1]
+        return dsn_step(model, x, source_train.labels[si], cfg.mu)
 
     trace = _train(cfg, STREAM_BATCH_ADAPT, (len(source_train), len(target_adapt)), step)
     return model, RunReport("adapt_dsn" if with_private else "adapt_grl", trace, {})
@@ -296,33 +291,67 @@ def adapt_dsn(
     return _adapt(cfg, source_dnn, source_train, target_adapt, with_private=True)
 
 
+# Each CLI adaptation mode's function, called by its module-level name so a wrapper bound there (a tracer's) runs.
+ADAPTERS = {"adapt_grl": lambda *args: adapt_grl(*args), "adapt_dsn": lambda *args: adapt_dsn(*args)}
+
+
 # ---------------------------------------------------------------------------
-# Sweep
+# Experiments: the sweep grid, and the paper's comparison over seeds
 # ---------------------------------------------------------------------------
 
 
-def sweep(
-    cfg: ExperimentConfig,
-    source_dnn: Mlp,
-    source_train: Corpus,
-    target_adapt: Corpus,
-    target_test: Corpus,
-) -> np.ndarray:
-    """Full adaptation run per (n_h, alpha) cell on identical data and seed:
-    the target test error of each cell, rows cfg.sweep_n_h and columns
-    cfg.sweep_alpha. A diverged cell is recorded as NaN without aborting the
-    rest; its row average is NaN as well.
-    """
-    grid = np.full((len(cfg.sweep_n_h), len(cfg.sweep_alpha)), np.nan)
-    for i, n_h in enumerate(cfg.sweep_n_h):
-        for j, alpha in enumerate(cfg.sweep_alpha):
-            cell_cfg = replace(cfg, n_h=n_h, alpha=alpha)
-            try:
-                model, _ = adapt_dsn(cell_cfg, source_dnn, source_train, target_adapt)
-                grid[i, j] = evaluate(adapted_model(model), target_test).error_rate
-            except TrainingDivergedError:
-                pass
-    return grid
+class SweepRow(NamedTuple):
+    """One model's frame error rates on source_test and target_test. method is
+    the CLI mode that trained it; the pretrained net's row has no n_h or alpha."""
+
+    seed: int
+    method: str
+    n_h: int | str
+    alpha: float | str
+    source_error: float
+    target_error: float
+
+
+def sweep(cfg: ExperimentConfig, source_dnn: Mlp, prepared: Corpora) -> list[SweepRow]:
+    """The pretrained net's row, then a row for each method of ADAPTERS at
+    each (n_h, alpha) of cfg.sweep_n_h x cfg.sweep_alpha, every cell adapted
+    from source_dnn on the same data and seed. A diverged run is recorded
+    with NaN errors without aborting the rest."""
+
+    def row(method: str, n_h: int | str, alpha: float | str, nets: Sequence[Mlp]) -> SweepRow:
+        errors = (evaluate(nets, c).error_rate for c in (prepared.source_test, prepared.target_test))
+        return SweepRow(cfg.seed, method, n_h, alpha, *errors)
+
+    rows = [row("pretrain", "", "", (source_dnn,))]
+    for n_h, alpha, (method, adapt) in product(cfg.sweep_n_h, cfg.sweep_alpha, ADAPTERS.items()):
+        try:
+            model, _ = adapt(replace(cfg, n_h=n_h, alpha=alpha), source_dnn, prepared.source_train,
+                             prepared.target_adapt)
+        except TrainingDivergedError:
+            rows.append(SweepRow(cfg.seed, method, n_h, alpha, np.nan, np.nan))
+        else:
+            rows.append(row(method, n_h, alpha, adapted_model(model)))
+    return rows
+
+
+def trend_profile(seed: int) -> ExperimentConfig:
+    """Canonical toy trend profile: 10k source frames, 10k target frames,
+    channel scale 0.3, noise std 1.0, 30 epochs."""
+    cfg = ExperimentConfig()
+    return replace(cfg, synth=replace(cfg.synth, seed=seed), seed=seed)
+
+
+def run_trend(seeds: Sequence[int] = (1, 2, 3, 4, 5)) -> list[SweepRow]:
+    """sweep's rows for each seed of trend_profile, over the one cell of its
+    n_h and alpha: the pretrained, reversal-only and full models."""
+    rows = []
+    for seed in seeds:
+        cfg = trend_profile(seed)
+        cfg = replace(cfg, sweep_n_h=(cfg.n_h,), sweep_alpha=(cfg.alpha,))
+        prepared = prepare_corpora(cfg, need_target_labels=True)
+        dnn, _ = pretrain_source(cfg, prepared.source_train)
+        rows += sweep(cfg, dnn, prepared)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -356,61 +385,5 @@ def write_report_csv(report: RunReport, path: str | Path) -> None:
     _write_csv(path, ("kind", "corpus", "a", "b", "value"), rows)
 
 
-def write_sweep_csv(cfg: ExperimentConfig, grid: np.ndarray, path: str | Path) -> None:
-    """sweep's grid, its axes taken from cfg.sweep_n_h and cfg.sweep_alpha."""
-    header = ("n_h", *(f"{a:.17g}" for a in cfg.sweep_alpha), "avg")
-    rows = [(n_h, *cells, cells.mean()) for n_h, cells in zip(cfg.sweep_n_h, grid)]
-    _write_csv(path, header, rows)
-
-
-# ---------------------------------------------------------------------------
-# Trend experiment: unadapted vs reversal-only vs full model over seeds
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class TrendSeedResult:
-    seed: int
-    unadapted_src: float
-    unadapted_tgt: float
-    grl_src: float
-    grl_tgt: float
-    dsn_src: float
-    dsn_tgt: float
-    dsn_recon_first: float
-    dsn_recon_last: float
-
-
-def trend_profile(seed: int) -> ExperimentConfig:
-    """Canonical toy trend profile: 10k source frames, 10k target frames,
-    channel scale 0.3, noise std 1.0, 30 epochs."""
-    cfg = ExperimentConfig()
-    return replace(cfg, synth=replace(cfg.synth, seed=seed), seed=seed)
-
-
-def run_trend(seeds: Sequence[int] = (1, 2, 3, 4, 5), out_dir: str | Path | None = None) -> list[TrendSeedResult]:
-    """Per seed of trend_profile: frame error on source_test and target_test of
-    the pretrained, reversal-only and full models, and DSN's first and last
-    epoch reconstruction loss."""
-    rows = []
-    for seed in seeds:
-        cfg = trend_profile(seed)
-        prepared = prepare_corpora(cfg, need_target_labels=True)
-        dnn, _ = pretrain_source(cfg, prepared.source_train)
-        grl_model, _ = adapt_grl(cfg, dnn, prepared.source_train, prepared.target_adapt)
-        dsn_model, dsn_report = adapt_dsn(cfg, dnn, prepared.source_train, prepared.target_adapt)
-        models = ((dnn,), adapted_model(grl_model), adapted_model(dsn_model))
-        errors = [evaluate(nets, c).error_rate for nets in models for c in (prepared.source_test, prepared.target_test)]
-        recon = dsn_report.trace[0].loss_recon, dsn_report.trace[-1].loss_recon
-        rows.append(TrendSeedResult(seed, *errors, *recon))
-    if out_dir is not None:
-        write_trend_csv(rows, Path(out_dir) / "trend.csv")
-    return rows
-
-
-def write_trend_csv(rows: Sequence[TrendSeedResult], path: str | Path) -> None:
-    """One line per seed, then the median of each column."""
-    names = [f.name for f in fields(TrendSeedResult)]
-    medians = [statistics.median(getattr(r, name) for r in rows) for name in names[1:]]
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    _write_csv(path, names, [astuple(r) for r in rows] + [("median", *medians)])
+def write_sweep_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
+    _write_csv(path, SweepRow._fields, rows)

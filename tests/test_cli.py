@@ -1,9 +1,11 @@
+import re
 from pathlib import Path
 
 import pytest
 
 from dsnadapt import cli, data
 from dsnadapt.cli import main
+from dsnadapt.config import MODES
 from dsnadapt.data import SynthConfig, synth_corpus, write_corpus
 from dsnadapt.dsn import DsnModel, save_dsn_model
 from dsnadapt.nn import Rng, init_mlp, save_mlp
@@ -156,7 +158,42 @@ def test_sweep_depth_is_checked_against_the_model(tmp_path, capsys):
     # a 4-hidden-layer model lets sweep.n_h = 4 through, past the 3 widths of net.source_hidden
     config.write_text(_TINY + f"sweep.n_h = 4\nsweep.alpha = 1\npretrained_model = {model}\n")
     assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
-    assert (tmp_path / "out" / "sweep.csv").read_text().startswith("n_h,1,avg\n4,")
+    lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+    assert lines[0] == "seed,method,n_h,alpha,source_error,target_error"
+    assert [line.split(",")[1:4] for line in lines[1:]] == [["pretrain", "", ""], ["adapt_grl", "4", "1"],
+                                                           ["adapt_dsn", "4", "1"]]
+
+
+def test_sweep_rows_are_the_modes_own_scores(tmp_path):
+    # one cell, at the n_h and alpha the adaptation modes run with
+    cell = "n_h = 1\nalpha = 4\nsweep.n_h = 1\nsweep.alpha = 4\n"
+
+    def run(mode, extra):
+        config = tmp_path / f"{mode}.cfg"
+        config.write_text(_TINY + cell + extra)
+        assert main([mode, "--config", str(config), "--out", str(tmp_path / mode)]) == 0
+
+    run("sweep", "")
+    run("pretrain", "")
+    for mode in ("adapt_grl", "adapt_dsn"):
+        run(mode, f"pretrained_model = {tmp_path / 'pretrain' / 'model.dsn'}\n")
+    scored = {}
+    for mode in ("pretrain", "adapt_grl", "adapt_dsn"):
+        config = tmp_path / "evaluate.cfg"
+        config.write_text(_TINY + f"model_path = {tmp_path / mode / 'model.dsn'}\n")
+        assert main(["evaluate", "--config", str(config), "--out", str(tmp_path / "evaluate" / mode)]) == 0
+        report = [line.split(",") for line in (tmp_path / "evaluate" / mode / "report.csv").read_text().splitlines()]
+        errors = {corpus: value for kind, corpus, _, _, value in report if kind == "error_rate"}
+        scored[mode] = [errors["source_test"], errors["target_test"]]
+    rows = [line.split(",") for line in (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1:]]
+    assert {row[1]: row[4:] for row in rows} == scored  # both written to 17 digits, so equal strings are equal floats
+    assert [row[2:4] for row in rows] == [["", ""], ["1", "4"], ["1", "4"]]
+
+
+def test_help_names_every_mode(capsys):
+    assert main(["--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())  # argparse rewraps the docstring
+    assert re.search(r"Modes: ([\w, ]+)\.", text).group(1).split(", ") == list(MODES)
 
 
 def test_sweep_without_a_model_is_bounded_by_the_config_widths(tmp_path, capsys):
@@ -273,6 +310,16 @@ def _unreadable_corpus(tmp_path, make, message):
     return "pretrain", f"data_dir = {tmp_path}", f"source_train.csv: {message}"
 
 
+def _not_utf8(case, line):
+    """case's model file with the byte 0xff added to its line `line`."""
+    mode, config_line, _ = case
+    path = Path(config_line.split(" = ", 1)[1])
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] += b"\xff"
+    path.write_bytes(b"\n".join(lines))
+    return mode, config_line, f"{path.name}: line {line}: not UTF-8 text"
+
+
 def _few_classes_model(tmp_path):
     path = tmp_path / "three.mlp"
     save_mlp(init_mlp([(40, 8, "sigmoid"), (8, 8, "sigmoid"), (8, 3, "softmax")], Rng(1)), path)
@@ -335,6 +382,8 @@ def _bad_mlp_file(tmp_path, body, line):
         lambda d: _unreadable_corpus(d, lambda p: p.write_bytes(_HEADER.format(1).encode() + b"u\xe9,0,src,0,1.5\n"),
                                      "line 2: not UTF-8 text"),
         lambda d: _unreadable_corpus(d, Path.mkdir, "cannot read:"),
+        lambda d: _not_utf8(_bad_mlp_file(d, "layer 0 2 1 linear\n1.0 2.0\n0.0\n", 0), 3),
+        lambda d: _not_utf8(_bad_model_file(d, ("", "")), 5),
         lambda d: _data_dir(d, "pretrain", f"{d / 'source_train.csv'} and {d / 'target_adapt.csv'}: feature dim 2 of 2: "
                             "its mean or variance overflows float64",
                             source_train=_HEADER.format(2) + "u,0,src,0,1.5,1e200\nu,1,src,1,2.5,-1e200\n",
@@ -374,6 +423,8 @@ def _bad_mlp_file(tmp_path, body, line):
         "pretrained-model-without-softmax",
         "corpus-not-utf8",
         "corpus-is-a-directory",
+        "mlp-not-utf8",
+        "model-not-utf8",
         "overflowing-statistics",
     ],
 )

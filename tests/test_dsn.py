@@ -490,8 +490,8 @@ def test_step_with_zero_mu_changes_nothing():
     model = tiny_model(seed=9)
     batch = tiny_batch(seed=10)
     before = copy.deepcopy(model)
-    _, t1 = dsn_step(model, *batch, 0.0)
-    _, t2 = dsn_step(model, *batch, 0.0)
+    t1 = dsn_step(model, *batch, 0.0)
+    t2 = dsn_step(model, *batch, 0.0)
     assert t1 == t2
     for name in ROUTED_GROUPS:
         for la, lb in zip(getattr(model, name).layers, getattr(before, name).layers):
@@ -569,7 +569,7 @@ def test_overflowing_weighted_sum_names_the_total():
 def test_trace_fields_are_finite_and_nonnegative():
     model = tiny_model(seed=15)
     batch = tiny_batch(seed=16)
-    _, trace = dsn_step(model, *batch, 0.01)
+    trace = dsn_step(model, *batch, 0.01)
     for v in (trace.loss_senone, trace.loss_domain, trace.loss_diff, trace.loss_recon):
         assert v >= 0 and np.isfinite(v)
     assert np.isfinite(trace.loss_total)

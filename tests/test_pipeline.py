@@ -348,8 +348,8 @@ def test_epoch_records_are_step_means(prepared, source_dnn, monkeypatch):
     inner = pipeline.dsn_step
 
     def recording(model, x, source_y, mu):
-        steps.append(inner(model, x, source_y, mu)[1])
-        return model, steps[-1]
+        steps.append(inner(model, x, source_y, mu))
+        return steps[-1]
 
     monkeypatch.setattr(pipeline, "dsn_step", recording)
     cfg = tiny_cfg(epochs=3)
@@ -406,40 +406,43 @@ def test_adapt_is_deterministic(prepared, source_dnn):
 
 def test_sweep_grid_shape_and_determinism(prepared, source_dnn, tmp_path):
     cfg = tiny_cfg(epochs=1, sweep_n_h=(1, 2), sweep_alpha=(1.0, 8.0))
-    grid = sweep(cfg, source_dnn, prepared.source_train, prepared.target_adapt, prepared.target_test)
-    assert grid.shape == (2, 2)
-    assert np.isfinite(grid).all()
-    again = sweep(cfg, source_dnn, prepared.source_train, prepared.target_adapt, prepared.target_test)
-    assert np.array_equal(grid, again)
-    write_sweep_csv(cfg, grid, tmp_path / "sweep.csv")
+    rows = sweep(cfg, source_dnn, prepared)
+    # the pretrained net, then both methods at each cell in grid order
+    cells = [(method, n_h, alpha) for n_h in (1, 2) for alpha in (1.0, 8.0) for method in ("adapt_grl", "adapt_dsn")]
+    assert [(r.method, r.n_h, r.alpha) for r in rows] == [("pretrain", "", "")] + cells
+    assert all(r.seed == cfg.seed for r in rows)
+    assert np.isfinite([(r.source_error, r.target_error) for r in rows]).all()
+    tests = (prepared.source_test, prepared.target_test)
+    assert rows[0][4:] == tuple(evaluate((source_dnn,), c).error_rate for c in tests)
+    assert sweep(cfg, source_dnn, prepared) == rows
+    write_sweep_csv(rows, tmp_path / "sweep.csv")
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
-    assert lines[0] == "n_h,1,8,avg"
-    assert len(lines) == 3
+    assert lines[0] == "seed,method,n_h,alpha,source_error,target_error"
+    assert len(lines) == 1 + len(rows)
     for line in lines[1:]:
-        assert len(line.split(",")) == 4  # n_h, two cells, avg
+        assert len(line.split(",")) == 6
 
 
-def test_sweep_header_parses_back_to_the_configured_alphas(tmp_path):
-    # 6 significant digits would write "n_h,1,1,0.123457,..."
+def test_sweep_rows_parse_back_to_the_configured_alphas(prepared, source_dnn, tmp_path):
+    # 6 significant digits would write 1.0000001 as "1" and 0.1234567 as "0.123457"
     alphas = (1.0, 1.0000001, 0.1234567, 4.5, 1e-300, 0.1)
-    cfg = tiny_cfg(sweep_n_h=(1,), sweep_alpha=alphas)
-    pipeline.write_sweep_csv(cfg, np.zeros((1, len(alphas))), tmp_path / "sweep.csv")
-    header = (tmp_path / "sweep.csv").read_text().splitlines()[0].split(",")
-    assert header[0] == "n_h" and header[-1] == "avg"
-    assert tuple(float(a) for a in header[1:-1]) == alphas
+    rows = sweep(tiny_cfg(epochs=0, sweep_n_h=(1,), sweep_alpha=alphas), source_dnn, prepared)
+    pipeline.write_sweep_csv(rows, tmp_path / "sweep.csv")
+    lines = [line.split(",") for line in (tmp_path / "sweep.csv").read_text().splitlines()]
+    assert lines[0][3] == "alpha" and lines[1][3] == ""  # the pretrained net's row has none
+    for method in ("adapt_grl", "adapt_dsn"):
+        assert tuple(float(line[3]) for line in lines if line[1] == method) == alphas
 
 
 def test_sweep_marks_diverged_cell_nan(prepared, source_dnn):
-    # a learning rate large enough to overflow the reconstruction path
+    # a learning rate large enough to overflow DSN's reconstruction path
     cfg = tiny_cfg(epochs=2, mu=1e150, sweep_n_h=(1, 2), sweep_alpha=(1.0,))
     with np.errstate(all="ignore"):
-        grid = sweep(
-            cfg, source_dnn, prepared.source_train, prepared.target_adapt, prepared.target_test
-        )
+        rows = sweep(cfg, source_dnn, prepared)
     # every cell was attempted and recorded; the failures did not abort the loop
-    assert grid.shape == (2, 1)
-    assert np.isnan(grid).all()
-    assert np.isnan(grid.mean(axis=1)).all()
+    assert [(r.method, r.n_h) for r in rows[1:]] == [(m, n_h) for n_h in (1, 2) for m in ("adapt_grl", "adapt_dsn")]
+    dsn = [r for r in rows if r.method == "adapt_dsn"]
+    assert all(math.isnan(r.source_error) and math.isnan(r.target_error) for r in dsn)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +454,9 @@ def test_trend_shows_the_papers_ordering():
     # median target frame error over the canonical profile's seeds 1-5:
     # full model < reversal-only baseline < unadapted source model
     rows = pipeline.run_trend(seeds=(1, 2, 3, 4, 5))
-    medians = [statistics.median(getattr(r, f) for r in rows) for f in ("dsn_tgt", "grl_tgt", "unadapted_tgt")]
+    methods = ("adapt_dsn", "adapt_grl", "pretrain")
+    assert sorted((r.seed, r.method) for r in rows) == sorted((s, m) for s in range(1, 6) for m in methods)
+    medians = [statistics.median(r.target_error for r in rows if r.method == m) for m in methods]
     assert medians[0] < medians[1] < medians[2], medians
 
 
@@ -466,13 +471,12 @@ def test_report_files_are_pinned_byte_for_byte(tmp_path):
     confusion = np.array([[3, 0], [2, 0]])
     report = pipeline.RunReport("adapt_dsn", trace, {"source_test": pipeline.EvalResult(5, 2, 0.4, confusion)})
     pipeline.write_report_csv(report, tmp_path / "report.csv")
-    grid = np.array([[0.25, np.nan], [0.1, 0.3]])
-    pipeline.write_sweep_csv(tiny_cfg(sweep_n_h=(1, 2), sweep_alpha=(1.0, 4.5)), grid, tmp_path / "sweep.csv")
     rows = [
-        pipeline.TrendSeedResult(1, 0.1, 0.35, 0.1, 0.3, 0.125, 0.25, 3.0, 1.5),
-        pipeline.TrendSeedResult(2, 0.2, 0.45, 0.2, 0.4, 0.375, 0.3, 2.0, 0.5),
+        pipeline.SweepRow(1, "pretrain", "", "", 0.1, 0.35),
+        pipeline.SweepRow(1, "adapt_grl", 2, 4.5, 0.125, 0.3),
+        pipeline.SweepRow(1, "adapt_dsn", 2, 4.5, np.nan, np.nan),
     ]
-    pipeline.write_trend_csv(rows, tmp_path / "trend.csv")
+    pipeline.write_sweep_csv(rows, tmp_path / "sweep.csv")
     assert (tmp_path / "trace.csv").read_text() == (
         "epoch,loss_senone,loss_domain,loss_diff,loss_recon,loss_total\n"
         "1,2.5,0.69314718055994529,0,0,2.5\n"
@@ -490,15 +494,8 @@ def test_report_files_are_pinned_byte_for_byte(tmp_path):
         "final_loss,,total,,1\n"
     )
     assert (tmp_path / "sweep.csv").read_text() == (
-        "n_h,1,4.5,avg\n"
-        "1,0.25,nan,nan\n"
-        "2,0.10000000000000001,0.29999999999999999,0.20000000000000001\n"
-    )
-    assert (tmp_path / "trend.csv").read_text() == (
-        "seed,unadapted_src,unadapted_tgt,grl_src,grl_tgt,dsn_src,dsn_tgt,dsn_recon_first,dsn_recon_last\n"
-        "1,0.10000000000000001,0.34999999999999998,0.10000000000000001,0.29999999999999999,0.125,0.25,3,1.5\n"
-        "2,0.20000000000000001,0.45000000000000001,0.20000000000000001,0.40000000000000002,0.375,"
-        "0.29999999999999999,2,0.5\n"
-        "median,0.15000000000000002,0.40000000000000002,0.15000000000000002,0.34999999999999998,0.25,"
-        "0.27500000000000002,2.5,1\n"
+        "seed,method,n_h,alpha,source_error,target_error\n"
+        "1,pretrain,,,0.10000000000000001,0.34999999999999998\n"
+        "1,adapt_grl,2,4.5,0.125,0.29999999999999999\n"
+        "1,adapt_dsn,2,4.5,nan,nan\n"
     )
