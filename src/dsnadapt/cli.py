@@ -6,7 +6,8 @@
 Modes: pretrain, adapt_grl, adapt_dsn, evaluate, sweep. Each flag sets the
 config key it names (`--n-h` sets `n_h`; `--seed` also sets `synth.seed`) over
 the file's value; see config.py for the key scheme. Exit codes: 0 success,
-1 config error, 2 data error, 3 training divergence.
+1 config error, 2 data error, 3 training divergence; a run that exits non-zero
+leaves --out as it found it.
 
 `sweep` writes `sweep.csv`, one line per model under the header
 `seed,method,n_h,alpha,source_error,target_error`: the pretrained net (method
@@ -22,6 +23,7 @@ parsing the file again while its bytes are unchanged (see data.py).
 from __future__ import annotations
 
 import argparse
+import shutil
 import sys
 from pathlib import Path
 
@@ -67,8 +69,8 @@ def _load_eval_nets(cfg: ExperimentConfig) -> tuple[Mlp, ...]:
 
 
 def _run_mode(mode: str, cfg: ExperimentConfig, out_dir: Path) -> None:
-    """Load and check the config, the model and the corpora, then make the
-    output directory, so a rejected input leaves nothing behind."""
+    """Check every input before making the output directory, so a rejected
+    input leaves nothing behind; a run that fails later removes what it made."""
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
     if mode == "evaluate":
@@ -101,29 +103,35 @@ def _run_mode(mode: str, cfg: ExperimentConfig, out_dir: Path) -> None:
     if nets is None and top >= cfg.synth.num_classes:  # the new net gets synth.num_classes outputs
         raise DataError(f"{Path(cfg.data_dir or '.') / DATA_FILES[name]}: label {top}, "
                         f"but synth.num_classes is {cfg.synth.num_classes}")
+    made = next((p for p in (*reversed(out_dir.parents), out_dir) if not p.exists()), None)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"--out {out_dir}: cannot make the output directory: {exc.strerror}") from None
-    if mode == "sweep":
-        source_dnn = nets[0] if nets is not None else pretrain_source(cfg, prepared.source_train)[0]
-        write_sweep_csv(sweep(cfg, source_dnn, prepared), out_dir / "sweep.csv")
-        return
-    if mode == "evaluate":
-        report = RunReport("evaluate", [], {})
-    elif mode == "pretrain":
-        model, report = pretrain_source(cfg, prepared.source_train)
-        nets = (model,)
-    else:
-        model, report = ADAPTERS[mode](cfg, nets[0], prepared.source_train, prepared.target_adapt)
-        nets = adapted_model(model)
-    # a training mode loads no target labels, so it is scored on source_test only
-    for name in ("source_test", "target_test") if mode == "evaluate" else ("source_test",):
-        report.evals[name] = evaluate(nets, getattr(prepared, name))
-    if mode != "evaluate":
-        (save_mlp if mode == "pretrain" else save_dsn_model)(model, out_dir / "model.dsn")
-        write_trace_csv(report.trace, out_dir / "trace.csv")
-    write_report_csv(report, out_dir / "report.csv")
+    try:
+        if mode == "sweep":
+            source_dnn = nets[0] if nets is not None else pretrain_source(cfg, prepared.source_train)[0]
+            write_sweep_csv(sweep(cfg, source_dnn, prepared), out_dir / "sweep.csv")
+            return
+        if mode == "evaluate":
+            report = RunReport("evaluate", [], {})
+        elif mode == "pretrain":
+            model, report = pretrain_source(cfg, prepared.source_train)
+            nets = (model,)
+        else:
+            model, report = ADAPTERS[mode](cfg, nets[0], prepared.source_train, prepared.target_adapt)
+            nets = adapted_model(model)
+        # a training mode loads no target labels, so it is scored on source_test only
+        for name in ("source_test", "target_test") if mode == "evaluate" else ("source_test",):
+            report.evals[name] = evaluate(nets, getattr(prepared, name))
+        if mode != "evaluate":
+            (save_mlp if mode == "pretrain" else save_dsn_model)(model, out_dir / "model.dsn")
+            write_trace_csv(report.trace, out_dir / "trace.csv")
+        write_report_csv(report, out_dir / "report.csv")
+    except BaseException:  # a failed run leaves --out as it found it
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
+        raise
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -7,6 +7,12 @@ cell the `sweep` mode adapts with both methods, is spelled `sweep.n_h` and
 `sweep.alpha`. A value parses as the type of its field's default: tuples are
 comma-separated lists, and a None default means a path string.
 
+A number must be finite and >= its key's bound: 1 for a count (synth sizes,
+net widths, n_h, batch, sweep.n_h), 0 for epochs, splice.* and every real but
+synth.channel_matrix_scale (no bound); a seed is any integer. A list needs one
+value or more, each in bounds. Rejections name the key as the file spells it:
+`<key> must be finite and >= <low>, got <value>`, `<key> needs at least one value`.
+
 Lines starting with `#` (or inline `#` tails) are comments. Every key has a
 toy-profile default, so an empty file is a valid config; unknown or duplicate
 keys are rejected before any compute.
@@ -19,12 +25,19 @@ from pathlib import Path
 
 from .data import SynthConfig
 from .errors import ConfigError
-from .nn import _check_nonnegative
+from .nn import _check_at_least, utf8_lines
 
 MODES = ("pretrain", "adapt_grl", "adapt_dsn", "evaluate", "sweep")
 
 # Key spelling of the sweep-grid fields; the field names themselves are not keys.
 _ALIASES = {"sweep_n_h": "sweep.n_h", "sweep_alpha": "sweep.alpha"}
+
+
+def _check_range(key: str, value: float | tuple[float, ...], low: float) -> None:
+    if isinstance(value, tuple) and not value:
+        raise ConfigError(f"{key} needs at least one value")
+    for entry in value if isinstance(value, tuple) else (value,):
+        _check_at_least(key, entry, low)
 
 
 @dataclass(frozen=True)
@@ -33,8 +46,8 @@ class SpliceConfig:
     right: int = 2
 
     def __post_init__(self):
-        if self.left < 0 or self.right < 0:
-            raise ConfigError("splice context must be >= 0")
+        for name in ("left", "right"):
+            _check_at_least(f"splice.{name}", getattr(self, name), 0)
 
 
 @dataclass(frozen=True)
@@ -49,9 +62,7 @@ class NetConfig:
 
     def __post_init__(self):
         for name in ("source_hidden", "domain_hidden", "private_hidden", "recon_hidden"):
-            widths = getattr(self, name)
-            if not widths or any(w < 1 for w in widths):
-                raise ConfigError(f"{name} needs at least one positive width")
+            _check_range(f"net.{name}", getattr(self, name), 1)
 
 
 @dataclass(frozen=True)
@@ -85,20 +96,10 @@ class ExperimentConfig:
     sweep_alpha: tuple[float, ...] = (1.0, 4.0, 8.0)
 
     def __post_init__(self):
-        # the upper bound is the depth of the net being split, checked by the mode
-        if self.n_h < 1:
-            raise ConfigError(f"n_h must be >= 1, got {self.n_h}")
-        if any(n < 1 for n in self.sweep_n_h):
-            raise ConfigError(f"sweep.n_h entries must be >= 1, got {self.sweep_n_h}")
-        coefficients = [(name, getattr(self, name)) for name in ("alpha", "beta", "gamma", "mu")]
-        for name, value in coefficients + [("sweep.alpha", a) for a in self.sweep_alpha]:
-            _check_nonnegative(name, value)
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
-        if self.batch < 1:
-            raise ConfigError("batch must be >= 1")
-        if not self.sweep_n_h or not self.sweep_alpha:
-            raise ConfigError("sweep lists must be non-empty")
+        # n_h's upper bound is the depth of the net being split, checked by the mode
+        for name, low in (("n_h", 1), ("alpha", 0), ("beta", 0), ("gamma", 0), ("mu", 0), ("epochs", 0), ("batch", 1),
+                          ("sweep_n_h", 1), ("sweep_alpha", 0)):
+            _check_range(_ALIASES.get(name, name), getattr(self, name), low)
 
 
 def _convert(key: str, raw: str, default: object) -> object:
@@ -161,9 +162,8 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Ex
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from None
-    values = parse_config_text(text, source=str(path))
+    lines, bad = utf8_lines(path.read_bytes())
+    if bad:
+        raise ConfigError(f"{path}: line {bad}: not UTF-8 text")
+    values = parse_config_text("\n".join(lines), source=str(path))
     return build_config({**values, **(overrides or {})})

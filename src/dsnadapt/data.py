@@ -20,7 +20,7 @@ from typing import BinaryIO, Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigError, ContractError, DataError
-from .nn import Rng, _box_muller, utf8_lines
+from .nn import Rng, _box_muller, _check_at_least, utf8_lines
 
 VARIANCE_FLOOR = 1e-8
 
@@ -106,16 +106,10 @@ class SynthConfig:
     seed: int
 
     def __post_init__(self):
-        for name in ("num_classes", "base_dim", "utterances_per_domain", "frames_per_utterance"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        for name in ("class_separation", "channel_matrix_scale", "noise_std"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"synth.{name} must be finite, got {getattr(self, name)}")
-        if self.noise_std < 0:
-            raise ConfigError("noise_std must be >= 0")
-        if self.class_separation < 0:
-            raise ConfigError("class_separation must be >= 0")
+        for name, low in (("num_classes", 1), ("base_dim", 1), ("utterances_per_domain", 1),
+                          ("frames_per_utterance", 1), ("class_separation", 0),
+                          ("channel_matrix_scale", -math.inf), ("noise_std", 0)):  # the scale's sign is free
+            _check_at_least(f"synth.{name}", getattr(self, name), low)
 
 
 @dataclass

@@ -33,14 +33,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DataError, ShapeError, TrainingDivergedError
+from .errors import ConfigError, ContractError, DataError, TrainingDivergedError
 from .grl import grl_backward
 from .nn import (
     Activation,
     LineCursor,
     Matrix,
     Mlp,
-    _check_nonnegative,
+    _check_at_least,
     backward,
     cross_entropy_loss,
     forward,
@@ -87,7 +87,7 @@ class DsnModel:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma"):
-            _check_nonnegative(name, getattr(self, name))
+            _check_at_least(name, getattr(self, name), 0)
         privates = (self.private_src, self.private_tgt, self.recon)
         if any(p is None for p in privates) != all(p is None for p in privates):
             raise ConfigError("private extractors and reconstructor must be present together")
@@ -138,7 +138,7 @@ def cross_correlation_penalty(
     For a single row this equals |shared|^2 * |private|^2.
     """
     if shared_f.shape[0] != private_f.shape[0]:
-        raise ShapeError("component batches must have equal row counts")
+        raise ContractError("component batches must have equal row counts")
     b = shared_f.shape[0]
     if b == 0:
         raise ContractError("empty component batch")
@@ -288,9 +288,8 @@ def load_dsn_model(path: str | Path, lines: Sequence[str] | None = None) -> DsnM
     try:
         coefficients = {key: float(manifest[key]) for key in ("alpha", "beta", "gamma")}
         for key, value in coefficients.items():
-            _check_nonnegative(key, value)  # a ConfigError, so reported as a bad value on this line
-        dims = {"n_h": int(manifest["n_h"])}
-        dims.update({key: int(manifest[key]) for key in ("k", "q", "feature_dim") if key in manifest})
+            _check_at_least(key, value, 0)  # a ConfigError, so reported as a bad value on this line
+        dims = {key: int(manifest[key]) for key in ("n_h", "k", "q", "feature_dim")}
     except KeyError as exc:
         raise cursor.error(f"manifest is missing {exc}") from None
     except ValueError as exc:
@@ -314,12 +313,9 @@ def load_dsn_model(path: str | Path, lines: Sequence[str] | None = None) -> DsnM
     except ConfigError as exc:  # a misfit names its net; the together rule belongs to the 'nets' line
         line = starts.get(str(exc).partition(":")[0], 3)
         raise DataError(f"{path}: line {line}: {exc}") from None
-    for key, expected in (
-        ("n_h", model.n_h),
-        ("k", model.shared.out_dim),
-        ("q", model.senone.out_dim),
-        ("feature_dim", model.shared.in_dim),
-    ):
-        if dims.get(key, expected) != expected:
+    nets_dims = {"n_h": model.n_h, "k": model.shared.out_dim, "q": model.senone.out_dim,
+                 "feature_dim": model.shared.in_dim}
+    for key, expected in nets_dims.items():
+        if dims[key] != expected:
             raise DataError(f"{path}: manifest {key}={dims[key]} contradicts the nets ({expected})")
     return model

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these to exit codes: ConfigError -> 1, DataError -> 2,
-TrainingDivergedError -> 3.
+TrainingDivergedError -> 3; ContractError, a caller's misuse, maps to none.
 """
 
 
@@ -13,12 +13,8 @@ class DataError(ValueError):
     """Malformed data: bad corpus file, out-of-range label, ..."""
 
 
-class ShapeError(ValueError):
-    """Dimension mismatch between arrays or network layers."""
-
-
 class ContractError(RuntimeError):
-    """An operation was called in a state its contract forbids."""
+    """A caller broke a function's contract: a forbidden state or mismatched shapes."""
 
 
 class TrainingDivergedError(RuntimeError):

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DataError, ShapeError, TrainingDivergedError
+from .errors import ConfigError, ContractError, DataError, TrainingDivergedError
 
 # A Matrix is a 2-D float64 ndarray, rows = frames in a batch.
 Matrix = np.ndarray
@@ -141,9 +141,9 @@ class DenseLayer:
     def __post_init__(self):
         object.__setattr__(self, "activation", Activation(self.activation))
         if self.weights.ndim != 2:
-            raise ShapeError("weights must be 2-D (out_dim, in_dim)")
+            raise ContractError("weights must be 2-D (out_dim, in_dim)")
         if self.bias.shape != (self.weights.shape[0],):
-            raise ShapeError(
+            raise ContractError(
                 f"bias shape {self.bias.shape} does not match out_dim {self.weights.shape[0]}"
             )
 
@@ -264,9 +264,9 @@ def forward(net: Mlp, batch: Matrix) -> tuple[Matrix, list[Matrix]]:
     a @ W.T, so the batch is never modified and a layer holds one array."""
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2:
-        raise ShapeError("batch must be 2-D (rows, features)")
+        raise ContractError("batch must be 2-D (rows, features)")
     if batch.shape[1] != net.in_dim:
-        raise ShapeError(f"batch has {batch.shape[1]} columns, net expects {net.in_dim}")
+        raise ContractError(f"batch has {batch.shape[1]} columns, net expects {net.in_dim}")
     acts = [batch]
     for layer in net.layers:
         z = acts[-1] @ layer.weights.T
@@ -327,7 +327,7 @@ def cross_entropy_loss(posteriors: Matrix, labels: np.ndarray) -> tuple[float, M
     labels = np.asarray(labels, dtype=np.int64)
     n, q = posteriors.shape
     if labels.shape != (n,):
-        raise ShapeError(f"labels shape {labels.shape} does not match batch of {n} rows")
+        raise ContractError(f"labels shape {labels.shape} does not match batch of {n} rows")
     if labels.size and (labels.min() < 0 or labels.max() >= q):
         raise DataError(f"label out of range [0, {q})")
     if n == 0:
@@ -343,7 +343,7 @@ def cross_entropy_loss(posteriors: Matrix, labels: np.ndarray) -> tuple[float, M
 def mse_loss(pred: Matrix, target: Matrix) -> tuple[float, Matrix]:
     """Mean over all entries of the squared difference; grad is w.r.t. pred."""
     if pred.shape != target.shape:
-        raise ShapeError(f"pred shape {pred.shape} != target shape {target.shape}")
+        raise ContractError(f"pred shape {pred.shape} != target shape {target.shape}")
     if pred.size == 0:
         raise ContractError("mse_loss on an empty batch")
     diff = pred - target
@@ -351,10 +351,10 @@ def mse_loss(pred: Matrix, target: Matrix) -> tuple[float, Matrix]:
     return loss, (2.0 / diff.size) * diff
 
 
-def _check_nonnegative(name: str, value: float) -> None:
-    """A ConfigError unless value is a finite number >= 0."""
-    if not (math.isfinite(value) and value >= 0):
-        raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+def _check_at_least(name: str, value: float, low: float) -> None:
+    """A ConfigError unless value is finite and >= low; an int beyond float range counts as finite."""
+    if not (-math.inf < value < math.inf and value >= low):
+        raise ConfigError(f"{name} must be finite and >= {low}, got {value}")
 
 
 def sgd_update(net: Mlp, grad: np.ndarray, mu: float) -> None:
@@ -365,9 +365,9 @@ def sgd_update(net: Mlp, grad: np.ndarray, mu: float) -> None:
     another shape, and aborts on non-finite gradients rather than silently
     corrupting the model.
     """
-    _check_nonnegative("learning rate", mu)
+    _check_at_least("learning rate", mu, 0)
     if grad.shape != net.params.shape:
-        raise ShapeError(f"gradient shape {grad.shape} does not match params shape {net.params.shape}")
+        raise ContractError(f"gradient shape {grad.shape} does not match params shape {net.params.shape}")
     if not np.isfinite(grad).all():
         raise TrainingDivergedError("non-finite gradient; training aborted")
     np.subtract(net.params, mu * grad, out=net.params)

@@ -73,7 +73,7 @@ _KEEP = "not a directory\n"
 @pytest.mark.parametrize(
     "text, out_is_file, name",
     [
-        (b"seed = 1  # caf\xe9\n", False, "run.cfg"),
+        (b"seed = 1\nalpha = 1  # caf\xe9\n", False, "run.cfg: line 2: not UTF-8 text"),
         (b"synth.noise_std = nan\n", False, "synth.noise_std"),
         (b"synth.class_separation = inf\n", False, "synth.class_separation"),
         (b"synth.channel_matrix_scale = nan\n", False, "synth.channel_matrix_scale"),
@@ -145,6 +145,29 @@ def test_n_h_is_bounded_by_the_pretrained_model(tmp_path, capsys, hidden, n_h):
     else:
         assert code == 0 and err == ""
         assert (tmp_path / "out" / "model.dsn").is_file()
+
+
+@pytest.mark.parametrize(
+    "mode, line, code, message",
+    [
+        (mode, "batch = 100000", 1, "config error: batch size 100000 exceeds corpus size 80")
+        for mode in ("pretrain", "adapt_grl", "adapt_dsn", "sweep")
+    ] + [("pretrain", "batch = 16\nmu = 1e308", 3, "training diverged: epoch 1:")],
+    ids=["batch-pretrain", "batch-adapt_grl", "batch-adapt_dsn", "batch-sweep", "diverged-pretrain"],
+)
+def test_a_run_that_fails_leaves_out_as_it_found_it(tmp_path, capsys, mode, line, code, message):
+    # the batch rule belongs to training, so these runs fail after the output directory is made
+    config = tmp_path / "run.cfg"
+    config.write_text(_TINY.replace("batch = 16\n", "") + line + f"\npretrained_model = {_deep_model(tmp_path, 3)}\n")
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "model.dsn").write_text(_KEEP)
+    for out in (tmp_path / "new" / "out", kept):
+        assert main([mode, "--config", str(config), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+    assert not (tmp_path / "new").exists()  # every directory the run made is gone
+    assert [p.name for p in kept.iterdir()] == ["model.dsn"] and (kept / "model.dsn").read_text() == _KEEP
 
 
 def test_sweep_depth_is_checked_against_the_model(tmp_path, capsys):
@@ -438,6 +461,78 @@ def test_loader_failure_is_a_data_error(tmp_path, capsys, case):
     assert err.startswith("data error:") and name in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()  # rejected before the output directory is made
+
+
+def _empty_model_file(tmp_path):
+    mode, line, name = _bad_mlp_file(tmp_path, "", 1)
+    (tmp_path / "source.mlp").write_text("")
+    return mode, line, "source.mlp: unexpected end of file at line 1"
+
+
+def _manifest_without(tmp_path, key):
+    mode, line, name = _bad_model_file(tmp_path, (f"{key}=", f"x{key}="))  # `{key}=` occurs once on the line
+    return mode, line, f"{name}: line 2: manifest is missing '{key}'"
+
+
+@pytest.mark.parametrize(
+    "case, code",
+    [
+        (lambda d: ("evaluate", "", "model_path"), 1),
+        (lambda d: ("adapt_grl", "", "pretrained_model"), 1),
+        (lambda d: ("adapt_dsn", "", "pretrained_model"), 1),
+        (lambda d: ("pretrain", None, "--config"), 1),
+        (lambda d: _data_dir(d, "pretrain", "source_train.csv: empty file", source_train=""), 2),
+        (lambda d: _data_dir(d, "pretrain", "source_train.csv: line 1: header needs dim=<n >= 1>",
+                             source_train="dsn-corpus v1 dim=x spliced=0\n"), 2),
+        (_empty_model_file, 2),
+        (lambda d: (*_bad_mlp_file(d, "", 1)[:2], "source.mlp: line 1: model has no layers"), 2),
+        (lambda d: (*_bad_mlp_file(d, "layer 0 2 1 linear\n1 2\n", 1)[:2],
+                    "source.mlp: unexpected end of file at line 4"), 2),
+        (lambda d: _bad_mlp_file(d, "layer 0 2 1 linear\n1 2 3\n0\n", 3), 2),
+        (lambda d: _bad_mlp_file(d, "layer 0 2 1\n1 2\n0\n", 2), 2),
+        (lambda d: _bad_mlp_file(d, "layer 0 2 x linear\n1 2\n0\n", 2), 2),
+        (lambda d: _bad_mlp_file(d, "layer 0 2 1 tanh\n1 2\n0\n", 2), 2),
+        (lambda d: (*_bad_model_file(d, (" n_h=", " n_h "))[:2], "model.dsn: line 2: malformed manifest entry 'n_h'"),
+         2),
+        *[(lambda d, key=key: _manifest_without(d, key), 2) for key in ("alpha", "n_h", "k", "q", "feature_dim")],
+        (lambda d: _bad_nets_line(d, "shared senone domain"), 2),
+        (lambda d: _bad_nets_line(d, "nets shared senone domain bogus"), 2),
+    ],
+    ids=[
+        "evaluate-without-model-path",
+        "adapt-grl-without-pretrained-model",
+        "adapt-dsn-without-pretrained-model",
+        "no-config",
+        "empty-corpus-file",
+        "corpus-dim-not-an-integer",
+        "empty-model-file",
+        "model-without-layers",
+        "truncated-model",
+        "row-one-value-too-long",
+        "layer-line-of-4-fields",
+        "non-integer-width",
+        "unknown-activation",
+        "malformed-manifest-entry",
+        "manifest-without-alpha",
+        "manifest-without-n-h",
+        "manifest-without-k",
+        "manifest-without-q",
+        "manifest-without-feature-dim",
+        "no-nets-line",
+        "unknown-net-name",
+    ],
+)
+def test_each_rejection_is_one_line_naming_its_source(tmp_path, capsys, case, code):
+    mode, line, name = case(tmp_path)
+    argv = [mode, "--out", str(tmp_path / "out")]
+    if line is not None:
+        (tmp_path / "run.cfg").write_text(line + "\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(("config error: ", "data error: ")[code - 1]) and name in err
+    assert err.count("\n") == 1 and err.endswith("\n")  # one line: no traceback
+    assert not (tmp_path / "out").exists()
 
 
 def test_second_run_over_one_data_dir_loads_sidecars_and_matches_the_first(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from dsnadapt.config import (
@@ -76,6 +78,57 @@ def test_every_key_parses_its_default_back(key):
         assert [type(v) for v in value] == [type(v) for v in default]
 
 
+# Each numeric key's lower bound and the value one step past it. A seed takes
+# any integer, so None stands for "nothing below is rejected";
+# synth.channel_matrix_scale takes any finite number.
+_BOUNDS = {
+    **dict.fromkeys(("synth.num_classes", "synth.base_dim", "synth.utterances_per_domain",
+                     "synth.frames_per_utterance", "net.source_hidden", "net.domain_hidden",
+                     "net.private_hidden", "net.recon_hidden", "n_h", "batch", "sweep.n_h"), ("1", "0")),
+    **dict.fromkeys(("splice.left", "splice.right", "epochs"), ("0", "-1")),
+    **dict.fromkeys(("synth.class_separation", "synth.noise_std", "alpha", "beta", "gamma", "mu", "sweep.alpha"),
+                    ("0", "-5e-324")),  # the float next below 0
+    "synth.channel_matrix_scale": ("-1.7976931348623157e308", "-inf"),
+    "synth.seed": ("-18446744073709551617", None),
+    "seed": ("-18446744073709551617", None),
+}
+
+
+def _range_cases():
+    """(key, entry): entry is None for a number, else the index of one entry of a list."""
+    for key in sorted(_BOUNDS):
+        default = _attr(ExperimentConfig(), ACCEPTED_KEYS[key])
+        for entry in range(len(default)) if isinstance(default, tuple) else [None]:
+            yield pytest.param(key, entry, id=key if entry is None else f"{key}[{entry}]")
+
+
+def test_every_numeric_key_has_a_bound():
+    numeric = {key for key, path in ACCEPTED_KEYS.items() if _attr(ExperimentConfig(), path) is not None}
+    assert set(_BOUNDS) == numeric
+
+
+@pytest.mark.parametrize("key, entry", _range_cases())
+def test_each_number_is_accepted_at_its_bound_and_rejected_past_it(key, entry):
+    default = _attr(ExperimentConfig(), ACCEPTED_KEYS[key])
+    bound, past = _BOUNDS[key]
+
+    def raw(value):  # the key's text with the one value under test
+        return value if entry is None else ", ".join(value if i == entry else str(v) for i, v in enumerate(default))
+
+    kind = type(default if entry is None else default[entry])
+    value = _attr(build_config({key: raw(bound)}), ACCEPTED_KEYS[key])
+    assert (value if entry is None else value[entry]) == kind(bound)
+    if kind is int:  # no upper bound, and no float conversion that would overflow
+        assert _attr(build_config({key: raw("9" * 400)}), ACCEPTED_KEYS[key])
+    rejected = ([] if past is None else [past]) + (["nan", "inf", "-inf"] if kind is float else [])
+    for bad in rejected:
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be finite and >= "):
+            build_config({key: raw(bad)})
+    if entry == 0:
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)} needs at least one value$"):
+            build_config({key: ""})
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config_text("alpha = 1\nalpha = 2\n")
@@ -93,7 +146,7 @@ def test_bad_value_types():
 
 
 def test_semantic_validation():
-    with pytest.raises(ConfigError, match="n_h must be >= 1"):
+    with pytest.raises(ConfigError, match="n_h must be finite and >= 1, got 0"):
         build_config({"n_h": "0"})
     # the depth bound belongs to the net being split and is checked by the mode
     assert build_config({"n_h": "7"}).n_h == 7

@@ -14,7 +14,6 @@ from dsnadapt.errors import (
     ConfigError,
     ContractError,
     DataError,
-    ShapeError,
     TrainingDivergedError,
 )
 from dsnadapt.nn import (
@@ -226,7 +225,7 @@ def test_forward_matches_independent_oracle():
 
 def test_forward_shape_checks():
     net = small_net()
-    with pytest.raises(ShapeError):
+    with pytest.raises(ContractError):
         forward(net, np.zeros((2, 3)))
 
 
@@ -553,7 +552,7 @@ def test_sgd_rejects_gradients_of_another_shape():
     net = small_net(seed=35)
     before = net.params.copy()
     for other in (np.zeros(net.params.size - 1), np.zeros(net.params.size + 1), np.zeros((1, net.params.size))):
-        with pytest.raises(ShapeError, match="does not match params shape"):
+        with pytest.raises(ContractError, match="does not match params shape"):
             sgd_update(net, other, 0.1)
     assert np.array_equal(net.params, before)
 
