@@ -5,9 +5,11 @@
 
 Modes: pretrain, adapt_grl, adapt_dsn, evaluate, sweep. Each flag sets the
 config key it names (`--n-h` sets `n_h`; `--seed` also sets `synth.seed`) over
-the file's value; see config.py for the key scheme. Exit codes: 0 success,
-1 config error, 2 data error, 3 training divergence; a run that exits non-zero
-leaves --out as it found it.
+the file's value; see config.py for the key scheme.
+
+Success exits 0. A bad input exits 1 (`config error: `), 2 (`data error: `)
+or 3 (`training diverged: `) with one stderr line, that prefix and a message
+naming the file (and line) or the key at fault, and leaves --out as it found it.
 
 `sweep` writes `sweep.csv`, one line per model under the header
 `seed,method,n_h,alpha,source_error,target_error`: the pretrained net (method
@@ -23,6 +25,7 @@ parsing the file again while its bytes are unchanged (see data.py).
 from __future__ import annotations
 
 import argparse
+import os
 import shutil
 import sys
 from pathlib import Path
@@ -49,10 +52,15 @@ from .pipeline import (
 _FLAG_KEYS = ("seed", "n_h", "alpha", "beta", "gamma")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # one config-error line, not argparse's usage block and exit 2
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="dsn-adapt", description=__doc__)
+    parser = _Parser(prog="dsn-adapt", description=__doc__)
     parser.add_argument("mode")
-    parser.add_argument("--config", required=False)
+    parser.add_argument("--config", required=True)
     parser.add_argument("--out", default="out")
     for key in _FLAG_KEYS:
         parser.add_argument("--" + key.replace("_", "-"), dest=key)
@@ -103,6 +111,7 @@ def _run_mode(mode: str, cfg: ExperimentConfig, out_dir: Path) -> None:
     if nets is None and top >= cfg.synth.num_classes:  # the new net gets synth.num_classes outputs
         raise DataError(f"{Path(cfg.data_dir or '.') / DATA_FILES[name]}: label {top}, "
                         f"but synth.num_classes is {cfg.synth.num_classes}")
+    out_dir = Path(os.path.realpath(out_dir))  # unresolved, x/../y with x missing makes y outside made = x
     made = next((p for p in (*reversed(out_dir.parents), out_dir) if not p.exists()), None)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -135,14 +144,8 @@ def _run_mode(mode: str, cfg: ExperimentConfig, out_dir: Path) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
-    try:
-        if args.config is None:
-            raise ConfigError("--config is required")
+        args = _build_parser().parse_args(argv)
         overrides = {key: getattr(args, key) for key in _FLAG_KEYS if getattr(args, key) is not None}
         if "seed" in overrides:
             overrides["synth.seed"] = overrides["seed"]  # the data follows the master seed
@@ -150,15 +153,11 @@ def main(argv: list[str] | None = None) -> int:
         # an overflow or nan is reported by the program's own checks, in its one message
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             _run_mode(args.mode, cfg, Path(args.out))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except TrainingDivergedError as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
-        return 3
+    except SystemExit:  # --help, once printed
+        return 0
+    except (ConfigError, DataError, TrainingDivergedError) as exc:
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.code
     return 0
 
 

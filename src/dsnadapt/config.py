@@ -106,6 +106,8 @@ def _convert(key: str, raw: str, default: object) -> object:
     """Parse raw as the type of the field's default: None means a path
     string, a tuple a comma-separated list of its element type."""
     if default is None:
+        if "\0" in raw:
+            raise ConfigError(f"{key}: a path cannot hold a NUL byte, got {raw!r}")
         return raw
     if isinstance(default, tuple):
         return tuple(_convert(key, part.strip(), default[0]) for part in raw.split(",") if part.strip())

@@ -19,7 +19,7 @@ from typing import BinaryIO, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DataError
+from .errors import ContractError, DataError
 from .nn import Rng, _box_muller, _check_at_least, utf8_lines
 
 VARIANCE_FLOOR = 1e-8
@@ -213,7 +213,7 @@ def splice(corpus: Corpus, left: int, right: int) -> Corpus:
     windows become the corpus's context table.
     """
     if left < 0 or right < 0:
-        raise ConfigError("context sizes must be >= 0")
+        raise ContractError(f"splice takes context sizes >= 0, got left={left}, right={right}")
     if corpus.context is not None or corpus.norm is not None:
         raise ContractError("splice takes raw frames; this corpus is spliced or normalized")
     first, last = _utterance_bounds(corpus.utt_ids)

@@ -428,11 +428,10 @@ class LineCursor:
         return self.lines[self.pos] if self.pos < len(self.lines) else None
 
     def take(self) -> str:
-        line = self.peek()
-        if line is None:
-            raise DataError(f"{self.source}: unexpected end of file at line {self.pos + 1}")
         self.pos += 1
-        return line
+        if self.pos > len(self.lines):
+            raise self.error("unexpected end of file") if self.lines else DataError(f"{self.source}: empty file")
+        return self.lines[self.pos - 1]
 
     def error(self, message: str) -> DataError:
         return DataError(f"{self.source}: line {self.pos}: {message}")

@@ -207,6 +207,14 @@ def test_splice_boundary_repeats_edge_frame():
     assert model_input_oracle(spliced).tolist() == [[0, 0, 1], [0, 1, 2], [1, 2, 2]]
 
 
+@pytest.mark.parametrize("left, right", [(-1, 2), (2, -1)])
+def test_splice_rejects_a_negative_context_as_a_contract_breach(left, right):
+    # SpliceConfig checks splice.left and splice.right, so only code can pass these
+    corpus = Corpus(domain=0, utt_ids=["u"] * 3, labels=np.zeros(3, dtype=np.int64), features=np.zeros((3, 1)))
+    with pytest.raises(ContractError, match=rf"^splice takes context sizes >= 0, got left={left}, right={right}$"):
+        splice(corpus, left, right)
+
+
 def test_splice_never_crosses_utterances():
     feats = np.array([[1.0], [2.0], [10.0], [20.0]])
     cases = [
