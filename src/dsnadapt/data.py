@@ -32,14 +32,16 @@ class Corpus:
     """One domain's frames, columnar. domain is the domain classifier's
     column for every frame (0 source, 1 target); labels uses -1 for "absent".
     An utterance is a run of consecutive rows sharing one utt_id. features
-    holds the frames as read or drawn; rows() gathers each row's window by the
-    context table, (rows, width), and applies norm, (mean, scale), to it."""
+    holds the frames as read or drawn. A spliced corpus's context is the rule
+    (left, right, starts): row i's window is rows i - left .. i + right, clipped
+    to its utterance's rows starts[u] .. starts[u + 1] - 1. rows() gathers the
+    windows and applies norm, (mean, scale), to them."""
 
     domain: int
     utt_ids: list[str]
     labels: np.ndarray
     features: np.ndarray
-    context: np.ndarray | None = None
+    context: tuple[int, int, np.ndarray] | None = None
     norm: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
@@ -50,23 +52,29 @@ class Corpus:
             raise DataError(f"features shape {self.features.shape} does not hold {n} frames")
         if self.labels.shape != (n,):
             raise DataError(f"labels length {self.labels.shape} != {n}")
-        if self.context is not None and (self.context.ndim != 2 or len(self.context) != n or
-                                         (n and not 0 <= self.context.min() <= self.context.max() < n)):
-            raise ContractError(f"context table {self.context.shape} does not index {n} frames")
+        left, right, starts = self.context or (0, 0, None)  # checked in O(utterances), at any width
+        if starts is not None and not (min(left, right) >= 0 and starts.dtype == np.int64 and starts.ndim == 1
+                                       and len(starts) and starts[0] == 0 and starts[-1] == n
+                                       and (np.diff(starts) > 0).all()):
+            raise ContractError(f"context ({left}, {right}) and its utterance starts do not splice {n} frames")
 
     def __len__(self) -> int:
         return len(self.utt_ids)
 
     @property
     def dim(self) -> int:
-        return self.features.shape[1] * (1 if self.context is None else self.context.shape[1])
+        return self.features.shape[1] * (1 if self.context is None else self.context[0] + 1 + self.context[1])
 
     def rows(self, index: np.ndarray | slice, out: np.ndarray | None = None) -> np.ndarray:
         """The float64 model input of the rows at index (in-range row numbers or
-        a slice), in out if given: their windows, then (x - mean) / scale."""
+        a slice), in out if given: their windows by the context rule, built for
+        these rows alone, then (x - mean) / scale."""
         index = np.arange(*index.indices(len(self))) if isinstance(index, slice) else index
         if self.context is not None:
-            index = np.take(self.context, index, axis=0, mode="clip")
+            left, right, starts = self.context
+            run = np.searchsorted(starts, index, side="right")  # 1 + each row's utterance
+            index = np.add.outer(index, np.arange(-left, right + 1))
+            np.minimum(np.maximum(index, starts[run - 1][:, None], out=index), starts[run][:, None] - 1, out=index)
         out = np.empty((len(index), self.dim)) if out is None else out
         frames = out.view()
         frames.shape = (*index.shape, self.features.shape[1])  # raises rather than copy
@@ -84,14 +92,12 @@ class Corpus:
         return len(self) > 0 and bool((self.labels >= 0).all())
 
 
-def _utterance_bounds(utt_ids: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """First and last row of each row's utterance (run of equal utt_ids)."""
+def _utterance_starts(utt_ids: list[str]) -> np.ndarray:
+    """The first row of each utterance (run of equal utt_ids), then len(utt_ids)."""
     ids = np.array(utt_ids, dtype=object)  # not a U array, which drops trailing NULs
     first = np.ones(len(ids), dtype=bool)
     first[1:] = ids[1:] != ids[:-1]
-    starts = np.flatnonzero(first)
-    run = np.cumsum(first) - 1
-    return starts[run], np.append(starts[1:], len(ids))[run] - 1
+    return np.append(np.flatnonzero(first), len(ids))
 
 
 @dataclass(frozen=True)
@@ -210,21 +216,20 @@ def splice(corpus: Corpus, left: int, right: int) -> Corpus:
 
     Edge frames repeat the boundary frame. Frame counts and utterance
     boundaries are unchanged; the new dim is dim * (left + 1 + right). The
-    windows become the corpus's context table.
+    context records the window rule, one row number per utterance at any width.
     """
     if left < 0 or right < 0:
         raise ContractError(f"splice takes context sizes >= 0, got left={left}, right={right}")
     if corpus.context is not None or corpus.norm is not None:
         raise ContractError("splice takes raw frames; this corpus is spliced or normalized")
-    first, last = _utterance_bounds(corpus.utt_ids)
-    idx = np.clip(np.arange(len(corpus))[:, None] + np.arange(-left, right + 1), first[:, None], last[:, None])
-    return replace(corpus, context=idx)
+    return replace(corpus, context=(left, right, _utterance_starts(corpus.utt_ids)))
 
 
 def cmvn(stats_from: Sequence[Corpus]) -> tuple[np.ndarray, np.ndarray]:
     """Global normalization statistics over the pooled Corpus.rows of
-    stats_from: the per-dimension mean and scale = sqrt(max(var, floor)) of
-    the population variance, for the map x -> (x - mean) / scale of a norm.
+    stats_from, whose windows are built a block of rows at a time: the
+    per-dimension mean and scale = sqrt(max(var, floor)) of the population
+    variance, for the map x -> (x - mean) / scale of a norm.
 
     mean and var are ndarray.mean and ndarray.var of the float64 vstack of
     the rows bit for bit, without that copy: numpy adds the rows of a
@@ -262,7 +267,7 @@ def _pooled_column_sum(stats_from: Sequence[Corpus], mean: np.ndarray | None = N
 #   utt_id,frame_idx,src|tgt,label,v1,...,vD
 # with label -1 when absent. The header pins the per-line feature dim; files
 # hold the frames as read or drawn, so spliced is always 0, and the writer
-# refuses a corpus with a context table or a norm. frame_idx is the frame's
+# refuses a spliced or normalized corpus. frame_idx is the frame's
 # 0-based position in its run of consecutive records sharing the utt_id, and
 # every record carries the file's one domain tag (a file without records
 # reads as source). The reader rejects any other header flag, tag or
@@ -303,7 +308,8 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
     bad = next((u for u in dict.fromkeys(corpus.utt_ids) if "," in u or len((u + ".").splitlines()) > 1), None)
     if bad is not None:
         raise DataError(f"{path}: utt id {bad!r} holds a comma or a line break, which would split its record")
-    frame_idx = np.arange(len(corpus)) - _utterance_bounds(corpus.utt_ids)[0]
+    starts = _utterance_starts(corpus.utt_ids)
+    frame_idx = np.arange(len(corpus)) - np.repeat(starts[:-1], np.diff(starts))
     record = "%s,%d," + _DOMAIN_TAGS[corpus.domain] + ",%d" + ",%.17g" * corpus.dim + "\n"
     with Path(path).open("w", encoding="utf-8") as f:
         f.write(f"dsn-corpus v1 dim={corpus.dim} spliced=0\n")
@@ -406,8 +412,7 @@ def _load_sidecar(sidecar: Path, key: tuple[str, str, int]) -> Corpus | None:
 
 
 def _save_sidecar(sidecar: Path, key: tuple[str, str, int], corpus: Corpus) -> None:
-    n = len(corpus)
-    starts = np.flatnonzero(_utterance_bounds(corpus.utt_ids)[0] == np.arange(n))
+    starts = _utterance_starts(corpus.utt_ids)
     arrays = {
         "digest": np.array(key[0]),
         "mode": np.array(key[1]),
@@ -415,8 +420,8 @@ def _save_sidecar(sidecar: Path, key: tuple[str, str, int], corpus: Corpus) -> N
         "domain": np.array(corpus.domain, dtype=np.int64),
         "features": corpus.features,
         "labels": corpus.labels,
-        "runs": np.diff(np.append(starts, n)),
-        "names": np.frombuffer("\n".join(corpus.utt_ids[i] for i in starts).encode("utf-8"), dtype=np.uint8),
+        "runs": np.diff(starts),
+        "names": np.frombuffer("\n".join(corpus.utt_ids[i] for i in starts[:-1]).encode("utf-8"), dtype=np.uint8),
     }
     tmp = sidecar.with_name(f"{sidecar.name}.{secrets.token_hex(8)}.tmp")
     try:

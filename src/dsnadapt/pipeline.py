@@ -189,7 +189,7 @@ def evaluate(nets: Sequence[Mlp], corpus: Corpus) -> EvalResult:
         raise ContractError("evaluation needs a labeled corpus")
     q, n = nets[-1].out_dim, len(corpus)
     if int(corpus.labels.max()) >= q:
-        raise DataError(f"label {int(corpus.labels.max())} out of range for {q} classes")
+        raise ContractError(f"label {int(corpus.labels.max())} out of range for {q} classes")
     pred = np.empty(n, dtype=np.int64)
     for start in range(0, n, BLOCK_RECORDS):
         x = corpus.rows(slice(start, start + BLOCK_RECORDS))
@@ -258,7 +258,7 @@ def _adapt(cfg: ExperimentConfig, source_dnn: Mlp, source_train: Corpus, target_
     if not source_train.is_labeled:
         raise ContractError("adaptation needs a labeled source corpus")
     if source_train.dim != target_adapt.dim:
-        raise DataError("source and target corpora disagree on feature dim")
+        raise ContractError(f"source dim {source_train.dim} != target dim {target_adapt.dim}")
     model = build_dsn(cfg, source_dnn, with_private)
 
     def step(si: np.ndarray, ti: np.ndarray) -> StepTrace:

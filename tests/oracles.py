@@ -1,5 +1,5 @@
 """Test-only oracles: a finite-difference checker, a nearest-class-mean
-classifier, a per-utterance corpus generator, the plain model-input,
+classifier, a per-utterance corpus generator, the plain splicing, model-input,
 normalization, preparation and evaluation formulas, a traced-memory probe and
 a gradient poisoner. A gradient is the vector backward() returns, laid out
 like the net's params. Imported by the test modules, never by dsnadapt."""
@@ -115,12 +115,28 @@ def poison_dsn_gradient(monkeypatch, name: str) -> None:
     monkeypatch.setattr(dsn, "dsn_gradients", poisoned)
 
 
+def splice_oracle(corpus: Corpus, left: int, right: int) -> np.ndarray:
+    """Row-by-row reference for splicing, from utt_ids and features alone:
+    each frame followed by its context, clamped to the frame's own run of
+    equal utt_ids."""
+    ids, n = corpus.utt_ids, len(corpus)
+    first, last = list(range(n)), list(range(n))
+    for i in range(1, n):
+        if ids[i] == ids[i - 1]:
+            first[i] = first[i - 1]
+    for i in reversed(range(n - 1)):
+        if ids[i] == ids[i + 1]:
+            last[i] = last[i + 1]
+    picks = [min(max(j, first[i]), last[i]) for i in range(n) for j in range(i - left, i + right + 1)]
+    return corpus.features[np.array(picks, dtype=np.int64)].reshape(n, corpus.features.shape[1] * (left + 1 + right))
+
+
 def model_input_oracle(corpus: Corpus) -> np.ndarray:
-    """Corpus.rows of every row by the plain formula: the whole corpus's
-    context windows materialized by one fancy index of its table (the raw
-    frames without one) as float64, then (x - mean) / scale under a norm."""
-    x = corpus.features if corpus.context is None else corpus.features[corpus.context]
-    x = x.reshape(len(corpus), corpus.dim).astype(np.float64)
+    """Corpus.rows of every row by the plain formula: the raw frames, or under
+    a context (left, right, ...) each frame's window by splice_oracle, as
+    float64, then (x - mean) / scale under a norm."""
+    x = corpus.features if corpus.context is None else splice_oracle(corpus, *corpus.context[:2])
+    x = x.astype(np.float64)
     return x if corpus.norm is None else (x - corpus.norm[0]) / corpus.norm[1]
 
 

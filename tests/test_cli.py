@@ -180,6 +180,7 @@ class Bad(NamedTuple):
     poison: str | None = None  # the sub-network whose every gradient gets a NaN
 
 
+_PATHS = (("data_dir", "pretrain"), ("pretrained_model", "adapt_grl"), ("model_path", "evaluate"))  # key, its mode
 _BAD = {
     "test_non_finite_coefficient_is_a_config_error": [
         Bad(f"{flag}-{value}", 1, ("pretrain", "", f"{flag[2:]} must be finite and >= 0, got {value}"), (flag, value))
@@ -198,12 +199,9 @@ _BAD = {
         Bad(line, 1, ("sweep", line, message)) for line, message in (
             ("sweep.alpha = 1, nan", "sweep.alpha must be finite and >= 0, got nan"),
             ("sweep.alpha = -1", "sweep.alpha must be finite and >= 0, got -1.0"),
+            # without a pretrained model, sweep.n_h is bounded by the config's own widths
             ("sweep.n_h = 1, 4", "sweep.n_h 4 exceeds the 3 hidden layers of net.source_hidden"),
         )
-    ],
-    "test_sweep_without_a_model_is_bounded_by_the_config_widths": [
-        Bad("no-model", 1,
-            ("sweep", "sweep.n_h = 1, 4", "sweep.n_h 4 exceeds the 3 hidden layers of net.source_hidden")),
     ],
     "test_bad_input_is_a_config_error": [
         Bad("config-not-utf8", 1, ("pretrain", b"seed = 1\nalpha = 1  # caf\xe9\n", "run.cfg: line 2: not UTF-8 text")),
@@ -220,7 +218,8 @@ _BAD = {
         Bad("overflowing-noise-draw", 1, ("pretrain", "synth.noise_std = 1e308", _OVERFLOW)),
         Bad("overflowing-channel-draw", 1, ("pretrain", "synth.channel_matrix_scale = 1e308", _OVERFLOW)),
         *[Bad(f"nul-in-{key}", 1, (mode, f"{key} = a\0b", f"{key}: a path cannot hold a NUL byte"))
-          for key, mode in (("data_dir", "pretrain"), ("pretrained_model", "adapt_grl"), ("model_path", "evaluate"))],
+          for key, mode in _PATHS],
+        *[Bad(f"empty-{key}", 1, (mode, f"{key} =", f"{key}: a path cannot be empty, got ''")) for key, mode in _PATHS],
     ],
     "test_n_h_deeper_than_the_model_is_a_config_error": [
         Bad("adapt_grl-", 1, lambda d: _deeper_than("adapt_grl", "", "n_h", 2, _shallow_model(d), 1)),

@@ -30,6 +30,7 @@ from oracles import (
     gen_corpus_by_utterance,
     model_input_oracle,
     nearest_class_mean_error,
+    splice_oracle,
     traced_peak_bytes,
 )
 
@@ -195,8 +196,8 @@ def test_splice_paper_shape_dim():
     bundle = synth_corpus(cfg)
     spliced = splice(bundle.source_train, 5, 5)
     assert spliced.dim == 957
-    assert spliced.features.shape == (12, 87)  # the raw frames; the windows are a table
-    assert spliced.context.shape == (12, 11)
+    assert spliced.features.shape == (12, 87)  # the raw frames; the windows are a rule
+    assert spliced.context[:2] == (5, 5) and spliced.context[2].tolist() == [0, 12]
     assert model_input_oracle(spliced).shape == spliced.rows(slice(None)).shape == (12, 957)
 
 
@@ -228,20 +229,6 @@ def test_splice_never_crosses_utterances():
         assert model_input_oracle(spliced).tolist() == expected
         assert len(spliced) == len(corpus)
         assert spliced.utt_ids == corpus.utt_ids
-
-
-def splice_oracle(corpus, left, right):
-    """Row-by-row reference: each frame followed by its context, clamped to
-    the frame's own run of equal utt_ids."""
-    ids, rows = corpus.utt_ids, []
-    for i in range(len(corpus)):
-        start = end = i
-        while start > 0 and ids[start - 1] == ids[i]:
-            start -= 1
-        while end + 1 < len(ids) and ids[end + 1] == ids[i]:
-            end += 1
-        rows.append([corpus.features[min(max(j, start), end)] for j in range(i - left, i + right + 1)])
-    return np.array(rows).reshape(len(corpus), corpus.dim * (left + 1 + right))
 
 
 @given(
@@ -298,14 +285,33 @@ def test_rows_match_the_materialized_formula_bit_for_bit(left, right):
             assert np.isnan(stacked[: len(picks)]).all() and _same_bits(stacked[len(picks) :], expected[picks])
 
 
+def _array_bytes(value):
+    """The bytes of every array value holds, through a corpus's fields and tuples."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if isinstance(value, Corpus):
+        value = tuple(vars(value).values())
+    return sum(map(_array_bytes, value)) if isinstance(value, tuple) else 0
+
+
+def test_a_spliced_corpus_holds_one_row_number_per_utterance_at_any_width():
+    raw = synth_corpus(toy_cfg(utterances_per_domain=40, frames_per_utterance=100)).source_train
+    for width in (2, 5):
+        assert _array_bytes(splice(raw, width, width)) == _array_bytes(raw) + 8 * (40 + 1)
+
+
+# The window rule a Corpus is given directly must splice its frames: two
+# frames of one utterance here, so starts (0, 2) and context sizes >= 0.
 @pytest.mark.parametrize(
     "context",
-    [np.array([[0], [2]]), np.array([[0], [-1]]), np.array([[0]]), np.array([0, 1])],
-    ids=["past-the-end", "negative", "too-few-rows", "one-dimensional"],
+    [(1, 1, np.array([0, 3])), (-1, 1, np.array([0, 2])), (1, 1, np.array([0, 1])), (1, 1, np.array([[0, 2]])),
+     (1, 1, np.array([0, 0, 2])), (1, 1, np.array([0.0, 2.0]))],
+    ids=["past-the-end", "negative", "too-few-rows", "two-dimensional-starts", "empty-utterance", "float-starts"],
 )
 def test_corpus_rejects_a_table_that_is_not_rows_of_its_frames(context):
-    with pytest.raises(ContractError, match="context table"):
+    with pytest.raises(ContractError, match=r"^context \(-?1, 1\) and its utterance starts do not splice 2 frames$"):
         Corpus(0, ["u", "u"], np.zeros(2, dtype=np.int64), np.ones((2, 3)), context=context)
+    Corpus(0, ["u", "u"], np.zeros(2, dtype=np.int64), np.ones((2, 3)), context=(1, 1, np.array([0, 2])))
 
 
 # ---------------------------------------------------------------------------
@@ -804,7 +810,7 @@ def test_sidecar_hit_is_bit_identical_to_a_parse(tmp_path, monkeypatch, make, mo
     assert hit.domain == parsed.domain and hit.utt_ids == parsed.utt_ids
     assert hit.labels.dtype == parsed.labels.dtype and np.array_equal(hit.labels, parsed.labels)
     assert _same_bits(hit.features, parsed.features)
-    n_runs = len(np.flatnonzero(data._utterance_bounds(parsed.utt_ids)[0] == np.arange(len(parsed))))
+    n_runs = len(data._utterance_starts(parsed.utt_ids)) - 1
     assert len({id(u) for u in hit.utt_ids}) == n_runs  # one str per utterance
 
 

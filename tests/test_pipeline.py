@@ -112,19 +112,21 @@ def test_prepare_matches_the_plain_formula_bit_for_bit(tmp_path, make, need_targ
 
 
 def test_prepare_holds_no_spliced_copy():
-    # at cli_files size the prepared corpora hold their raw frames and window
-    # tables, 10.4 MB at the default +-2 window and 15.2 MB at +-5; the peak is
-    # about 1.41x of them at +-2 (synthesis's) and 1.32x at +-5 (cmvn's, beside
-    # the window tables). A spliced copy of the corpora would add 32 MB (3.1x
-    # of them) at +-2 and 70 MB at +-5.
+    # at cli_files size the prepared corpora hold their raw frames, 6.4 MB, and
+    # one row number per utterance; the peak, 14.65 MB at the default +-2 window
+    # and at +-5, is synthesis's. The bound is below 15.6 MB, 1.5x what the
+    # corpora held at +-2 when each kept a window table of its rows (4 MB at
+    # +-2, 8.8 MB at +-5). A spliced copy of the corpora would add 32 MB at +-2
+    # and 70 MB at +-5.
     for width in (2, 5):
         cfg = pipeline.trend_profile(1)
         cfg = replace(cfg, synth=replace(cfg.synth, utterances_per_domain=400), splice=SpliceConfig(width, width))
         prepared = []
         peak = traced_peak_bytes(lambda: prepared.append(prepare_corpora(cfg, need_target_labels=True)))
-        held = sum(c.features.nbytes + c.context.nbytes for c in _corpora(prepared[0]))
+        held = sum(c.features.nbytes + c.context[2].nbytes for c in _corpora(prepared[0]))
         assert all(c.features.shape == (len(c), cfg.synth.base_dim) for c in _corpora(prepared[0]))
-        assert peak < 1.5 * held
+        assert held == 8 * (8 * 100_000 + 1_000 + 4)  # 100k frames of 8 dims, 1k utterances in 4 corpora
+        assert peak < 15_000_000
 
 
 def test_sampler_covers_every_index_each_pass():
@@ -254,6 +256,23 @@ def test_evaluate_holds_a_block():
 def test_evaluate_rejects_unlabeled(prepared):
     with pytest.raises(ContractError):
         evaluate((_constant_net(4, prepared.target_adapt.dim, 0),), prepared.target_adapt)
+
+
+# cli._run_mode checks both rules below against the model and data_dir's
+# files first, and synthesis draws only labels and dims that fit, so only a
+# caller's code can break them.
+def test_evaluate_rejects_a_label_beyond_the_nets_classes(prepared):
+    top = int(prepared.source_test.labels.max())
+    with pytest.raises(ContractError, match=rf"^label {top} out of range for {top} classes$"):
+        evaluate((_constant_net(top, prepared.source_test.dim, 0),), prepared.source_test)
+
+
+@pytest.mark.parametrize("adapt", [adapt_grl, adapt_dsn])
+def test_adaptation_rejects_corpora_of_different_dims(prepared, adapt):
+    net, _ = pretrain_source(tiny_cfg(epochs=0), prepared.source_train)
+    raw_target = replace(prepared.target_adapt, context=None, norm=None)
+    with pytest.raises(ContractError, match="^source dim 15 != target dim 5$"):
+        adapt(tiny_cfg(), net, prepared.source_train, raw_target)
 
 
 def test_evaluate_argmax_tie_breaks_low():
@@ -450,14 +469,33 @@ def test_sweep_marks_diverged_cell_nan(prepared, source_dnn):
 # ---------------------------------------------------------------------------
 
 
-def test_trend_shows_the_papers_ordering():
+def test_trend_shows_the_papers_ordering(trend_rows):
     # median target frame error over the canonical profile's seeds 1-5:
     # full model < reversal-only baseline < unadapted source model
-    rows = pipeline.run_trend(seeds=(1, 2, 3, 4, 5))
     methods = ("adapt_dsn", "adapt_grl", "pretrain")
-    assert sorted((r.seed, r.method) for r in rows) == sorted((s, m) for s in range(1, 6) for m in methods)
-    medians = [statistics.median(r.target_error for r in rows if r.method == m) for m in methods]
+    assert sorted((r.seed, r.method) for r in trend_rows) == sorted((s, m) for s in range(1, 6) for m in methods)
+    medians = [statistics.median(r.target_error for r in trend_rows if r.method == m) for m in methods]
     assert medians[0] < medians[1] < medians[2], medians
+
+
+# Frame errors on the 2,500 frames of source_test and of target_test, by seed
+# and method, from the trend run. Counts survive a last-bit change in training
+# that flips no argmax; a change that moves one moves what the run trains.
+_TREND_ERRORS = {
+    (1, "pretrain"): (39, 863), (1, "adapt_grl"): (83, 704), (1, "adapt_dsn"): (105, 729),
+    (2, "pretrain"): (35, 861), (2, "adapt_grl"): (66, 852), (2, "adapt_dsn"): (101, 741),
+    (3, "pretrain"): (39, 1115), (3, "adapt_grl"): (57, 1123), (3, "adapt_dsn"): (108, 946),
+    (4, "pretrain"): (39, 648), (4, "adapt_grl"): (61, 549), (4, "adapt_dsn"): (100, 600),
+    (5, "pretrain"): (44, 1044), (5, "adapt_grl"): (107, 927), (5, "adapt_dsn"): (123, 861),
+}
+
+
+def test_trend_error_counts_are_pinned(trend_rows):
+    counts = {}
+    for r in trend_rows:
+        counts[r.seed, r.method] = tuple(round(rate * 2500) for rate in (r.source_error, r.target_error))
+        assert (r.source_error, r.target_error) == tuple(c / 2500 for c in counts[r.seed, r.method])  # whole counts
+    assert counts == _TREND_ERRORS
 
 
 # ---------------------------------------------------------------------------
