@@ -199,9 +199,13 @@ _BAD = {
         Bad(line, 1, ("sweep", line, message)) for line, message in (
             ("sweep.alpha = 1, nan", "sweep.alpha must be finite and >= 0, got nan"),
             ("sweep.alpha = -1", "sweep.alpha must be finite and >= 0, got -1.0"),
-            # without a pretrained model, sweep.n_h is bounded by the config's own widths
             ("sweep.n_h = 1, 4", "sweep.n_h 4 exceeds the 3 hidden layers of net.source_hidden"),
         )
+    ],
+    "test_sweep_without_a_model_is_bounded_by_the_config_widths": [
+        # the bound follows net.source_hidden as the config sets it, not its default 3 widths
+        Bad("no-model", 1, ("sweep", "net.source_hidden = 8, 8\nsweep.n_h = 1, 3",
+                            "sweep.n_h 3 exceeds the 2 hidden layers of net.source_hidden")),
     ],
     "test_bad_input_is_a_config_error": [
         Bad("config-not-utf8", 1, ("pretrain", b"seed = 1\nalpha = 1  # caf\xe9\n", "run.cfg: line 2: not UTF-8 text")),
