@@ -106,8 +106,10 @@ def _convert(key: str, raw: str, default: object) -> object:
     """Parse raw as the type of the field's default: None means a path
     string, a tuple a comma-separated list of its element type."""
     if default is None:
-        if not raw or "\0" in raw:
-            raise ConfigError(f"{key}: a path cannot {'hold a NUL byte' if raw else 'be empty'}, got {raw!r}")
+        if not raw:
+            raise ConfigError(f"{key}: a path cannot be empty, got {raw!r}")
+        if "\0" in raw:
+            raise ConfigError(f"{key}: a path cannot hold a NUL byte, got {raw!r}")
         return raw
     if isinstance(default, tuple):
         return tuple(_convert(key, part.strip(), default[0]) for part in raw.split(",") if part.strip())

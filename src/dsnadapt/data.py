@@ -73,8 +73,9 @@ class Corpus:
         if self.context is not None:
             left, right, starts = self.context
             run = np.searchsorted(starts, index, side="right")  # 1 + each row's utterance
-            index = np.add.outer(index, np.arange(-left, right + 1))
-            np.minimum(np.maximum(index, starts[run - 1][:, None], out=index), starts[run][:, None] - 1, out=index)
+            window = np.arange(-left, right + 1)[:, None] + index  # an offset a row, so each ufunc loops over the rows
+            np.minimum(np.maximum(window, starts[run - 1], out=window), starts[run] - 1, out=window)
+            index = window.T
         out = np.empty((len(index), self.dim)) if out is None else out
         frames = out.view()
         frames.shape = (*index.shape, self.features.shape[1])  # raises rather than copy
@@ -142,12 +143,8 @@ def class_means(cfg: SynthConfig, rng: Rng) -> np.ndarray:
     q, d = cfg.num_classes, cfg.base_dim
     c = cfg.class_separation * np.sqrt(2.0)
     if q <= 2 * d:
-        means = np.zeros((q, d))
-        for k in range(q):
-            if k < d:
-                means[k, k] = c
-            else:
-                means[k, k - d] = -c
+        means, k = np.zeros((q, d)), np.arange(q)
+        means[k, k % d] = np.where(k < d, c, -c)
         return means
     dirs = rng.normals(q * d).reshape(q, d)
     norms = np.linalg.norm(dirs, axis=1, keepdims=True)

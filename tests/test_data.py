@@ -188,7 +188,7 @@ def test_synth_config_validation():
 def test_splice_zero_context_keeps_features():
     bundle = synth_corpus(toy_cfg(utterances_per_domain=2, frames_per_utterance=5))
     spliced = splice(bundle.source_train, 0, 0)
-    assert np.array_equal(model_input_oracle(spliced), bundle.source_train.features)
+    assert np.array_equal(spliced.rows(slice(None)), bundle.source_train.features)
 
 
 def test_splice_paper_shape_dim():
@@ -205,7 +205,7 @@ def test_splice_boundary_repeats_edge_frame():
     feats = np.array([[0.0], [1.0], [2.0]])
     corpus = Corpus(domain=0, utt_ids=["u"] * 3, labels=np.zeros(3, dtype=np.int64), features=feats)
     spliced = splice(corpus, 1, 1)
-    assert model_input_oracle(spliced).tolist() == [[0, 0, 1], [0, 1, 2], [1, 2, 2]]
+    assert spliced.rows(slice(None)).tolist() == [[0, 0, 1], [0, 1, 2], [1, 2, 2]]
 
 
 @pytest.mark.parametrize("left, right", [(-1, 2), (2, -1)])
@@ -226,7 +226,7 @@ def test_splice_never_crosses_utterances():
     for utt_ids, expected in cases:
         corpus = Corpus(domain=0, utt_ids=utt_ids, labels=np.zeros(4, dtype=np.int64), features=feats)
         spliced = splice(corpus, 1, 1)
-        assert model_input_oracle(spliced).tolist() == expected
+        assert spliced.rows(slice(None)).tolist() == expected
         assert len(spliced) == len(corpus)
         assert spliced.utt_ids == corpus.utt_ids
 
@@ -243,10 +243,10 @@ def test_splice_preserves_counts(left, right, utt_ids):
     assert len(spliced) == len(bundle.source_train)
     assert spliced.dim == 8 * (left + 1 + right)
     assert np.array_equal(spliced.labels, bundle.source_train.labels)
-    assert np.array_equal(model_input_oracle(spliced), splice_oracle(bundle.source_train, left, right))
+    assert np.array_equal(spliced.rows(slice(None)), splice_oracle(bundle.source_train, left, right))
     feats = Rng(len(utt_ids)).normals(2 * len(utt_ids)).reshape(-1, 2)
     irregular = Corpus(domain=1, utt_ids=utt_ids, labels=np.full(len(utt_ids), -1), features=feats)
-    assert np.array_equal(model_input_oracle(splice(irregular, left, right)), splice_oracle(irregular, left, right))
+    assert np.array_equal(splice(irregular, left, right).rows(slice(None)), splice_oracle(irregular, left, right))
     with pytest.raises(ContractError, match="splice takes raw frames"):  # spliced twice
         splice(splice(irregular, left, right), right, left)
 

@@ -113,11 +113,10 @@ def test_prepare_matches_the_plain_formula_bit_for_bit(tmp_path, make, need_targ
 
 def test_prepare_holds_no_spliced_copy():
     # at cli_files size the prepared corpora hold their raw frames, 6.4 MB, and
-    # one row number per utterance; the peak, 14.65 MB at the default +-2 window
-    # and at +-5, is synthesis's. The bound is below 15.6 MB, 1.5x what the
-    # corpora held at +-2 when each kept a window table of its rows (4 MB at
-    # +-2, 8.8 MB at +-5). A spliced copy of the corpora would add 32 MB at +-2
-    # and 70 MB at +-5.
+    # one row number per utterance at any window width. The peak, 14.65 MB at
+    # +-2 and at +-5, is synthesis's; tracemalloc counts numpy's buffers
+    # exactly, so it is the same on every run and the bound can sit just above
+    # it. A spliced copy of the corpora would add 32 MB at +-2 and 70 MB at +-5.
     for width in (2, 5):
         cfg = pipeline.trend_profile(1)
         cfg = replace(cfg, synth=replace(cfg.synth, utterances_per_domain=400), splice=SpliceConfig(width, width))
