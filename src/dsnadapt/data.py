@@ -73,7 +73,7 @@ class Corpus:
         if self.context is not None:
             left, right, starts = self.context
             run = np.searchsorted(starts, index, side="right")  # 1 + each row's utterance
-            window = np.arange(-left, right + 1)[:, None] + index  # an offset a row, so each ufunc loops over the rows
+            window = np.arange(-left, right + 1)[:, None] + index  # (width, rows): each ufunc runs along the rows
             np.minimum(np.maximum(window, starts[run - 1], out=window), starts[run] - 1, out=window)
             index = window.T
         out = np.empty((len(index), self.dim)) if out is None else out
