@@ -29,37 +29,43 @@ _DOMAIN_TAGS = ("src", "tgt")  # indexed by Corpus.domain
 
 @dataclass
 class Corpus:
-    """One domain's frames, columnar. domain is the domain classifier's
-    column for every frame (0 source, 1 target); labels uses -1 for "absent".
-    An utterance is a run of consecutive rows sharing one utt_id. features
-    holds the frames as read or drawn. A spliced corpus's context is the rule
-    (left, right, starts): row i's window is rows i - left .. i + right, clipped
-    to its utterance's rows starts[u] .. starts[u + 1] - 1. rows() gathers the
-    windows and applies norm, (mean, scale), to them."""
+    """One domain's frames, columnar, in utterances. domain is the domain
+    classifier's column for every frame (0 source, 1 target); labels uses -1
+    for "absent". Utterance u is rows starts[u] .. starts[u + 1] - 1, named
+    utt_ids[u]: starts is int64 from 0 to the frame count, strictly
+    increasing, and neighbouring utterances have different ids. features
+    holds the float64 frames as read or drawn. A spliced corpus's context
+    (left, right) is the window rule: row i's window is rows i - left ..
+    i + right, clipped to its utterance. rows() gathers the windows and
+    applies norm, (mean, scale), to them."""
 
     domain: int
     utt_ids: list[str]
+    starts: np.ndarray
     labels: np.ndarray
     features: np.ndarray
-    context: tuple[int, int, np.ndarray] | None = None
+    context: tuple[int, int] | None = None
     norm: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
-        n = len(self.utt_ids)
+        n, starts, ids = len(self.labels), self.starts, self.utt_ids  # runs checked in O(utterances)
         if self.domain not in (0, 1):
             raise DataError(f"domain must be 0 (source) or 1 (target), got {self.domain!r}")
         if self.features.ndim != 2 or len(self.features) != n:
             raise DataError(f"features shape {self.features.shape} does not hold {n} frames")
         if self.labels.shape != (n,):
             raise DataError(f"labels length {self.labels.shape} != {n}")
-        left, right, starts = self.context or (0, 0, None)  # checked in O(utterances), at any width
-        if starts is not None and not (min(left, right) >= 0 and starts.dtype == np.int64 and starts.ndim == 1
-                                       and len(starts) and starts[0] == 0 and starts[-1] == n
-                                       and (np.diff(starts) > 0).all()):
-            raise ContractError(f"context ({left}, {right}) and its utterance starts do not splice {n} frames")
+        if self.features.dtype != np.float64:
+            raise ContractError(f"features are {self.features.dtype}, not float64")
+        if not (starts.dtype == np.int64 and starts.ndim == 1 and len(starts) == len(ids) + 1
+                and starts[0] == 0 and starts[-1] == n and (np.diff(starts) > 0).all()
+                and not any(map(str.__eq__, ids, ids[1:]))):
+            raise ContractError(f"{len(ids)} utterance ids and their starts are not runs of {n} frames")
+        if self.context is not None and min(self.context) < 0:
+            raise ContractError(f"context {self.context} has a size below 0")
 
     def __len__(self) -> int:
-        return len(self.utt_ids)
+        return len(self.labels)
 
     @property
     def dim(self) -> int:
@@ -71,7 +77,7 @@ class Corpus:
         these rows alone, then (x - mean) / scale."""
         index = np.arange(*index.indices(len(self))) if isinstance(index, slice) else index
         if self.context is not None:
-            left, right, starts = self.context
+            (left, right), starts = self.context, self.starts
             run = np.searchsorted(starts, index, side="right")  # 1 + each row's utterance
             window = np.arange(-left, right + 1)[:, None] + index  # (width, rows): each ufunc runs along the rows
             np.minimum(np.maximum(window, starts[run - 1], out=window), starts[run] - 1, out=window)
@@ -79,10 +85,7 @@ class Corpus:
         out = np.empty((len(index), self.dim)) if out is None else out
         frames = out.view()
         frames.shape = (*index.shape, self.features.shape[1])  # raises rather than copy
-        if self.features.dtype == np.float64:
-            np.take(self.features, index, axis=0, out=frames, mode="clip")  # in range, so no temporary
-        else:
-            frames[...] = self.features[index]
+        np.take(self.features, index, axis=0, out=frames, mode="clip")  # in range, so no temporary
         if self.norm is not None:
             out -= self.norm[0]
             out /= self.norm[1]
@@ -91,14 +94,6 @@ class Corpus:
     @property
     def is_labeled(self) -> bool:
         return len(self) > 0 and bool((self.labels >= 0).all())
-
-
-def _utterance_starts(utt_ids: list[str]) -> np.ndarray:
-    """The first row of each utterance (run of equal utt_ids), then len(utt_ids)."""
-    ids = np.array(utt_ids, dtype=object)  # not a U array, which drops trailing NULs
-    first = np.ones(len(ids), dtype=bool)
-    first[1:] = ids[1:] != ids[:-1]
-    return np.append(np.flatnonzero(first), len(ids))
 
 
 @dataclass(frozen=True)
@@ -181,8 +176,8 @@ def _gen_corpus(cfg: SynthConfig, rng: Rng, means: np.ndarray, channel: np.ndarr
             noise *= cfg.noise_std
             out[...] = np.matmul(out, channel.T)
             out += noise
-    utt_ids = [utt for u in range(n_utts) for utt in [f"{prefix}-{u:05d}"] * f]  # one str per utterance
-    return Corpus(domain=0 if channel is None else 1, utt_ids=utt_ids, features=feats.reshape(n_utts * f, d),
+    return Corpus(domain=0 if channel is None else 1, utt_ids=[f"{prefix}-{u:05d}" for u in range(n_utts)],
+                  starts=np.arange(0, n_utts * f + 1, f, dtype=np.int64), features=feats.reshape(n_utts * f, d),
                   labels=labels.ravel() if labeled else np.full(n_utts * f, -1, dtype=np.int64))
 
 
@@ -213,13 +208,13 @@ def splice(corpus: Corpus, left: int, right: int) -> Corpus:
 
     Edge frames repeat the boundary frame. Frame counts and utterance
     boundaries are unchanged; the new dim is dim * (left + 1 + right). The
-    context records the window rule, one row number per utterance at any width.
+    context records the window rule, so the corpus holds no more at any width.
     """
     if left < 0 or right < 0:
         raise ContractError(f"splice takes context sizes >= 0, got left={left}, right={right}")
     if corpus.context is not None or corpus.norm is not None:
         raise ContractError("splice takes raw frames; this corpus is spliced or normalized")
-    return replace(corpus, context=(left, right, _utterance_starts(corpus.utt_ids)))
+    return replace(corpus, context=(left, right))
 
 
 def cmvn(stats_from: Sequence[Corpus]) -> tuple[np.ndarray, np.ndarray]:
@@ -302,17 +297,18 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
     if corpus.context is not None or corpus.norm is not None:
         raise ContractError(f"{path}: a corpus file holds raw frames; this corpus is spliced or normalized")
     # a comma or any character str.splitlines breaks on would split a record
-    bad = next((u for u in dict.fromkeys(corpus.utt_ids) if "," in u or len((u + ".").splitlines()) > 1), None)
+    bad = next((u for u in corpus.utt_ids if "," in u or len((u + ".").splitlines()) > 1), None)
     if bad is not None:
         raise DataError(f"{path}: utt id {bad!r} holds a comma or a line break, which would split its record")
-    starts = _utterance_starts(corpus.utt_ids)
-    frame_idx = np.arange(len(corpus)) - np.repeat(starts[:-1], np.diff(starts))
+    names = np.array(corpus.utt_ids, dtype=object)  # not a U array, which drops trailing NULs
     record = "%s,%d," + _DOMAIN_TAGS[corpus.domain] + ",%d" + ",%.17g" * corpus.dim + "\n"
     with Path(path).open("w", encoding="utf-8") as f:
         f.write(f"dsn-corpus v1 dim={corpus.dim} spliced=0\n")
         for start in range(0, len(corpus), BLOCK_RECORDS):
             block = slice(start, start + BLOCK_RECORDS)
-            rows = zip(corpus.utt_ids[block], frame_idx[block].tolist(),
+            index = np.arange(*block.indices(len(corpus)))
+            run = np.searchsorted(corpus.starts, index, side="right") - 1
+            rows = zip(names[run].tolist(), (index - corpus.starts[run]).tolist(),
                        corpus.labels[block].tolist(), *corpus.features[block].T.tolist())
             f.write("".join([record % row for row in rows]))
 
@@ -392,24 +388,20 @@ def _load_sidecar(sidecar: Path, key: tuple[str, str, int]) -> Corpus | None:
                 return None
             domain, features, labels, runs, names = (z[k] for k in ("domain", "features", "labels", "runs", "names"))
             if not (domain.dtype == np.int64 and domain.shape == ()
-                    and features.dtype == np.float64 and features.ndim == 2 and features.shape[1] >= 1
-                    and np.isfinite(features).all()
+                    and features.ndim == 2 and features.shape[1] >= 1 and np.isfinite(features).all()
                     and labels.dtype == np.int64 and (key[1] == "labeled" or (labels == -1).all())
-                    and runs.dtype == np.int64 and runs.ndim == 1 and (runs >= 1).all()
+                    and runs.dtype == np.int64 and runs.ndim == 1
                     and names.dtype == np.uint8 and names.ndim == 1):
                 return None
             # run names are joined by "\n", which no utt id of a parsed file holds
-            run_ids = names.tobytes().decode("utf-8").split("\n") if len(runs) else []
-            if len(run_ids) != len(runs):
-                return None
-            utt_ids = np.repeat(np.array(run_ids, dtype=object), runs).tolist()  # one str per utterance
-            return Corpus(int(domain), utt_ids, labels, features)  # checks the domain and every length
+            utt_ids = names.tobytes().decode("utf-8").split("\n") if len(runs) else []
+            starts = np.concatenate([[0], np.cumsum(runs)])
+            return Corpus(int(domain), utt_ids, starts, labels, features)  # checks the domain, dtypes and runs
     except Exception:  # a sidecar is only a cache: whatever a damaged one raises, the file is parsed instead
         return None
 
 
 def _save_sidecar(sidecar: Path, key: tuple[str, str, int], corpus: Corpus) -> None:
-    starts = _utterance_starts(corpus.utt_ids)
     arrays = {
         "digest": np.array(key[0]),
         "mode": np.array(key[1]),
@@ -417,8 +409,8 @@ def _save_sidecar(sidecar: Path, key: tuple[str, str, int], corpus: Corpus) -> N
         "domain": np.array(corpus.domain, dtype=np.int64),
         "features": corpus.features,
         "labels": corpus.labels,
-        "runs": np.diff(starts),
-        "names": np.frombuffer("\n".join(corpus.utt_ids[i] for i in starts[:-1]).encode("utf-8"), dtype=np.uint8),
+        "runs": np.diff(corpus.starts),
+        "names": np.frombuffer("\n".join(corpus.utt_ids).encode("utf-8"), dtype=np.uint8),
     }
     tmp = sidecar.with_name(f"{sidecar.name}.{secrets.token_hex(8)}.tmp")
     try:
@@ -439,6 +431,7 @@ def _parse_corpus(blocks: Iterator[list[str]], path: str | Path, parse_labels: b
         raise DataError(f"{path}: empty file")
     dim = _parse_header(block[0], str(path))
     utt_ids: list[str] = []
+    starts: list[int] = []
     labels = np.empty(0, dtype=np.int64)
     features = np.empty((0, dim))
     tag, last_utt, last_pos, start = None, None, -1, 0
@@ -494,12 +487,13 @@ def _parse_corpus(blocks: Iterator[list[str]], path: str | Path, parse_labels: b
         features.resize((start + m, dim), refcheck=False)
         labels.resize(start + m, refcheck=False)
         features[start:], labels[start:] = block_features, block_labels if parse_labels else -1
-        if not new[0]:
-            utt[0] = last_utt
-        utt_ids += utt[np.maximum(run_start, 0)].tolist()  # one str per utterance, shared by its records
-        last_utt, last_pos, start = utt_ids[-1], int(pos[-1]), start + m
+        first = np.flatnonzero(new)
+        utt_ids += utt[first].tolist()
+        starts += (start + first).tolist()
+        last_utt, last_pos, start = utt[-1], int(pos[-1]), start + m
         del block, rows, utt, previous  # before the next block is read
-    return Corpus(_DOMAIN_TAGS.index(tag) if tag else 0, utt_ids, labels, features)
+    return Corpus(_DOMAIN_TAGS.index(tag) if tag else 0, utt_ids, np.array([*starts, start], dtype=np.int64),
+                  labels, features)
 
 
 def read_corpus(path: str | Path) -> Corpus:

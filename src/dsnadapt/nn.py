@@ -329,7 +329,7 @@ def cross_entropy_loss(posteriors: Matrix, labels: np.ndarray) -> tuple[float, M
     if labels.shape != (n,):
         raise ContractError(f"labels shape {labels.shape} does not match batch of {n} rows")
     if labels.size and (labels.min() < 0 or labels.max() >= q):
-        raise DataError(f"label out of range [0, {q})")
+        raise ContractError(f"label out of range [0, {q})")
     if n == 0:
         raise ContractError("cross_entropy_loss on an empty batch")
     p = posteriors[np.arange(n), labels]

@@ -1,8 +1,9 @@
 """Test-only oracles: a finite-difference checker, a nearest-class-mean
-classifier, a per-utterance corpus generator, the plain splicing, model-input,
-normalization, preparation and evaluation formulas, a traced-memory probe and
-a gradient poisoner. A gradient is the vector backward() returns, laid out
-like the net's params. Imported by the test modules, never by dsnadapt."""
+classifier, the utterance runs of per-frame ids, a per-utterance corpus
+generator, the plain splicing, model-input, normalization, preparation and
+evaluation formulas, a traced-memory probe and a gradient poisoner. A gradient
+is the vector backward() returns, laid out like the net's params. Imported by
+the test modules, never by dsnadapt."""
 
 from __future__ import annotations
 
@@ -69,6 +70,34 @@ def nearest_class_mean_error(train: Corpus, test: Corpus) -> float:
     return float((pred != test.labels).mean())
 
 
+def runs_oracle(frame_ids: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """The utterances of per-frame ids by a plain loop: the id of each run of
+    equal neighbouring ids, and the int64 row where each run starts, then the
+    frame count."""
+    ids, starts = [], []
+    for i, utt in enumerate(frame_ids):
+        if i == 0 or utt != frame_ids[i - 1]:
+            ids.append(utt)
+            starts.append(i)
+    return ids, np.array(starts + [len(frame_ids)], dtype=np.int64)
+
+
+def corpus_of_frames(domain: int, frame_ids: Sequence[str], labels: np.ndarray, features: np.ndarray) -> Corpus:
+    """A raw Corpus whose utterances are the runs of per-frame ids, by runs_oracle."""
+    return Corpus(domain, *runs_oracle(frame_ids), labels, features)
+
+
+def synth_frame_ids(corpus: Corpus, cfg: SynthConfig) -> list[str]:
+    """The per-frame ids of a corpus synth_corpus(cfg) drew: each utterance
+    holds cfg.frames_per_utterance frames."""
+    return [utt for utt in corpus.utt_ids for _ in range(cfg.frames_per_utterance)]
+
+
+def file_frame_ids(path: str | Path) -> list[str]:
+    """The per-frame ids of a corpus file: the first field of each record."""
+    return [line.split(",", 1)[0] for line in Path(path).read_text(encoding="utf-8").splitlines()[1:]]
+
+
 def gen_corpus_by_utterance(
     cfg: SynthConfig,
     rng: Rng,
@@ -82,12 +111,12 @@ def gen_corpus_by_utterance(
     calls: labels, base normals, then (target only) noise normals."""
     d = cfg.base_dim
     f = cfg.frames_per_utterance
-    utt_ids: list[str] = []
+    frame_ids: list[str] = []
     all_labels = np.empty(n_utts * f, dtype=np.int64)
     feats = np.empty((n_utts * f, d))
     for u in range(n_utts):
         utt = f"{prefix}-{u:05d}"
-        utt_ids.extend([utt] * f)
+        frame_ids.extend([utt] * f)
         labels = (rng._raw_block(f) % np.uint64(cfg.num_classes)).astype(np.int64)
         base = means[labels] + rng.normals(f * d).reshape(f, d)
         if channel is not None:
@@ -95,12 +124,8 @@ def gen_corpus_by_utterance(
         row = u * f
         all_labels[row : row + f] = labels
         feats[row : row + f] = base
-    return Corpus(
-        domain=0 if channel is None else 1,
-        utt_ids=utt_ids,
-        labels=all_labels if labeled else np.full(n_utts * f, -1, dtype=np.int64),
-        features=feats,
-    )
+    labels = all_labels if labeled else np.full(n_utts * f, -1, dtype=np.int64)
+    return corpus_of_frames(0 if channel is None else 1, frame_ids, labels, feats)
 
 
 def poison_dsn_gradient(monkeypatch, name: str) -> None:
@@ -115,11 +140,11 @@ def poison_dsn_gradient(monkeypatch, name: str) -> None:
     monkeypatch.setattr(dsn, "dsn_gradients", poisoned)
 
 
-def splice_oracle(corpus: Corpus, left: int, right: int) -> np.ndarray:
-    """Row-by-row reference for splicing, from utt_ids and features alone:
-    each frame followed by its context, clamped to the frame's own run of
-    equal utt_ids."""
-    ids, n = corpus.utt_ids, len(corpus)
+def splice_oracle(frame_ids: Sequence[str], features: np.ndarray, left: int, right: int) -> np.ndarray:
+    """Row-by-row reference for splicing, from per-frame ids and features
+    alone: each frame followed by its context, clamped to the frame's own run
+    of equal ids."""
+    ids, n = frame_ids, len(frame_ids)
     first, last = list(range(n)), list(range(n))
     for i in range(1, n):
         if ids[i] == ids[i - 1]:
@@ -128,15 +153,18 @@ def splice_oracle(corpus: Corpus, left: int, right: int) -> np.ndarray:
         if ids[i] == ids[i + 1]:
             last[i] = last[i + 1]
     picks = [min(max(j, first[i]), last[i]) for i in range(n) for j in range(i - left, i + right + 1)]
-    return corpus.features[np.array(picks, dtype=np.int64)].reshape(n, corpus.features.shape[1] * (left + 1 + right))
+    return features[np.array(picks, dtype=np.int64)].reshape(n, features.shape[1] * (left + 1 + right))
 
 
-def model_input_oracle(corpus: Corpus) -> np.ndarray:
+def model_input_oracle(corpus: Corpus, frame_ids: Sequence[str] | None = None) -> np.ndarray:
     """Corpus.rows of every row by the plain formula: the raw frames, or under
-    a context (left, right, ...) each frame's window by splice_oracle, as
-    float64, then (x - mean) / scale under a norm."""
-    x = corpus.features if corpus.context is None else splice_oracle(corpus, *corpus.context[:2])
-    x = x.astype(np.float64)
+    a context (left, right) each frame's window by splice_oracle over the
+    corpus's per-frame ids, then (x - mean) / scale under a norm."""
+    if corpus.context is None:
+        x = corpus.features
+    else:
+        assert frame_ids is not None, "a spliced corpus's windows need its per-frame ids"
+        x = splice_oracle(frame_ids, corpus.features, *corpus.context)
     return x if corpus.norm is None else (x - corpus.norm[0]) / corpus.norm[1]
 
 
@@ -156,10 +184,13 @@ def prepare_oracle(cfg: ExperimentConfig, need_target_labels: bool) -> list[np.n
     if cfg.data_dir is None:
         bundle = synth_corpus(cfg.synth)
         raw = [getattr(bundle, name) for name in names]
+        frame_ids = [synth_frame_ids(c, cfg.synth) for c in raw]
     else:
         read = {name: read_corpus_unlabeled if name == "target_adapt" else read_corpus for name in names}
-        raw = [read[name](Path(cfg.data_dir) / DATA_FILES[name]) for name in names]
-    windows = [model_input_oracle(splice(c, cfg.splice.left, cfg.splice.right)) for c in raw]
+        paths = [Path(cfg.data_dir) / DATA_FILES[name] for name in names]
+        raw = [read[name](path) for name, path in zip(names, paths)]
+        frame_ids = [file_frame_ids(path) for path in paths]
+    windows = [model_input_oracle(splice(c, cfg.splice.left, cfg.splice.right), ids) for c, ids in zip(raw, frame_ids)]
     mean, scale = cmvn_stats_oracle([replace(c, features=x) for c, x in zip(raw[:2], windows)])
     return [(x - mean) / scale for x in windows]
 

@@ -27,10 +27,13 @@ from dsnadapt.errors import ConfigError, ContractError, DataError
 from dsnadapt.nn import Rng
 from oracles import (
     cmvn_stats_oracle,
+    corpus_of_frames,
     gen_corpus_by_utterance,
     model_input_oracle,
     nearest_class_mean_error,
+    runs_oracle,
     splice_oracle,
+    synth_frame_ids,
     traced_peak_bytes,
 )
 
@@ -62,7 +65,7 @@ def test_synth_is_deterministic():
         ca, cb = getattr(a, name), getattr(b, name)
         assert np.array_equal(ca.features, cb.features)
         assert np.array_equal(ca.labels, cb.labels)
-        assert ca.utt_ids == cb.utt_ids
+        assert ca.utt_ids == cb.utt_ids and np.array_equal(ca.starts, cb.starts)
 
 
 @pytest.mark.parametrize("utterances", [1, 100])
@@ -84,7 +87,6 @@ def test_synth_in_several_raw_blocks_matches_the_per_utterance_oracle(monkeypatc
 
 
 def _assert_synth_matches_the_per_utterance_oracle(monkeypatch, cfg):
-    frames = cfg.frames_per_utterance
     got = synth_corpus(cfg)
     monkeypatch.setattr(data, "_gen_corpus", gen_corpus_by_utterance)
     want = synth_corpus(cfg)
@@ -93,14 +95,13 @@ def _assert_synth_matches_the_per_utterance_oracle(monkeypatch, cfg):
         assert a.domain == b.domain and a.features.shape == b.features.shape
         assert np.array_equal(a.features.view(np.uint64), b.features.view(np.uint64))
         assert np.array_equal(a.labels, b.labels)
-        assert a.utt_ids == b.utt_ids
-        assert len({id(u) for u in a.utt_ids}) == len(a) // frames  # one str per utterance
+        assert a.utt_ids == b.utt_ids and a.starts.dtype == b.starts.dtype and np.array_equal(a.starts, b.starts)
 
 
 def _held_bytes(corpus):
     """Traced bytes of a corpus's arrays and of its utt id list with the strs it holds."""
-    ids = {id(u): u for u in corpus.utt_ids}.values()
-    return corpus.features.nbytes + corpus.labels.nbytes + sys.getsizeof(corpus.utt_ids) + sum(map(sys.getsizeof, ids))
+    arrays = corpus.features.nbytes + corpus.labels.nbytes + corpus.starts.nbytes
+    return arrays + sys.getsizeof(corpus.utt_ids) + sum(map(sys.getsizeof, corpus.utt_ids))
 
 
 def test_synthesis_holds_one_run_of_draws_beyond_its_corpora():
@@ -197,13 +198,14 @@ def test_splice_paper_shape_dim():
     spliced = splice(bundle.source_train, 5, 5)
     assert spliced.dim == 957
     assert spliced.features.shape == (12, 87)  # the raw frames; the windows are a rule
-    assert spliced.context[:2] == (5, 5) and spliced.context[2].tolist() == [0, 12]
-    assert model_input_oracle(spliced).shape == spliced.rows(slice(None)).shape == (12, 957)
+    assert spliced.context == (5, 5) and spliced.starts.tolist() == [0, 12]
+    expected = model_input_oracle(spliced, synth_frame_ids(spliced, cfg))
+    assert expected.shape == spliced.rows(slice(None)).shape == (12, 957)
 
 
 def test_splice_boundary_repeats_edge_frame():
     feats = np.array([[0.0], [1.0], [2.0]])
-    corpus = Corpus(domain=0, utt_ids=["u"] * 3, labels=np.zeros(3, dtype=np.int64), features=feats)
+    corpus = corpus_of_frames(0, ["u"] * 3, np.zeros(3, dtype=np.int64), feats)
     spliced = splice(corpus, 1, 1)
     assert spliced.rows(slice(None)).tolist() == [[0, 0, 1], [0, 1, 2], [1, 2, 2]]
 
@@ -211,7 +213,7 @@ def test_splice_boundary_repeats_edge_frame():
 @pytest.mark.parametrize("left, right", [(-1, 2), (2, -1)])
 def test_splice_rejects_a_negative_context_as_a_contract_breach(left, right):
     # SpliceConfig checks splice.left and splice.right, so only code can pass these
-    corpus = Corpus(domain=0, utt_ids=["u"] * 3, labels=np.zeros(3, dtype=np.int64), features=np.zeros((3, 1)))
+    corpus = corpus_of_frames(0, ["u"] * 3, np.zeros(3, dtype=np.int64), np.zeros((3, 1)))
     with pytest.raises(ContractError, match=rf"^splice takes context sizes >= 0, got left={left}, right={right}$"):
         splice(corpus, left, right)
 
@@ -223,12 +225,12 @@ def test_splice_never_crosses_utterances():
         # an utterance is a run of equal ids: the second "a" run is its own utterance
         (["a", "a", "b", "a"], [[1, 1, 2], [1, 2, 2], [10, 10, 10], [20, 20, 20]]),
     ]
-    for utt_ids, expected in cases:
-        corpus = Corpus(domain=0, utt_ids=utt_ids, labels=np.zeros(4, dtype=np.int64), features=feats)
+    for frame_ids, expected in cases:
+        corpus = corpus_of_frames(0, frame_ids, np.zeros(4, dtype=np.int64), feats)
         spliced = splice(corpus, 1, 1)
         assert spliced.rows(slice(None)).tolist() == expected
         assert len(spliced) == len(corpus)
-        assert spliced.utt_ids == corpus.utt_ids
+        assert spliced.utt_ids == corpus.utt_ids and spliced.starts is corpus.starts
 
 
 @given(
@@ -237,16 +239,19 @@ def test_splice_never_crosses_utterances():
     st.lists(st.sampled_from("abc"), max_size=12),
 )
 @settings(max_examples=20, deadline=None)
-def test_splice_preserves_counts(left, right, utt_ids):
-    bundle = synth_corpus(toy_cfg(utterances_per_domain=3, frames_per_utterance=7))
-    spliced = splice(bundle.source_train, left, right)
-    assert len(spliced) == len(bundle.source_train)
+def test_splice_preserves_counts(left, right, frame_ids):
+    cfg = toy_cfg(utterances_per_domain=3, frames_per_utterance=7)
+    source = synth_corpus(cfg).source_train
+    spliced = splice(source, left, right)
+    assert len(spliced) == len(source)
     assert spliced.dim == 8 * (left + 1 + right)
-    assert np.array_equal(spliced.labels, bundle.source_train.labels)
-    assert np.array_equal(spliced.rows(slice(None)), splice_oracle(bundle.source_train, left, right))
-    feats = Rng(len(utt_ids)).normals(2 * len(utt_ids)).reshape(-1, 2)
-    irregular = Corpus(domain=1, utt_ids=utt_ids, labels=np.full(len(utt_ids), -1), features=feats)
-    assert np.array_equal(splice(irregular, left, right).rows(slice(None)), splice_oracle(irregular, left, right))
+    assert np.array_equal(spliced.labels, source.labels)
+    expected = splice_oracle(synth_frame_ids(source, cfg), source.features, left, right)
+    assert np.array_equal(spliced.rows(slice(None)), expected)
+    feats = Rng(len(frame_ids)).normals(2 * len(frame_ids)).reshape(-1, 2)
+    irregular = corpus_of_frames(1, frame_ids, np.full(len(frame_ids), -1), feats)
+    expected = splice_oracle(frame_ids, feats, left, right)
+    assert np.array_equal(splice(irregular, left, right).rows(slice(None)), expected)
     with pytest.raises(ContractError, match="splice takes raw frames"):  # spliced twice
         splice(splice(irregular, left, right), right, left)
 
@@ -259,30 +264,32 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("right", range(4))
 @pytest.mark.parametrize("left", range(4))
 def test_rows_match_the_materialized_formula_bit_for_bit(left, right):
-    # 1-frame and irregular utterances, a repeated id, float and integer frames
+    # 1-frame and irregular utterances, a repeated id, float frames
     rng = Rng(10 * left + right)
-    utt_ids = [u for u, length in zip("abcdeaf", (1, 3, 1, 7, 2, 1, 4)) for _ in range(length)]
-    n = len(utt_ids)
-    floats = Corpus(1, utt_ids, np.full(n, -1), rng.normals(3 * n).reshape(n, 3))
-    ints = replace(floats, features=(rng._raw_block(3 * n) % np.uint64(1000)).astype(np.int64).reshape(n, 3) - 500)
-    for raw in (floats, ints):
-        once = splice(raw, left, right)
-        norm = (rng.normals(once.dim), np.abs(rng.normals(once.dim)) + 0.5)
-        normed = replace(once, norm=norm)
-        # splice takes raw frames only: not spliced twice, nor normalized then spliced
-        for done in (once, normed, replace(raw, norm=(norm[0][:3], norm[1][:3]))):
-            with pytest.raises(ContractError, match="splice takes raw frames"):
-                splice(done, right, 1)
-        picks = rng.permutation(n)[:9]
-        for corpus in (raw, once, normed):
-            expected = model_input_oracle(corpus)
-            for index in (picks, np.array([n - 1, 0, 0, n - 1]), np.arange(0), slice(None), slice(2, 9), slice(5, 5)):
-                got = corpus.rows(index)
-                assert got.dtype == np.float64 and _same_bits(got, expected[index])
-            # into the second half of a stacked buffer, the first left alone
-            stacked = np.full((2 * len(picks), corpus.dim), np.nan)
-            assert corpus.rows(picks, out=stacked[len(picks) :]).base is stacked
-            assert np.isnan(stacked[: len(picks)]).all() and _same_bits(stacked[len(picks) :], expected[picks])
+    frame_ids = [u for u, length in zip("abcdeaf", (1, 3, 1, 7, 2, 1, 4)) for _ in range(length)]
+    n = len(frame_ids)
+    raw = corpus_of_frames(1, frame_ids, np.full(n, -1), rng.normals(3 * n).reshape(n, 3))
+    # a corpus holds float64 frames, so rows never converts them
+    ints = (rng._raw_block(3 * n) % np.uint64(1000)).astype(np.int64).reshape(n, 3) - 500
+    with pytest.raises(ContractError, match="^features are int64, not float64$"):
+        replace(raw, features=ints)
+    once = splice(raw, left, right)
+    norm = (rng.normals(once.dim), np.abs(rng.normals(once.dim)) + 0.5)
+    normed = replace(once, norm=norm)
+    # splice takes raw frames only: not spliced twice, nor normalized then spliced
+    for done in (once, normed, replace(raw, norm=(norm[0][:3], norm[1][:3]))):
+        with pytest.raises(ContractError, match="splice takes raw frames"):
+            splice(done, right, 1)
+    picks = rng.permutation(n)[:9]
+    for corpus in (raw, once, normed):
+        expected = model_input_oracle(corpus, frame_ids)
+        for index in (picks, np.array([n - 1, 0, 0, n - 1]), np.arange(0), slice(None), slice(2, 9), slice(5, 5)):
+            got = corpus.rows(index)
+            assert got.dtype == np.float64 and _same_bits(got, expected[index])
+        # into the second half of a stacked buffer, the first left alone
+        stacked = np.full((2 * len(picks), corpus.dim), np.nan)
+        assert corpus.rows(picks, out=stacked[len(picks) :]).base is stacked
+        assert np.isnan(stacked[: len(picks)]).all() and _same_bits(stacked[len(picks) :], expected[picks])
 
 
 def _array_bytes(value):
@@ -296,22 +303,41 @@ def _array_bytes(value):
 
 def test_a_spliced_corpus_holds_one_row_number_per_utterance_at_any_width():
     raw = synth_corpus(toy_cfg(utterances_per_domain=40, frames_per_utterance=100)).source_train
+    assert _array_bytes(raw) == raw.features.nbytes + raw.labels.nbytes + 8 * (40 + 1)
     for width in (2, 5):
-        assert _array_bytes(splice(raw, width, width)) == _array_bytes(raw) + 8 * (40 + 1)
+        assert _array_bytes(splice(raw, width, width)) == _array_bytes(raw)
 
 
-# The window rule a Corpus is given directly must splice its frames: two
-# frames of one utterance here, so starts (0, 2) and context sizes >= 0.
+# The runs and window rule a Corpus is given directly must split its frames
+# into utterances: three frames here, as utterances "u" (rows 0-1) and "v"
+# (row 2), under context sizes >= 0.
+_NOT_RUNS = r"\d utterance ids and their starts are not runs of 3 frames"
+
+
 @pytest.mark.parametrize(
-    "context",
-    [(1, 1, np.array([0, 3])), (-1, 1, np.array([0, 2])), (1, 1, np.array([0, 1])), (1, 1, np.array([[0, 2]])),
-     (1, 1, np.array([0, 0, 2])), (1, 1, np.array([0.0, 2.0]))],
-    ids=["past-the-end", "negative", "too-few-rows", "two-dimensional-starts", "empty-utterance", "float-starts"],
+    "fields, message",
+    [
+        (dict(starts=np.array([0, 2, 4])), _NOT_RUNS),
+        (dict(context=(-1, 1)), r"context \(-1, 1\) has a size below 0"),
+        (dict(starts=np.array([0, 1, 2])), _NOT_RUNS),
+        (dict(starts=np.array([[0, 2, 3]])), _NOT_RUNS),
+        (dict(starts=np.array([0, 0, 3])), _NOT_RUNS),
+        (dict(starts=np.array([0.0, 2.0, 3.0])), _NOT_RUNS),
+        (dict(starts=np.array([1, 2, 3])), _NOT_RUNS),
+        (dict(utt_ids=["u"]), _NOT_RUNS),
+        (dict(utt_ids=["u", "v", "w"]), _NOT_RUNS),
+        (dict(utt_ids=["u", "u"]), _NOT_RUNS),
+        (dict(starts=np.array([0, 2, 3], dtype=np.int32)), _NOT_RUNS),
+    ],
+    ids=["past-the-end", "negative", "too-few-rows", "two-dimensional-starts", "empty-utterance", "float-starts",
+         "bad-first-start", "fewer-ids-than-runs", "more-ids-than-runs", "adjacent-equal-ids", "int32-starts"],
 )
-def test_corpus_rejects_a_table_that_is_not_rows_of_its_frames(context):
-    with pytest.raises(ContractError, match=r"^context \(-?1, 1\) and its utterance starts do not splice 2 frames$"):
-        Corpus(0, ["u", "u"], np.zeros(2, dtype=np.int64), np.ones((2, 3)), context=context)
-    Corpus(0, ["u", "u"], np.zeros(2, dtype=np.int64), np.ones((2, 3)), context=(1, 1, np.array([0, 2])))
+def test_corpus_rejects_a_table_that_is_not_rows_of_its_frames(fields, message):
+    good = dict(utt_ids=["u", "v"], starts=np.array([0, 2, 3]), context=(1, 1))
+    with pytest.raises(ContractError, match=f"^{message}$"):
+        Corpus(0, labels=np.zeros(3, dtype=np.int64), features=np.ones((3, 2)), **{**good, **fields})
+    Corpus(0, labels=np.zeros(3, dtype=np.int64), features=np.ones((3, 2)), **good)
+    Corpus(0, ["u", "v", "u"], np.arange(4), np.zeros(3, dtype=np.int64), np.ones((3, 2)))  # a non-adjacent repeat
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +366,7 @@ def test_cmvn_heldout_stats_differ():
 
 def test_cmvn_degenerate_dimension():
     feats = np.hstack([np.full((10, 1), 3.25), Rng(1).normals(10).reshape(10, 1)])
-    corpus = Corpus(domain=0, utt_ids=["u"] * 10, labels=np.zeros(10, dtype=np.int64), features=feats)
+    corpus = corpus_of_frames(0, ["u"] * 10, np.zeros(10, dtype=np.int64), feats)
     mean, scale = cmvn([corpus])
     assert scale[0] == np.sqrt(VARIANCE_FLOOR)
     normalized = (feats - mean) / scale
@@ -357,7 +383,7 @@ def test_cmvn_stats_are_the_pooled_mean_and_floored_deviation():
 
 
 def _frames(features, domain=0):
-    return Corpus(domain=domain, utt_ids=["u"] * len(features), labels=np.full(len(features), -1), features=features)
+    return corpus_of_frames(domain, ["u"] * len(features), np.full(len(features), -1), features)
 
 
 def _assert_cmvn_bitwise(stats_from):
@@ -404,8 +430,9 @@ def test_cmvn_matches_the_plain_formula_on_edge_values():
 
 
 def test_cmvn_matches_the_plain_formula_on_integer_features():
+    # integer values of up to 2**39 in float64 frames, each held exactly
     rng = Rng(9)
-    ints = [(rng._raw_block(n * 7) % np.uint64(1 << 40)).astype(np.int64).reshape(n, 7) - (1 << 39)
+    ints = [((rng._raw_block(n * 7) % np.uint64(1 << 40)).astype(np.int64).reshape(n, 7) - (1 << 39)).astype(np.float64)
             for n in (50, 31, BLOCK_RECORDS + 9)]
     a, b, c = _frames(ints[0]), _frames(ints[1], domain=1), _frames(ints[2])
     _assert_cmvn_bitwise([a, b])
@@ -441,7 +468,7 @@ _GOLDEN_FEATURES = np.array(
     "corpus, text",
     [
         (
-            Corpus(0, ["a", "a", "b", "c"], np.array([3, -1, 0, 9]), _GOLDEN_FEATURES),
+            corpus_of_frames(0, ["a", "a", "b", "c"], np.array([3, -1, 0, 9]), _GOLDEN_FEATURES),
             "dsn-corpus v1 dim=2 spliced=0\n"
             "a,0,src,3,-0,4.9406564584124654e-324\n"
             "a,1,src,-1,1.7976931348623157e+308,0.10000000000000001\n"
@@ -449,7 +476,7 @@ _GOLDEN_FEATURES = np.array(
             "c,0,src,9,123456789.125,-0.33333333333333331\n",
         ),
         (
-            Corpus(1, ["t", "t", "u", "u"], np.full(4, -1), _GOLDEN_FEATURES[::-1].copy()),
+            corpus_of_frames(1, ["t", "t", "u", "u"], np.full(4, -1), _GOLDEN_FEATURES[::-1].copy()),
             "dsn-corpus v1 dim=2 spliced=0\n"
             "t,0,tgt,-1,123456789.125,-0.33333333333333331\n"
             "t,1,tgt,-1,-2.5,9.9999999999999995e-08\n"
@@ -479,7 +506,7 @@ _EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072
 @settings(max_examples=25, deadline=None)
 def test_corpus_file_roundtrip_is_bit_exact(tmp_path_factory, dim, lengths, domain, seed, drawn):
     rng = np.random.default_rng(seed)
-    n = sum(lengths)
+    n = 4 + sum(lengths)
     # random bit patterns (every exponent, subnormals included), with about a
     # third of the entries and every non-finite pattern replaced by a
     # hand-picked or hypothesis-drawn finite value
@@ -487,32 +514,35 @@ def test_corpus_file_roundtrip_is_bit_exact(tmp_path_factory, dim, lengths, doma
     pool = np.array(_EXTREMES + drawn)
     picked = pool[rng.integers(len(pool), size=(n, dim))]
     feats = np.where((rng.random((n, dim)) < 0.3) | ~np.isfinite(feats), picked, feats)
-    # two names, so adjacent utterances sometimes merge into one run
-    utt_ids = [f"u{rng.integers(2)}" for length in lengths for _ in range(length)]
-    corpus = Corpus(domain, utt_ids, rng.integers(-1, 10, size=n), feats)
-    work = tmp_path_factory.mktemp("roundtrip")
-    write_corpus(corpus, work / "c.csv")
-    loaded = read_corpus(work / "c.csv")
-    assert loaded.domain == domain and loaded.utt_ids == utt_ids
-    assert np.array_equal(loaded.labels, corpus.labels)
-    assert _same_bits(loaded.features, feats)
-    write_corpus(loaded, work / "again.csv")
-    assert (work / "again.csv").read_bytes() == (work / "c.csv").read_bytes()
+    # an id that repeats with another between, then two names, so adjacent
+    # utterances sometimes merge into one run
+    frame_ids = ["a", "a", "b", "a"] + [f"u{rng.integers(2)}" for length in lengths for _ in range(length)]
+    ids, starts = runs_oracle(frame_ids)
+    corpus = Corpus(domain, ids, starts, rng.integers(-1, 10, size=n), feats)
+    path = tmp_path_factory.mktemp("roundtrip") / "c.csv"
+    write_corpus(corpus, path)
+    for cached in (False, True):  # a cold parse, then a sidecar load
+        assert _sidecar(path, "labeled").is_file() == cached
+        loaded = read_corpus(path)
+        assert loaded.domain == domain and loaded.utt_ids == ids and np.array_equal(loaded.starts, starts)
+        assert np.array_equal(loaded.labels, corpus.labels)
+        assert _same_bits(loaded.features, feats)
+    write_corpus(loaded, path.with_name("again.csv"))
+    assert path.with_name("again.csv").read_bytes() == path.read_bytes()
 
 
 def test_utterance_straddling_block_edges_reads_back(tmp_path):
     lengths = [BLOCK_RECORDS - 2, 5, 1, BLOCK_RECORDS]  # the 2nd and 4th cross a block edge
-    utt_ids = [f"u{k}" for k, length in enumerate(lengths) for _ in range(length)]
-    n = len(utt_ids)
-    corpus = Corpus(1, utt_ids, np.arange(n) % 7 - 1, Rng(2).normals(2 * n).reshape(n, 2))
+    corpus = _straddling_target()
+    n = len(corpus)
     path = tmp_path / "c.csv"
     write_corpus(corpus, path)
     for reader, labels in ((read_corpus, corpus.labels), (read_corpus_unlabeled, np.full(n, -1))):
         loaded = reader(path)
-        assert loaded.domain == 1 and loaded.utt_ids == utt_ids
+        assert loaded.domain == 1 and loaded.utt_ids == ["u0", "u1", "u2", "u3"]
+        assert loaded.starts.tolist() == np.cumsum([0, *lengths]).tolist()
         assert np.array_equal(loaded.labels, labels)
         assert _same_bits(loaded.features, corpus.features)
-        assert len({id(u) for u in loaded.utt_ids}) == len(lengths)  # one str per utterance
 
 
 def test_header_only_file_is_an_empty_source_corpus(tmp_path):
@@ -544,7 +574,8 @@ def _faulty_file(tmp_path, faults: dict[int, str]):
     the named faults at the given records; returns it and each fault's line
     and message."""
     n, dim = BLOCK_RECORDS + 5, 2
-    corpus = Corpus(0, [f"u{i // 3:04d}" for i in range(n)], np.arange(n) % 10, np.arange(n * dim).reshape(n, dim) / 7)
+    corpus = corpus_of_frames(0, [f"u{i // 3:04d}" for i in range(n)], np.arange(n) % 10,
+                              np.arange(n * dim).reshape(n, dim) / 7)
     path = tmp_path / "c.csv"
     write_corpus(corpus, path)
     lines = path.read_text().splitlines()
@@ -606,7 +637,7 @@ def test_corpus_roundtrip_bitwise(tmp_path):
         loaded = read_corpus(path)
         assert loaded.dim == corpus.dim
         assert loaded.domain == corpus.domain
-        assert loaded.utt_ids == corpus.utt_ids
+        assert loaded.utt_ids == corpus.utt_ids and np.array_equal(loaded.starts, corpus.starts)
         assert np.array_equal(loaded.labels, corpus.labels)
         assert np.array_equal(loaded.features, corpus.features)
         write_corpus(loaded, again)
@@ -693,7 +724,7 @@ def test_missing_label_is_accepted_as_absent(tmp_path):
 
 @pytest.mark.parametrize("utt_id", ["a,b", "x\ny", "x\r", "\x0b", "x\x1cy", "x\x85", "x\u2028"])
 def test_writer_rejects_ids_that_split_a_record(tmp_path, utt_id):
-    corpus = Corpus(0, ["ok", utt_id], np.array([1, 2]), np.ones((2, 1)))
+    corpus = corpus_of_frames(0, ["ok", utt_id], np.array([1, 2]), np.ones((2, 1)))
     path = tmp_path / "c.csv"
     with pytest.raises(DataError) as exc:
         write_corpus(corpus, path)
@@ -713,7 +744,8 @@ def test_lines_are_numbered_as_in_the_whole_text(tmp_path, edit, record):
     # the first block of the file's lines ends after record BLOCK_RECORDS - 2;
     # each edit sits on either side of that edge
     n = BLOCK_RECORDS + 2 if edit else record + 1
-    corpus = Corpus(1, [f"u{i // 3}" for i in range(n)], np.arange(n) % 4, np.arange(2.0 * n).reshape(n, 2) / 7)
+    corpus = corpus_of_frames(1, [f"u{i // 3}" for i in range(n)], np.arange(n) % 4,
+                              np.arange(2.0 * n).reshape(n, 2) / 7)
     path = tmp_path / "c.csv"
     write_corpus(corpus, path)
     lines = [line + "\n" for line in path.read_text(encoding="utf-8").splitlines()]
@@ -734,6 +766,7 @@ def test_lines_are_numbered_as_in_the_whole_text(tmp_path, edit, record):
         expected = data._parse_corpus(iter([text.splitlines()]), path, mode == "labeled")
         loaded = reader(path)
         assert len(loaded) == n and loaded.utt_ids == expected.utt_ids == corpus.utt_ids
+        assert np.array_equal(loaded.starts, expected.starts) and np.array_equal(loaded.starts, corpus.starts)
         assert np.array_equal(loaded.labels, expected.labels)
         assert _same_bits(loaded.features, expected.features) and _same_bits(loaded.features, corpus.features)
 
@@ -741,7 +774,7 @@ def test_lines_are_numbered_as_in_the_whole_text(tmp_path, edit, record):
 def test_writer_rejects_spliced_or_normalized_corpora(tmp_path):
     # a file holds raw frames under spliced=0, so a corpus whose model input
     # is not its features has no faithful file
-    raw = Corpus(0, ["u"] * 3, np.arange(3), Rng(1).normals(6).reshape(3, 2))
+    raw = corpus_of_frames(0, ["u"] * 3, np.arange(3), Rng(1).normals(6).reshape(3, 2))
     spliced = splice(raw, 1, 0)
     for corpus in (spliced, replace(spliced, norm=(np.zeros(4), np.ones(4))), replace(raw, norm=(np.zeros(2), np.ones(2)))):
         path = tmp_path / "c.csv"
@@ -772,17 +805,17 @@ def _count_parses(monkeypatch):
 
 def _straddling_target():
     lengths = [BLOCK_RECORDS - 2, 5, 1, BLOCK_RECORDS]
-    utt_ids = [f"u{k}" for k, length in enumerate(lengths) for _ in range(length)]
-    n = len(utt_ids)
-    return Corpus(1, utt_ids, np.arange(n) % 7 - 1, Rng(2).normals(2 * n).reshape(n, 2))
+    frame_ids = [f"u{k}" for k, length in enumerate(lengths) for _ in range(length)]
+    n = len(frame_ids)
+    return corpus_of_frames(1, frame_ids, np.arange(n) % 7 - 1, Rng(2).normals(2 * n).reshape(n, 2))
 
 
 def _odd_ids_source():
     # 1-frame utterances, an empty id, spaces, and ids that differ only by a
     # trailing NUL (which a numpy U array would drop)
-    utt_ids = ["", "", "a b", "a\x00", "a", "a\x00", "\x00\x00", "é"]
-    n = len(utt_ids)
-    return Corpus(0, utt_ids, np.arange(n) % 3, np.array([_EXTREMES[:3]] * n) * np.arange(n)[:, None])
+    frame_ids = ["", "", "a b", "a\x00", "a", "a\x00", "\x00\x00", "é"]
+    n = len(frame_ids)
+    return corpus_of_frames(0, frame_ids, np.arange(n) % 3, np.array([_EXTREMES[:3]] * n) * np.arange(n)[:, None])
 
 
 @pytest.mark.parametrize(
@@ -808,15 +841,14 @@ def test_sidecar_hit_is_bit_identical_to_a_parse(tmp_path, monkeypatch, make, mo
     monkeypatch.setattr(data, "_parse_corpus", no_parse)
     hit = reader(path)
     assert hit.domain == parsed.domain and hit.utt_ids == parsed.utt_ids
+    assert hit.starts.dtype == parsed.starts.dtype and np.array_equal(hit.starts, parsed.starts)
     assert hit.labels.dtype == parsed.labels.dtype and np.array_equal(hit.labels, parsed.labels)
     assert _same_bits(hit.features, parsed.features)
-    n_runs = len(data._utterance_starts(parsed.utt_ids)) - 1
-    assert len({id(u) for u in hit.utt_ids}) == n_runs  # one str per utterance
 
 
 def test_changed_byte_forces_a_parse(tmp_path, monkeypatch):
     path = tmp_path / "c.csv"
-    write_corpus(Corpus(0, ["u", "u"], np.array([1, 2]), np.array([[1.5], [2.5]])), path)
+    write_corpus(corpus_of_frames(0, ["u", "u"], np.array([1, 2]), np.array([[1.5], [2.5]])), path)
     parses = _count_parses(monkeypatch)
     read_corpus(path)
     read_corpus(path)
@@ -834,8 +866,8 @@ def test_cold_read_holds_a_block_beyond_its_result(tmp_path):
     for blocks in (3, 12):
         n = blocks * BLOCK_RECORDS
         path = tmp_path / f"c{blocks}.csv"
-        write_corpus(Corpus(0, [f"u{i // 100}" for i in range(n)], np.arange(n) % 5,
-                            Rng(4).normals(2 * n).reshape(n, 2)), path)
+        write_corpus(corpus_of_frames(0, [f"u{i // 100}" for i in range(n)], np.arange(n) % 5,
+                                      Rng(4).normals(2 * n).reshape(n, 2)), path)
         for mode, reader in _READERS.items():
             got = []
             peak = traced_peak_bytes(lambda: got.append(reader(path)))
@@ -851,7 +883,7 @@ def test_file_rewritten_during_the_parse_leaves_no_sidecar(tmp_path, monkeypatch
     # only a parse of those bytes
     path = tmp_path / "c.csv"
     n = 3 * BLOCK_RECORDS
-    corpus = Corpus(0, ["u"] * n, np.arange(n) % 5, Rng(4).normals(2 * n).reshape(n, 2))
+    corpus = corpus_of_frames(0, ["u"] * n, np.arange(n) % 5, Rng(4).normals(2 * n).reshape(n, 2))
     write_corpus(corpus, path)
     rewritten = replace(corpus, labels=np.arange(n) % 5 + 1)  # the same length, other bytes past the first block
     parses, parse = [], data._parse_corpus
@@ -874,7 +906,7 @@ def test_file_rewritten_during_the_parse_leaves_no_sidecar(tmp_path, monkeypatch
 
 def test_file_made_faulty_after_caching_names_its_line_on_every_read(tmp_path):
     path = tmp_path / "c.csv"
-    write_corpus(Corpus(0, ["u", "u"], np.array([1, 2]), np.array([[1.5], [2.5]])), path)
+    write_corpus(corpus_of_frames(0, ["u", "u"], np.array([1, 2]), np.array([[1.5], [2.5]])), path)
     for reader in _READERS.values():
         reader(path)
     path.write_bytes(path.read_bytes().replace(b"2.5", b"nan"))
@@ -926,7 +958,7 @@ def test_unlabeled_read_never_shares_the_labeled_sidecar(tmp_path, monkeypatch):
 )
 def test_bad_sidecar_is_a_miss_and_is_rewritten(tmp_path, monkeypatch, spoil):
     path = tmp_path / "c.csv"
-    corpus = Corpus(0, ["u", "u", "v", "w"], np.array([1, 2, 3, 4]), np.arange(4.0).reshape(4, 1))
+    corpus = corpus_of_frames(0, ["u", "u", "v", "w"], np.array([1, 2, 3, 4]), np.arange(4.0).reshape(4, 1))
     write_corpus(corpus, path)
     read_corpus(path)
     sidecar = _sidecar(path, "labeled")
@@ -934,7 +966,8 @@ def test_bad_sidecar_is_a_miss_and_is_rewritten(tmp_path, monkeypatch, spoil):
     parses = _count_parses(monkeypatch)
     for _ in range(2):
         loaded = read_corpus(path)
-        assert loaded.utt_ids == corpus.utt_ids and np.array_equal(loaded.labels, corpus.labels)
+        assert loaded.utt_ids == corpus.utt_ids and np.array_equal(loaded.starts, corpus.starts)
+        assert np.array_equal(loaded.labels, corpus.labels)
         assert _same_bits(loaded.features, corpus.features)
     assert len(parses) == 1  # the spoiled sidecar was replaced by the first read
     with np.load(sidecar) as z:

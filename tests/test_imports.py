@@ -19,3 +19,9 @@ def test_the_package_imports_only_numpy_and_the_standard_library():
                 continue
             foreign += [f"{path.name}: {name}" for name in names if name.split(".")[0] not in allowed]
     assert foreign == []
+
+
+def test_the_package_keeps_to_its_line_budget():
+    # ROADMAP item 11's budget for src/: lines as wc -l counts them, one per newline
+    lines = sum(path.read_bytes().count(b"\n") for path in Path(dsnadapt.__file__).parent.glob("*.py"))
+    assert lines <= 2180

@@ -447,7 +447,9 @@ def test_ce_matches_direct_arithmetic():
 
 
 def test_ce_label_out_of_range():
-    with pytest.raises(DataError):
+    # cli._run_mode checks labels against the model or synth.num_classes
+    # before any compute, so only a caller's code can pass these
+    with pytest.raises(ContractError, match=r"^label out of range \[0, 3\)$"):
         cross_entropy_loss(np.full((1, 3), 1 / 3), np.array([3]))
 
 

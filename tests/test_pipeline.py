@@ -23,7 +23,14 @@ from dsnadapt.pipeline import (
     sweep,
     write_sweep_csv,
 )
-from oracles import evaluate_oracle, model_input_oracle, prepare_oracle, traced_peak_bytes
+from oracles import (
+    corpus_of_frames,
+    evaluate_oracle,
+    model_input_oracle,
+    prepare_oracle,
+    synth_frame_ids,
+    traced_peak_bytes,
+)
 
 
 def tiny_cfg(**overrides) -> ExperimentConfig:
@@ -64,8 +71,13 @@ def prepared():
 # ---------------------------------------------------------------------------
 
 
+def _model_input(corpus):
+    """model_input_oracle of a corpus prepared from tiny_cfg's synthesis."""
+    return model_input_oracle(corpus, synth_frame_ids(corpus, tiny_cfg().synth))
+
+
 def test_prepare_normalizes_over_train_plus_adapt(prepared):
-    pooled = np.vstack([model_input_oracle(prepared.source_train), model_input_oracle(prepared.target_adapt)])
+    pooled = np.vstack([_model_input(prepared.source_train), _model_input(prepared.target_adapt)])
     assert np.abs(pooled.mean(axis=0)).max() < 1e-9
     assert np.abs(pooled.var(axis=0) - 1.0).max() < 1e-6
     for corpus in (prepared.source_train, prepared.target_adapt, prepared.source_test, prepared.target_test):
@@ -113,16 +125,17 @@ def test_prepare_matches_the_plain_formula_bit_for_bit(tmp_path, make, need_targ
 
 def test_prepare_holds_no_spliced_copy():
     # at cli_files size the prepared corpora hold their raw frames, 6.4 MB, and
-    # one row number per utterance at any window width. The peak, 14.65 MB at
-    # +-2 and at +-5, is synthesis's; tracemalloc counts numpy's buffers
-    # exactly, so it is the same on every run and the bound can sit just above
-    # it. A spliced copy of the corpora would add 32 MB at +-2 and 70 MB at +-5.
+    # their utterance starts, one row number per utterance, at any window
+    # width. The peak, 14.22 MB at +-2 and at +-5, is synthesis's; tracemalloc
+    # counts numpy's buffers exactly, so it is the same on every run and the
+    # bound can sit just above it. A spliced copy of the corpora would add
+    # 32 MB at +-2 and 70 MB at +-5.
     for width in (2, 5):
         cfg = pipeline.trend_profile(1)
         cfg = replace(cfg, synth=replace(cfg.synth, utterances_per_domain=400), splice=SpliceConfig(width, width))
         prepared = []
         peak = traced_peak_bytes(lambda: prepared.append(prepare_corpora(cfg, need_target_labels=True)))
-        held = sum(c.features.nbytes + c.context[2].nbytes for c in _corpora(prepared[0]))
+        held = sum(c.features.nbytes + c.starts.nbytes for c in _corpora(prepared[0]))
         assert all(c.features.shape == (len(c), cfg.synth.base_dim) for c in _corpora(prepared[0]))
         assert held == 8 * (8 * 100_000 + 1_000 + 4)  # 100k frames of 8 dims, 1k utterances in 4 corpora
         assert peak < 15_000_000
@@ -170,7 +183,7 @@ def test_evaluate_matches_brute_force_recount(prepared):
     net, _ = pretrain_source(cfg, prepared.source_train)
     result = evaluate((net,), prepared.source_test)
     # independent recount: per-row loop, manual argmax with lowest-index ties
-    out, _ = forward(net, model_input_oracle(prepared.source_test))
+    out, _ = forward(net, _model_input(prepared.source_test))
     wrong = 0
     for row, label in zip(out, prepared.source_test.labels):
         best, best_v = 0, row[0]
@@ -193,8 +206,10 @@ def trend_nets():
 
 
 def _first_rows(corpus, n):
-    """The first n rows with their model input as plain frames."""
-    return Corpus(corpus.domain, corpus.utt_ids[:n], corpus.labels[:n], model_input_oracle(corpus)[:n])
+    """The first n rows of a corpus prepared from trend_profile(1)'s synthesis,
+    with their model input as plain frames."""
+    frame_ids = synth_frame_ids(corpus, pipeline.trend_profile(1).synth)
+    return corpus_of_frames(corpus.domain, frame_ids[:n], corpus.labels[:n], model_input_oracle(corpus, frame_ids)[:n])
 
 
 @pytest.mark.parametrize("nets_name", ["pretrained", "split"])
@@ -246,7 +261,7 @@ def test_evaluate_holds_a_block():
     # holds about 1.02x
     n = 40_000
     net = init_mlp([(40, 48, "sigmoid"), (48, 48, "sigmoid"), (48, 48, "sigmoid"), (48, 10, "softmax")], Rng(3))
-    corpus = Corpus(0, ["u"] * n, np.arange(n) % 10, Rng(5).normals(40 * n).reshape(n, 40))
+    corpus = Corpus(0, ["u"], np.array([0, n]), np.arange(n) % 10, Rng(5).normals(40 * n).reshape(n, 40))
     whole_set = sum(a.nbytes for a in forward(net, corpus.features)[1])
     peak = traced_peak_bytes(lambda: evaluate((net,), corpus))
     assert peak < 0.25 * whole_set
