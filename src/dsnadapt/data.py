@@ -34,34 +34,34 @@ class Corpus:
     for "absent". Utterance u is rows starts[u] .. starts[u + 1] - 1, named
     utt_ids[u]: starts is int64 from 0 to the frame count, strictly
     increasing, and neighbouring utterances have different ids. features
-    holds the float64 frames as read or drawn. A spliced corpus's context
-    (left, right) is the window rule: row i's window is rows i - left ..
-    i + right, clipped to its utterance. rows() gathers the windows and
-    applies norm, (mean, scale), to them."""
+    holds the float64 frames as read or drawn. context (left, right) is the
+    window rule: row i's window is rows i - left .. i + right, clipped to its
+    utterance, so a raw corpus is the zero-width window (0, 0). rows()
+    gathers the windows and applies norm, (mean, scale), to them."""
 
     domain: int
     utt_ids: list[str]
     starts: np.ndarray
     labels: np.ndarray
     features: np.ndarray
-    context: tuple[int, int] | None = None
+    context: tuple[int, int] = (0, 0)
     norm: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         n, starts, ids = len(self.labels), self.starts, self.utt_ids  # runs checked in O(utterances)
         if self.domain not in (0, 1):
-            raise DataError(f"domain must be 0 (source) or 1 (target), got {self.domain!r}")
+            raise ContractError(f"domain must be 0 (source) or 1 (target), got {self.domain!r}")
         if self.features.ndim != 2 or len(self.features) != n:
-            raise DataError(f"features shape {self.features.shape} does not hold {n} frames")
+            raise ContractError(f"features shape {self.features.shape} does not hold {n} frames")
         if self.labels.shape != (n,):
-            raise DataError(f"labels length {self.labels.shape} != {n}")
+            raise ContractError(f"labels length {self.labels.shape} != {n}")
         if self.features.dtype != np.float64:
             raise ContractError(f"features are {self.features.dtype}, not float64")
         if not (starts.dtype == np.int64 and starts.ndim == 1 and len(starts) == len(ids) + 1
                 and starts[0] == 0 and starts[-1] == n and (np.diff(starts) > 0).all()
                 and not any(map(str.__eq__, ids, ids[1:]))):
             raise ContractError(f"{len(ids)} utterance ids and their starts are not runs of {n} frames")
-        if self.context is not None and min(self.context) < 0:
+        if min(self.context) < 0:
             raise ContractError(f"context {self.context} has a size below 0")
 
     def __len__(self) -> int:
@@ -69,19 +69,18 @@ class Corpus:
 
     @property
     def dim(self) -> int:
-        return self.features.shape[1] * (1 if self.context is None else self.context[0] + 1 + self.context[1])
+        return self.features.shape[1] * (self.context[0] + 1 + self.context[1])
 
     def rows(self, index: np.ndarray | slice, out: np.ndarray | None = None) -> np.ndarray:
         """The float64 model input of the rows at index (in-range row numbers or
         a slice), in out if given: their windows by the context rule, built for
         these rows alone, then (x - mean) / scale."""
         index = np.arange(*index.indices(len(self))) if isinstance(index, slice) else index
-        if self.context is not None:
-            (left, right), starts = self.context, self.starts
-            run = np.searchsorted(starts, index, side="right")  # 1 + each row's utterance
-            window = np.arange(-left, right + 1)[:, None] + index  # (width, rows): each ufunc runs along the rows
-            np.minimum(np.maximum(window, starts[run - 1], out=window), starts[run] - 1, out=window)
-            index = window.T
+        (left, right), starts = self.context, self.starts
+        run = np.searchsorted(starts, index, side="right")  # 1 + each row's utterance
+        window = np.arange(-left, right + 1)[:, None] + index  # (width, rows): each ufunc runs along the rows
+        np.minimum(np.maximum(window, starts[run - 1], out=window), starts[run] - 1, out=window)
+        index = window.T
         out = np.empty((len(index), self.dim)) if out is None else out
         frames = out.view()
         frames.shape = (*index.shape, self.features.shape[1])  # raises rather than copy
@@ -203,16 +202,14 @@ def synth_corpus(cfg: SynthConfig) -> Corpora:
 
 
 def splice(corpus: Corpus, left: int, right: int) -> Corpus:
-    """Concatenate each frame of a raw corpus with its context inside the
-    same utterance.
+    """Concatenate each frame of a raw corpus, one of window (0, 0) and no
+    norm, with its context inside the same utterance.
 
     Edge frames repeat the boundary frame. Frame counts and utterance
     boundaries are unchanged; the new dim is dim * (left + 1 + right). The
     context records the window rule, so the corpus holds no more at any width.
     """
-    if left < 0 or right < 0:
-        raise ContractError(f"splice takes context sizes >= 0, got left={left}, right={right}")
-    if corpus.context is not None or corpus.norm is not None:
+    if corpus.context != (0, 0) or corpus.norm is not None:
         raise ContractError("splice takes raw frames; this corpus is spliced or normalized")
     return replace(corpus, context=(left, right))
 
@@ -258,12 +255,12 @@ def _pooled_column_sum(stats_from: Sequence[Corpus], mean: np.ndarray | None = N
 # then one record per frame,
 #   utt_id,frame_idx,src|tgt,label,v1,...,vD
 # with label -1 when absent. The header pins the per-line feature dim; files
-# hold the frames as read or drawn, so spliced is always 0, and the writer
-# refuses a spliced or normalized corpus. frame_idx is the frame's
-# 0-based position in its run of consecutive records sharing the utt_id, and
-# every record carries the file's one domain tag (a file without records
-# reads as source). The reader rejects any other header flag, tag or
-# frame_idx, so writing a loaded corpus reproduces all three.
+# hold the frames as read or drawn: a raw corpus, the zero-width window (0, 0).
+# So spliced is always 0, and the writer refuses a spliced or normalized
+# corpus. frame_idx is the frame's 0-based position in its run of consecutive
+# records sharing the utt_id, and every record carries the file's one domain
+# tag (a file without records reads as source). The reader rejects any other
+# header flag, tag or frame_idx, so writing a loaded corpus reproduces all three.
 #
 # Both directions work on BLOCK_RECORDS records at a time, so a file costs a
 # few numpy calls per block rather than Python work per value, and memory
@@ -294,7 +291,7 @@ SIDECAR_VERSION = 1
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
-    if corpus.context is not None or corpus.norm is not None:
+    if corpus.context != (0, 0) or corpus.norm is not None:
         raise ContractError(f"{path}: a corpus file holds raw frames; this corpus is spliced or normalized")
     # a comma or any character str.splitlines breaks on would split a record
     bad = next((u for u in corpus.utt_ids if "," in u or len((u + ".").splitlines()) > 1), None)

@@ -125,7 +125,7 @@ def split_pretrained(source_dnn: Mlp, n_h: int) -> tuple[Mlp, Mlp]:
     """
     n_hidden = len(source_dnn.layers) - 1
     if not 1 <= n_h <= n_hidden:
-        raise ConfigError(f"n_h must be in [1, {n_hidden}], got {n_h}")
+        raise ContractError(f"n_h must be in [1, {n_hidden}], got {n_h}")
     return Mlp(source_dnn.layers[:n_h]), Mlp(source_dnn.layers[n_h:])
 
 
@@ -180,8 +180,8 @@ def dsn_gradients(model: DsnModel, x: Matrix, source_y: np.ndarray) -> tuple[Ste
     accuracy = float((post_d.argmax(axis=1) == labels).mean())
 
     grads: dict[str, np.ndarray] = {}
-    grads["senone"], g_f_s = backward(model.senone, cache_y, g_logits_y, at_logits=True)
-    grads["domain"], g_f_d = backward(model.domain, cache_d, g_logits_d, at_logits=True)
+    grads["senone"], g_f_s = backward(model.senone, cache_y, g_logits_y)
+    grads["domain"], g_f_d = backward(model.domain, cache_d, g_logits_d)
     g_f = np.zeros_like(f)
     g_f[:n_s] = g_f_s
     if model.alpha != 0.0:

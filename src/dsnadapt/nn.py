@@ -180,15 +180,15 @@ class Mlp:
 
     def __post_init__(self):
         if not self.layers:
-            raise ConfigError("an Mlp needs at least one layer")
+            raise ContractError("an Mlp needs at least one layer")
         for k in range(len(self.layers) - 1):
             if self.layers[k].out_dim != self.layers[k + 1].in_dim:
-                raise ConfigError(
+                raise ContractError(
                     f"layer {k} out_dim {self.layers[k].out_dim} != "
                     f"layer {k + 1} in_dim {self.layers[k + 1].in_dim}"
                 )
             if self.layers[k].activation is Activation.SOFTMAX:
-                raise ConfigError("softmax is only permitted as the final layer")
+                raise ContractError("softmax is only permitted as the final layer")
         arrays = [a for layer in self.layers for a in (layer.weights, layer.bias)]
         params = np.concatenate([a.ravel() for a in arrays]).astype(np.float64, copy=False)
         views = _views(params, arrays)
@@ -223,7 +223,7 @@ def init_mlp(spec: Sequence[LayerSpec], rng: Rng) -> Mlp:
     layers = []
     for k, (din, dout, act) in enumerate(spec):
         if din < 1 or dout < 1:  # guards the division below; Mlp checks the rest of the spec
-            raise ConfigError(f"layer {k}: dimensions must be >= 1")
+            raise ContractError(f"layer {k}: dimensions must be >= 1")
         s = math.sqrt(6.0 / (din + dout))
         w = rng.uniforms(dout * din, -s, s).reshape(dout, din)
         layers.append(DenseLayer(w, np.zeros(dout), Activation(act)))
@@ -282,16 +282,15 @@ def _check_cache(net: Mlp, acts: list[Matrix], upstream: Matrix) -> None:
 
 
 def backward(
-    net: Mlp, acts: list[Matrix], upstream: Matrix, at_logits: bool = False, input_grad: bool = True
+    net: Mlp, acts: list[Matrix], upstream: Matrix, input_grad: bool = True
 ) -> tuple[np.ndarray, Matrix | None]:
     """Exact gradients of sum(upstream * output) w.r.t. parameters and input,
-    from the activation list forward() returned for this net.
+    from the activation list forward() returned for this net; a softmax last
+    layer takes its upstream at the logits, as cross_entropy_loss returns it.
 
     Every activation derivative is taken from the layer's cached output
-    (ReLU's from out > 0, which is z > 0). With at_logits=True the upstream
-    is taken w.r.t. the final layer's pre-activation instead of its output,
-    which is how the fused softmax + cross-entropy gradient enters. The
-    parameter gradient is returned as one vector laid out like net.params.
+    (ReLU's from out > 0, which is z > 0). The parameter gradient is
+    returned as one vector laid out like net.params.
     With input_grad=False the first layer's input gradient, a matmul the
     caller would discard, is skipped and returned as None.
     """
@@ -299,19 +298,16 @@ def backward(
     grad = np.empty_like(net.params)
     views = _views(grad, [a for layer in net.layers for a in (layer.weights, layer.bias)])
     wgrads, bgrads = views[0::2], views[1::2]
-    last = len(net.layers) - 1
     g = upstream
-    for k in range(last, -1, -1):
+    for k in range(len(net.layers) - 1, -1, -1):
         act, out = net.layers[k].activation, acts[k + 1]
-        if act is Activation.LINEAR or (k == last and at_logits):
+        if act is Activation.LINEAR or act is Activation.SOFTMAX:  # softmax is only ever the last layer
             dz = g
         elif act is Activation.SIGMOID:
             dz = g * out
             dz *= 1.0 - out
-        elif act is Activation.RELU:
+        else:  # relu
             dz = g * (out > 0.0)
-        else:  # softmax
-            dz = out * (g - (g * out).sum(axis=1, keepdims=True))
         np.matmul(dz.T, acts[k], out=wgrads[k])
         dz.sum(axis=0, out=bgrads[k])
         g = dz @ net.layers[k].weights if k or input_grad else None
@@ -322,7 +318,7 @@ def cross_entropy_loss(posteriors: Matrix, labels: np.ndarray) -> tuple[float, M
     """Mean negative log-posterior of the reference labels.
 
     The returned gradient is w.r.t. the pre-softmax logits (fused softmax +
-    cross-entropy), so it must enter backward() with at_logits=True.
+    cross-entropy), where backward() takes a softmax head's upstream.
     """
     labels = np.asarray(labels, dtype=np.int64)
     n, q = posteriors.shape

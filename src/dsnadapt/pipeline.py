@@ -246,7 +246,7 @@ def pretrain_source(cfg: ExperimentConfig, source_train: Corpus) -> tuple[Mlp, R
     def step(idx: np.ndarray) -> StepTrace:
         post, acts = forward(net, source_train.rows(idx))
         loss, g_logits = cross_entropy_loss(post, source_train.labels[idx])
-        grad, _ = backward(net, acts, g_logits, at_logits=True, input_grad=False)
+        grad, _ = backward(net, acts, g_logits, input_grad=False)
         return apply_step(StepTrace(loss, 0.0, 0.0, 0.0, loss, np.nan), {"source": (net, grad)}, cfg.mu)
 
     trace = _train(cfg, STREAM_BATCH_PRETRAIN, (len(source_train),), step)

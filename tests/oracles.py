@@ -157,10 +157,11 @@ def splice_oracle(frame_ids: Sequence[str], features: np.ndarray, left: int, rig
 
 
 def model_input_oracle(corpus: Corpus, frame_ids: Sequence[str] | None = None) -> np.ndarray:
-    """Corpus.rows of every row by the plain formula: the raw frames, or under
-    a context (left, right) each frame's window by splice_oracle over the
-    corpus's per-frame ids, then (x - mean) / scale under a norm."""
-    if corpus.context is None:
+    """Corpus.rows of every row by the plain formula: the raw frames at
+    context (0, 0), or under a context (left, right) each frame's window by
+    splice_oracle over the corpus's per-frame ids, then (x - mean) / scale
+    under a norm."""
+    if corpus.context == (0, 0):
         x = corpus.features
     else:
         assert frame_ids is not None, "a spliced corpus's windows need its per-frame ids"

@@ -212,9 +212,9 @@ def test_splice_boundary_repeats_edge_frame():
 
 @pytest.mark.parametrize("left, right", [(-1, 2), (2, -1)])
 def test_splice_rejects_a_negative_context_as_a_contract_breach(left, right):
-    # SpliceConfig checks splice.left and splice.right, so only code can pass these
+    # SpliceConfig checks splice.left and splice.right, so only code can pass these; Corpus refuses the window
     corpus = corpus_of_frames(0, ["u"] * 3, np.zeros(3, dtype=np.int64), np.zeros((3, 1)))
-    with pytest.raises(ContractError, match=rf"^splice takes context sizes >= 0, got left={left}, right={right}$"):
+    with pytest.raises(ContractError, match=rf"^context \({left}, {right}\) has a size below 0$"):
         splice(corpus, left, right)
 
 
@@ -250,10 +250,13 @@ def test_splice_preserves_counts(left, right, frame_ids):
     assert np.array_equal(spliced.rows(slice(None)), expected)
     feats = Rng(len(frame_ids)).normals(2 * len(frame_ids)).reshape(-1, 2)
     irregular = corpus_of_frames(1, frame_ids, np.full(len(frame_ids), -1), feats)
-    expected = splice_oracle(frame_ids, feats, left, right)
-    assert np.array_equal(splice(irregular, left, right).rows(slice(None)), expected)
-    with pytest.raises(ContractError, match="splice takes raw frames"):  # spliced twice
-        splice(splice(irregular, left, right), right, left)
+    once = splice(irregular, left, right)
+    assert np.array_equal(once.rows(slice(None)), splice_oracle(frame_ids, feats, left, right))
+    if (left, right) == (0, 0):  # the zero-width window is the raw corpus, so it splices again
+        assert np.array_equal(splice(once, 0, 0).rows(slice(None)), feats)
+    else:
+        with pytest.raises(ContractError, match="splice takes raw frames"):  # spliced twice
+            splice(once, right, left)
 
 
 def _same_bits(a, b):
@@ -276,8 +279,10 @@ def test_rows_match_the_materialized_formula_bit_for_bit(left, right):
     once = splice(raw, left, right)
     norm = (rng.normals(once.dim), np.abs(rng.normals(once.dim)) + 0.5)
     normed = replace(once, norm=norm)
-    # splice takes raw frames only: not spliced twice, nor normalized then spliced
-    for done in (once, normed, replace(raw, norm=(norm[0][:3], norm[1][:3]))):
+    # splice takes raw frames only: not spliced twice (the zero-width window
+    # is the raw corpus), nor normalized then spliced
+    spliced_twice = (once,) if (left, right) != (0, 0) else ()
+    for done in (*spliced_twice, normed, replace(raw, norm=(norm[0][:3], norm[1][:3]))):
         with pytest.raises(ContractError, match="splice takes raw frames"):
             splice(done, right, 1)
     picks = rng.permutation(n)[:9]
@@ -308,9 +313,10 @@ def test_a_spliced_corpus_holds_one_row_number_per_utterance_at_any_width():
         assert _array_bytes(splice(raw, width, width)) == _array_bytes(raw)
 
 
-# The runs and window rule a Corpus is given directly must split its frames
-# into utterances: three frames here, as utterances "u" (rows 0-1) and "v"
-# (row 2), under context sizes >= 0.
+# The domain, arrays, runs and window rule a Corpus is given directly must be
+# one domain's frames split into utterances: three frames of two features
+# here, as utterances "u" (rows 0-1) and "v" (row 2), under context sizes
+# >= 0. Readers and synthesis build no other, so only code can break these.
 _NOT_RUNS = r"\d utterance ids and their starts are not runs of 3 frames"
 
 
@@ -328,15 +334,21 @@ _NOT_RUNS = r"\d utterance ids and their starts are not runs of 3 frames"
         (dict(utt_ids=["u", "v", "w"]), _NOT_RUNS),
         (dict(utt_ids=["u", "u"]), _NOT_RUNS),
         (dict(starts=np.array([0, 2, 3], dtype=np.int32)), _NOT_RUNS),
+        (dict(domain=2), r"domain must be 0 \(source\) or 1 \(target\), got 2"),
+        (dict(features=np.ones((4, 2))), r"features shape \(4, 2\) does not hold 3 frames"),
+        (dict(features=np.ones(3)), r"features shape \(3,\) does not hold 3 frames"),
+        (dict(labels=np.zeros((3, 1), dtype=np.int64)), r"labels length \(3, 1\) != 3"),
     ],
     ids=["past-the-end", "negative", "too-few-rows", "two-dimensional-starts", "empty-utterance", "float-starts",
-         "bad-first-start", "fewer-ids-than-runs", "more-ids-than-runs", "adjacent-equal-ids", "int32-starts"],
+         "bad-first-start", "fewer-ids-than-runs", "more-ids-than-runs", "adjacent-equal-ids", "int32-starts",
+         "domain-2", "features-of-four-rows", "one-dimensional-features", "two-dimensional-labels"],
 )
 def test_corpus_rejects_a_table_that_is_not_rows_of_its_frames(fields, message):
-    good = dict(utt_ids=["u", "v"], starts=np.array([0, 2, 3]), context=(1, 1))
+    good = dict(domain=0, utt_ids=["u", "v"], starts=np.array([0, 2, 3]), labels=np.zeros(3, dtype=np.int64),
+                features=np.ones((3, 2)), context=(1, 1))
     with pytest.raises(ContractError, match=f"^{message}$"):
-        Corpus(0, labels=np.zeros(3, dtype=np.int64), features=np.ones((3, 2)), **{**good, **fields})
-    Corpus(0, labels=np.zeros(3, dtype=np.int64), features=np.ones((3, 2)), **good)
+        Corpus(**{**good, **fields})
+    Corpus(**good)
     Corpus(0, ["u", "v", "u"], np.arange(4), np.zeros(3, dtype=np.int64), np.ones((3, 2)))  # a non-adjacent repeat
 
 

@@ -124,9 +124,10 @@ def test_split_composition_is_bitwise_identity():
 
 
 def test_split_rejects_bad_n_h():
+    # the config bounds and cli._run_mode check n_h first, so only code can pass these
     dnn = seven_hidden_dnn()
     for bad in (0, 8):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ContractError, match=rf"^n_h must be in \[1, 7\], got {bad}$"):
             split_pretrained(dnn, bad)
 
 

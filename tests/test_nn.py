@@ -74,15 +74,17 @@ def test_init_weights_match_prng_oracle():
         assert np.array_equal(layer.weights, expected)
 
 
+# mlp_from_cursor and the config bounds check these rules first, so only
+# code can break them
 def test_init_rejects_bad_chain():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ContractError):
         init_mlp([(2, 3, "relu"), (4, 2, "softmax")], Rng(0))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ContractError):
         init_mlp([], Rng(0))
 
 
 def test_softmax_only_final():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ContractError):
         Mlp(
             [
                 DenseLayer(np.zeros((3, 2)), np.zeros(3), Activation.SOFTMAX),
@@ -267,14 +269,14 @@ def test_forward_leaves_its_batch_and_repeats_bit_for_bit(spec):
     assert second[0] is x and not any(np.shares_memory(a, b) for a, b in zip(first[1:], second[1:]))
 
 
-@pytest.mark.parametrize("at_logits", [False, True])
+@pytest.mark.parametrize("input_grad", [False, True])
 @pytest.mark.parametrize("spec", _EVERY_ACTIVATION)
-def test_backward_leaves_acts_and_upstream(spec, at_logits):
+def test_backward_leaves_acts_and_upstream(spec, input_grad):
     net = init_mlp(spec, Rng(6))
     _, acts = forward(net, Rng(7).normals(40 * 6).reshape(40, 6))
     upstream = Rng(8).normals(40 * 3).reshape(40, 3)
     before = _bits(acts + [upstream])
-    backward(net, acts, upstream, at_logits=at_logits)
+    backward(net, acts, upstream, input_grad=input_grad)
     assert _same_bits(acts + [upstream], before)
 
 
@@ -334,32 +336,42 @@ def test_stale_cache_rejected():
         backward(net, cache2, np.zeros((3, 4)))
 
 
-@pytest.mark.parametrize("at_logits", [False, True])
 @pytest.mark.parametrize("spec", [DEEP_SPEC, ((5, 3, "linear"),), ((5, 4, "relu"), (4, 5, "sigmoid"))])
-def test_backward_without_input_grad_keeps_parameter_gradients(spec, at_logits):
+def test_backward_without_input_grad_keeps_parameter_gradients(spec):
     net = small_net(seed=8, spec=spec)
     x = Rng(9).normals(6 * 5).reshape(6, 5)
     up = Rng(10).normals(6 * net.out_dim).reshape(6, net.out_dim)
     _, acts = forward(net, x)
-    full, g_in = backward(net, acts, up, at_logits=at_logits)
-    skipped, none = backward(net, acts, up, at_logits=at_logits, input_grad=False)
+    full, g_in = backward(net, acts, up)
+    skipped, none = backward(net, acts, up, input_grad=False)
     assert g_in.shape == x.shape and none is None
     assert full.shape == skipped.shape == net.params.shape
     assert np.array_equal(full.view(np.uint64), skipped.view(np.uint64))
 
 
+def _logits_net(net):
+    """A copy of net whose softmax last layer is linear: its output is net's logits."""
+    *body, head = net.layers
+    return Mlp([*body, DenseLayer(head.weights, head.bias, Activation.LINEAR)])
+
+
 def test_backward_matches_handrolled_fd():
-    # independent central-difference loop, not finite_diff_check
+    # a softmax head takes its upstream at the logits: its gradients are a
+    # linear head's bit for bit, and an independent central-difference loop
+    # (not finite_diff_check) over sum(u * logits) agrees with them
     net = init_mlp([(3, 4, "sigmoid"), (4, 2, "softmax")], Rng(6))
     x = Rng(7).normals(9).reshape(3, 3)
     u = Rng(8).normals(6).reshape(3, 2)
 
     def loss(m):
-        out, _ = forward(m, x)
-        return float((u * out).sum())
+        logits, _ = forward(_logits_net(m), x)
+        return float((u * logits).sum())
 
     _, cache = forward(net, x)
-    grads, _ = backward(net, cache, u)
+    grads, g_in = backward(net, cache, u)
+    linear = _logits_net(net)
+    linear_grads, linear_g_in = backward(linear, forward(linear, x)[1], u)
+    assert _same_bits([grads, g_in], _bits([linear_grads, linear_g_in]))
     wgrads = _views(grads, [a for layer in net.layers for a in (layer.weights, layer.bias)])[0::2]
     h = 1e-5
     for k, layer in enumerate(net.layers):
@@ -397,7 +409,7 @@ def test_ce_gradients_match_fd(seed, spec):
 
     out, cache = forward(net, x)
     _, g_logits = cross_entropy_loss(out, y)
-    grads, _ = backward(net, cache, g_logits, at_logits=True)
+    grads, _ = backward(net, cache, g_logits)
     report = finite_diff_check(loss, net, grads, h=1e-5)
     assert report.max_rel_error < 1e-4
 
@@ -587,7 +599,7 @@ def test_fd_flags_corrupted_gradient():
 
     out, cache = forward(net, x)
     _, gl = cross_entropy_loss(out, y)
-    grads, _ = backward(net, cache, gl, at_logits=True)
+    grads, _ = backward(net, cache, gl)
     report = finite_diff_check(loss, net, 2.0 * grads, h=1e-5)
     assert abs(report.max_rel_error - 0.5) < 1e-3
     assert abs(report.mean_rel_error - 0.5) < 1e-3

@@ -284,7 +284,7 @@ def test_evaluate_rejects_a_label_beyond_the_nets_classes(prepared):
 @pytest.mark.parametrize("adapt", [adapt_grl, adapt_dsn])
 def test_adaptation_rejects_corpora_of_different_dims(prepared, adapt):
     net, _ = pretrain_source(tiny_cfg(epochs=0), prepared.source_train)
-    raw_target = replace(prepared.target_adapt, context=None, norm=None)
+    raw_target = replace(prepared.target_adapt, context=(0, 0), norm=None)
     with pytest.raises(ContractError, match="^source dim 15 != target dim 5$"):
         adapt(tiny_cfg(), net, prepared.source_train, raw_target)
 
