@@ -336,14 +336,20 @@ def test_stale_cache_rejected():
         backward(net, cache2, np.zeros((3, 4)))
 
 
+@pytest.mark.parametrize("skipped_first", [False, True])
 @pytest.mark.parametrize("spec", [DEEP_SPEC, ((5, 3, "linear"),), ((5, 4, "relu"), (4, 5, "sigmoid"))])
-def test_backward_without_input_grad_keeps_parameter_gradients(spec):
+def test_backward_without_input_grad_keeps_parameter_gradients(spec, skipped_first):
+    # either call may come first: neither leaves state the other reads
     net = small_net(seed=8, spec=spec)
     x = Rng(9).normals(6 * 5).reshape(6, 5)
     up = Rng(10).normals(6 * net.out_dim).reshape(6, net.out_dim)
     _, acts = forward(net, x)
-    full, g_in = backward(net, acts, up)
-    skipped, none = backward(net, acts, up, input_grad=False)
+    if skipped_first:
+        skipped, none = backward(net, acts, up, input_grad=False)
+        full, g_in = backward(net, acts, up)
+    else:
+        full, g_in = backward(net, acts, up)
+        skipped, none = backward(net, acts, up, input_grad=False)
     assert g_in.shape == x.shape and none is None
     assert full.shape == skipped.shape == net.params.shape
     assert np.array_equal(full.view(np.uint64), skipped.view(np.uint64))
