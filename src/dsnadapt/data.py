@@ -12,6 +12,7 @@ import hashlib
 import math
 import os
 import secrets
+import zipfile
 from dataclasses import dataclass, replace
 from itertools import chain, islice
 from pathlib import Path
@@ -152,16 +153,17 @@ def _gen_corpus(cfg: SynthConfig, rng: Rng, means: np.ndarray, channel: np.ndarr
     normals row-major, then (target only) the additive noise normals. A
     corpus drawn through the channel is the target domain.
 
-    Raw draws come a run of utterances (about 8 * BLOCK_RECORDS frames) at a
-    time, a row per utterance: f label draws, then w = f * d rounded up to
-    even draws for the base normals (what Rng.normals(f * d) takes), then
-    (target only) w for the noise. Each run's frames are made in their slice
-    of the output, so memory beyond the corpus is one run's."""
+    Raw draws come a run of max(1, BLOCK_RECORDS // f) utterances (one
+    block of frames, or one utterance) at a time, a row per utterance: f
+    label draws, then w = f * d rounded up to even draws for the base normals
+    (what Rng.normals(f * d) takes), then (target only) w for the noise. Each
+    run's frames are made in their slice of the output, so memory beyond the
+    corpus is one run's, under 1 MB at the trend widths."""
     d, f = cfg.base_dim, cfg.frames_per_utterance
     w = f * d + (f * d) % 2
     cols = f + w if channel is None else f + 2 * w
     labels, feats = np.empty((n_utts, f), dtype=np.int64), np.empty((n_utts, f, d))
-    per_block = max(1, 8 * BLOCK_RECORDS // f)
+    per_block = max(1, BLOCK_RECORDS // f)
     for u in range(0, n_utts, per_block):
         out, lab = feats[u : u + per_block], labels[u : u + per_block]
         raw = rng._raw_block(len(out) * cols).reshape(len(out), cols)
@@ -412,8 +414,16 @@ def _save_sidecar(sidecar: Path, key: tuple[str, str, int], corpus: Corpus) -> N
     tmp = sidecar.with_name(f"{sidecar.name}.{secrets.token_hex(8)}.tmp")
     try:
         try:
-            with tmp.open("xb") as f:
-                np.savez(f, **arrays)
+            # np.savez's layout, one stored zip64 member of .npy bytes per array, but
+            # written BLOCK_RECORDS rows at a time from the array's own buffer; np.savez
+            # copies an array of under 16 MiB whole
+            with tmp.open("xb") as f, zipfile.ZipFile(f, "w") as z:
+                for name, a in arrays.items():
+                    with z.open(f"{name}.npy", "w", force_zip64=True) as member:
+                        np.lib.format.write_array_header_1_0(member, np.lib.format.header_data_from_array_1_0(a))
+                        rows = np.atleast_1d(a)
+                        for i in range(0, len(rows), BLOCK_RECORDS):
+                            member.write(rows[i : i + BLOCK_RECORDS])
             os.replace(tmp, sidecar)
         finally:
             tmp.unlink(missing_ok=True)

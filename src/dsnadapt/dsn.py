@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -149,7 +149,8 @@ def cross_correlation_penalty(
     return term, d_shared, d_private
 
 
-def dsn_gradients(model: DsnModel, x: Matrix, source_y: np.ndarray) -> tuple[StepTrace, dict[str, np.ndarray]]:
+def dsn_gradients(model: DsnModel, x: Matrix, source_y: np.ndarray,
+                  work: dict[str, Any] | None = None) -> tuple[StepTrace, dict[str, np.ndarray]]:
     """Every loss term of one step and the routed gradient vector of each
     sub-network, laid out like its params.
 
@@ -164,53 +165,81 @@ def dsn_gradients(model: DsnModel, x: Matrix, source_y: np.ndarray) -> tuple[Ste
     domain's entries; the domain cross-entropy is one mean over both domains.
     The returned dict holds an entry only for the sub-networks that receive
     an update this step.
+
+    work holds the step's buffers: each net's activation list and gradient
+    vector, the reconstructor input [f, p] and the summed upstreams at the
+    shared and private outputs. An empty dict is filled, and a dict from an
+    earlier call at the same shapes is reused (other shapes are a
+    ContractError from forward), so the returned gradients alias work and
+    the next call overwrites them. Without work every buffer is fresh.
     """
     n_s = len(source_y)
     if not 0 < n_s < len(x):
         raise ContractError(f"both domains must contribute frames: {n_s} source labels for {len(x)} rows")
+    work = {} if work is None else work
+    grads: dict[str, np.ndarray] = {}
+
+    def fwd(name: str, batch: Matrix) -> Matrix:
+        out, work[name] = forward(getattr(model, name), batch, work.get(name))
+        return out
+
+    def bwd(name: str, upstream: Matrix, input_grad: bool = True) -> Matrix | None:
+        grads[name], g = backward(getattr(model, name), work[name], upstream, input_grad, work.get(f"{name}.grad"))
+        work[f"{name}.grad"] = grads[name]
+        return g
+
+    def buffer(name: str, shape: tuple[int, int]) -> Matrix:
+        if name not in work:
+            work[name] = np.empty(shape)
+        return work[name]
+
     xs, xt = x[:n_s], x[n_s:]
-    f, cache_f = forward(model.shared, x)
+    f = fwd("shared", x)
     f_s, f_t = f[:n_s], f[n_s:]
 
-    post_y, cache_y = forward(model.senone, f_s)
+    post_y = fwd("senone", f_s)
     l_sen, g_logits_y = cross_entropy_loss(post_y, source_y)
-    post_d, cache_d = forward(model.domain, f)
+    post_d = fwd("domain", f)
     labels = np.repeat([0, 1], [n_s, len(x) - n_s])
     l_dom, g_logits_d = cross_entropy_loss(post_d, labels)
     accuracy = float((post_d.argmax(axis=1) == labels).mean())
 
-    grads: dict[str, np.ndarray] = {}
-    grads["senone"], g_f_s = backward(model.senone, cache_y, g_logits_y)
-    grads["domain"], g_f_d = backward(model.domain, cache_d, g_logits_d)
-    g_f = np.zeros_like(f)
-    g_f[:n_s] = g_f_s
+    g_f_s = bwd("senone", g_logits_y)
+    g_f_d = bwd("domain", g_logits_d)
+    g_f = buffer("g_f", f.shape)
+    g_f[:n_s], g_f[n_s:] = g_f_s, 0.0
     if model.alpha != 0.0:
         g_f += grl_backward(g_f_d, model.alpha)
 
     l_diff = l_rec = 0.0
     if model.private_src is not None:
         k = model.shared.out_dim
-        p_s, cache_ps = forward(model.private_src, xs)
-        p_t, cache_pt = forward(model.private_tgt, xt)
-        p = np.vstack([p_s, p_t])
+        p_s, p_t = fwd("private_src", xs), fwd("private_tgt", xt)
         diff_s, d_fs, d_ps = cross_correlation_penalty(f_s, p_s)
         diff_t, d_ft, d_pt = cross_correlation_penalty(f_t, p_t)
-        out, cache_r = forward(model.recon, np.hstack([f, p]))
+        fp = buffer("fp", (len(x), 2 * k))
+        fp[:, :k], fp[:n_s, k:], fp[n_s:, k:] = f, p_s, p_t
+        out = fwd("recon", fp)
         rec_s, g_out_s = mse_loss(out[:n_s], xs)
         rec_t, g_out_t = mse_loss(out[n_s:], xt)
         l_diff, l_rec = diff_s + diff_t, rec_s + rec_t
-        grads["recon"], g_fp = backward(model.recon, cache_r, np.vstack([g_out_s, g_out_t]))
-        g_p = np.zeros_like(p)
+        g_out = buffer("g_out", out.shape)
+        g_out[:n_s], g_out[n_s:] = g_out_s, g_out_t
+        g_fp = bwd("recon", g_out)
+        g_p = buffer("g_p", f.shape)
+        g_p[...] = 0.0
         if model.beta != 0.0:
-            g_f += model.beta * np.vstack([d_fs, d_ft])
-            g_p += model.beta * np.vstack([d_ps, d_pt])
+            for rows, d_f, d_p in ((slice(n_s), d_fs, d_ps), (slice(n_s, None), d_ft, d_pt)):
+                g_f[rows] += np.multiply(d_f, model.beta, out=d_f)
+                g_p[rows] += np.multiply(d_p, model.beta, out=d_p)
         if model.gamma != 0.0:
-            g_f += model.gamma * g_fp[:, :k]
-            g_p += model.gamma * g_fp[:, k:]
+            g_fp *= model.gamma
+            g_f += g_fp[:, :k]
+            g_p += g_fp[:, k:]
         if model.beta != 0.0 or model.gamma != 0.0:
-            grads["private_src"], _ = backward(model.private_src, cache_ps, g_p[:n_s], input_grad=False)
-            grads["private_tgt"], _ = backward(model.private_tgt, cache_pt, g_p[n_s:], input_grad=False)
-    grads["shared"], _ = backward(model.shared, cache_f, g_f, input_grad=False)
+            bwd("private_src", g_p[:n_s], input_grad=False)
+            bwd("private_tgt", g_p[n_s:], input_grad=False)
+    bwd("shared", g_f, input_grad=False)
 
     total = l_sen + l_dom + model.beta * l_diff + model.gamma * l_rec
     return StepTrace(l_sen, l_dom, l_diff, l_rec, total, accuracy), grads
@@ -233,10 +262,13 @@ def apply_step(trace: StepTrace, updates: dict[str, tuple[Mlp, np.ndarray]], mu:
     return trace
 
 
-def dsn_step(model: DsnModel, x: Matrix, source_y: np.ndarray, mu: float) -> StepTrace:
+def dsn_step(model: DsnModel, x: Matrix, source_y: np.ndarray, mu: float,
+             work: dict[str, Any] | None = None) -> StepTrace:
     """One joint SGD update over every sub-network from the stacked batch of
-    dsn_gradients, checked and applied by apply_step; mutates the model."""
-    trace, grads = dsn_gradients(model, x, source_y)
+    dsn_gradients, checked and applied by apply_step; mutates the model.
+    work is dsn_gradients' dict of step buffers: pass one dict to every step
+    of a training run, so the steps reuse them."""
+    trace, grads = dsn_gradients(model, x, source_y, work)
     return apply_step(trace, {name: (getattr(model, name), g) for name, g in grads.items()}, mu)
 
 

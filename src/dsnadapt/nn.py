@@ -257,20 +257,30 @@ def _activate(act: Activation, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def forward(net: Mlp, batch: Matrix) -> tuple[Matrix, list[Matrix]]:
+def forward(net: Mlp, batch: Matrix, acts: list[Matrix] | None = None) -> tuple[Matrix, list[Matrix]]:
     """The net's output and its activation list [input, output of layer 1,
     ..., output]; the list is the cache that backward() reads. Each layer's
-    bias and activation are applied in place on its own fresh product
-    a @ W.T, so the batch is never modified and a layer holds one array."""
+    product a @ W.T is written into its own array of the list, and its bias
+    and activation are applied there in place, so the batch is never modified
+    and a layer holds one array.
+
+    Given acts, a list of these shapes from an earlier call (a ContractError
+    naming both lists of shapes otherwise), the products are written into its
+    arrays and its first entry is set to batch; that same list is returned,
+    and the next call with it overwrites it. Without, the arrays are fresh."""
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2:
         raise ContractError("batch must be 2-D (rows, features)")
     if batch.shape[1] != net.in_dim:
         raise ContractError(f"batch has {batch.shape[1]} columns, net expects {net.in_dim}")
-    acts = [batch]
-    for layer in net.layers:
-        z = acts[-1] @ layer.weights.T
-        acts.append(_activate(layer.activation, np.add(z, layer.bias, out=z)))
+    shapes = [batch.shape] + [(len(batch), layer.out_dim) for layer in net.layers]
+    acts = [batch] + [np.empty(shape) for shape in shapes[1:]] if acts is None else acts
+    if [a.shape for a in acts] != shapes:
+        raise ContractError(f"activation list shapes {[a.shape for a in acts]} != this batch's {shapes}")
+    acts[0] = batch
+    for k, layer in enumerate(net.layers):
+        z = np.matmul(acts[k], layer.weights.T, out=acts[k + 1])
+        _activate(layer.activation, np.add(z, layer.bias, out=z))
     return acts[-1], acts
 
 
@@ -282,7 +292,7 @@ def _check_cache(net: Mlp, acts: list[Matrix], upstream: Matrix) -> None:
 
 
 def backward(
-    net: Mlp, acts: list[Matrix], upstream: Matrix, input_grad: bool = True
+    net: Mlp, acts: list[Matrix], upstream: Matrix, input_grad: bool = True, grad: np.ndarray | None = None
 ) -> tuple[np.ndarray, Matrix | None]:
     """Exact gradients of sum(upstream * output) w.r.t. parameters and input,
     from the activation list forward() returned for this net; a softmax last
@@ -290,12 +300,17 @@ def backward(
 
     Every activation derivative is taken from the layer's cached output
     (ReLU's from out > 0, which is z > 0). The parameter gradient is
-    returned as one vector laid out like net.params.
+    returned as one vector laid out like net.params: written into grad when
+    given, a vector of params' shape (a ContractError naming both shapes
+    otherwise) that is returned and that the next call with it overwrites,
+    and fresh without.
     With input_grad=False the first layer's input gradient, a matmul the
     caller would discard, is skipped and returned as None.
     """
     _check_cache(net, acts, upstream)
-    grad = np.empty_like(net.params)
+    grad = np.empty_like(net.params) if grad is None else grad
+    if grad.shape != net.params.shape:
+        raise ContractError(f"gradient shape {grad.shape} != params shape {net.params.shape}")
     views = _views(grad, [a for layer in net.layers for a in (layer.weights, layer.bias)])
     wgrads, bgrads = views[0::2], views[1::2]
     g = upstream

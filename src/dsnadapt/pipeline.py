@@ -16,12 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from itertools import product
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .config import ExperimentConfig
-from .data import (_DOMAIN_TAGS, BLOCK_RECORDS, Corpora, Corpus, cmvn, read_corpus, read_corpus_unlabeled, splice,
+from .data import (_DOMAIN_TAGS, Corpora, Corpus, cmvn, read_corpus, read_corpus_unlabeled, splice,
                    synth_corpus)
 from .dsn import DsnModel, StepTrace, adapted_model, apply_step, dsn_step, net_shapes, split_pretrained
 from .errors import ConfigError, ContractError, DataError, TrainingDivergedError
@@ -35,6 +35,9 @@ STREAM_PRIVATE_TGT_INIT = 3
 STREAM_RECON_INIT = 4
 STREAM_BATCH_PRETRAIN = 5
 STREAM_BATCH_ADAPT = 6
+
+# Rows evaluate scores at a time.
+SCORE_ROWS = 512
 
 DATA_FILES = {
     "source_train": "source_train.csv",
@@ -180,22 +183,25 @@ def evaluate(nets: Sequence[Mlp], corpus: Corpus) -> EvalResult:
     """Frame error rate of the chained nets; argmax ties break toward the
     lowest class index.
 
-    The model input (Corpus.rows) goes through the nets BLOCK_RECORDS rows
-    at a time, so the windows and activations of one block are held, not the
-    whole set's. A block of a few hundred rows or more gives the whole-set
-    product's posteriors bit for bit; OpenBLAS can take another path for a
-    last block of a few rows, whose posteriors may move in the last bit."""
+    The model input (Corpus.rows) goes through the nets SCORE_ROWS rows at a
+    time, and each net's activation list is dropped before the next net
+    runs, so what is held beside the predictions is one block's windows and
+    one net's activations: about 0.75 MB at the trend widths, a quarter of
+    what blocks of BLOCK_RECORDS rows held. The block stays large because a
+    block of a few hundred rows or more gives the whole-set product's
+    posteriors bit for bit; OpenBLAS can take another path for a last block
+    of a few rows, whose posteriors may move in the last bit."""
     if not corpus.is_labeled:
         raise ContractError("evaluation needs a labeled corpus")
     q, n = nets[-1].out_dim, len(corpus)
     if int(corpus.labels.max()) >= q:
         raise ContractError(f"label {int(corpus.labels.max())} out of range for {q} classes")
     pred = np.empty(n, dtype=np.int64)
-    for start in range(0, n, BLOCK_RECORDS):
-        x = corpus.rows(slice(start, start + BLOCK_RECORDS))
+    for start in range(0, n, SCORE_ROWS):
+        x = corpus.rows(slice(start, start + SCORE_ROWS))
         for net in nets:
-            x, _ = forward(net, x)
-        pred[start : start + BLOCK_RECORDS] = x.argmax(axis=1)
+            x = forward(net, x)[0]
+        pred[start : start + SCORE_ROWS] = x.argmax(axis=1)
     errors = int((pred != corpus.labels).sum())
     confusion = np.zeros((q, q), dtype=np.int64)
     np.add.at(confusion, (corpus.labels, pred), 1)
@@ -260,12 +266,21 @@ def _adapt(cfg: ExperimentConfig, source_dnn: Mlp, source_train: Corpus, target_
     if source_train.dim != target_adapt.dim:
         raise ContractError(f"source dim {source_train.dim} != target dim {target_adapt.dim}")
     model = build_dsn(cfg, source_dnn, with_private)
+    # Every step reuses one set of buffers: the stacked batch and
+    # dsn_gradients' own, all in work. A DSN step that made them afresh freed
+    # about 2.3 MB of arrays each step, more than glibc's trim threshold (twice
+    # the largest mmapped block freed so far: 1.3 MB after cmvn's blocks), so
+    # the heap top went back to the OS after every step and was faulted in
+    # again, 472 to 492 minor faults a step in a fresh adapt_dsn process.
+    work: dict[str, Any] = {}
 
     def step(si: np.ndarray, ti: np.ndarray) -> StepTrace:
-        x = np.empty((len(si) + len(ti), source_train.dim))  # one stacked batch, source rows first
+        if "x" not in work:  # one stacked batch, source rows first, sized at the first step
+            work["x"] = np.empty((len(si) + len(ti), source_train.dim))
+        x = work["x"]
         source_train.rows(si, out=x[: len(si)])
         target_adapt.rows(ti, out=x[len(si) :])
-        return dsn_step(model, x, source_train.labels[si], cfg.mu)
+        return dsn_step(model, x, source_train.labels[si], cfg.mu, work)
 
     trace = _train(cfg, STREAM_BATCH_ADAPT, (len(source_train), len(target_adapt)), step)
     return model, RunReport("adapt_dsn" if with_private else "adapt_grl", trace, {})

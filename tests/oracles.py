@@ -132,8 +132,8 @@ def poison_dsn_gradient(monkeypatch, name: str) -> None:
     """Make every dsn.dsn_gradients call return a NaN in net name's gradient."""
     real = dsn.dsn_gradients
 
-    def poisoned(model, x, source_y):
-        trace, grads = real(model, x, source_y)
+    def poisoned(model, x, source_y, work=None):
+        trace, grads = real(model, x, source_y, work)
         grads[name][0] = np.nan
         return trace, grads
 

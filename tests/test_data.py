@@ -80,8 +80,8 @@ def test_synth_matches_the_per_utterance_oracle(monkeypatch, frames, base_dim, u
 
 @pytest.mark.parametrize("frames, base_dim, utterances", [(100, 8, 400), (7, 3, 5000)])
 def test_synth_in_several_raw_blocks_matches_the_per_utterance_oracle(monkeypatch, frames, base_dim, utterances):
-    # 163 and 2,340 utterances per raw block: each training corpus takes three
-    # blocks, the last one short, and each test corpus one
+    # 20 and 292 utterances per raw block: the training corpora take 20 and 18
+    # blocks and the test corpora 5 each; at 7 frames each corpus's last block is short
     cfg = toy_cfg(base_dim=base_dim, utterances_per_domain=utterances, frames_per_utterance=frames, seed=frames)
     _assert_synth_matches_the_per_utterance_oracle(monkeypatch, cfg)
 
@@ -105,9 +105,10 @@ def _held_bytes(corpus):
 
 
 def test_synthesis_holds_one_run_of_draws_beyond_its_corpora():
-    # beyond the corpora it returns, synthesis holds one run of raw draws and
-    # what is made from it: about 6.5 MB at 400 utterances and 7.3 MB at 1,600.
-    # Drawing a corpus in one block held 13.2 and 53.0 MB.
+    # beyond the corpora it returns, synthesis holds one run of raw draws, one
+    # block of frames, and what is made from it: about 0.94 MB at 400
+    # utterances and 0.92 MB at 1,600. Runs of eight blocks held 6.9 and
+    # 7.7 MB, and drawing a corpus in one block 13.2 and 53.0 MB.
     beyond = []
     for utterances in (400, 1600):
         cfg = toy_cfg(utterances_per_domain=utterances, frames_per_utterance=100)
@@ -115,6 +116,7 @@ def test_synthesis_holds_one_run_of_draws_beyond_its_corpora():
         peak = traced_peak_bytes(lambda: got.append(synth_corpus(cfg)))
         beyond.append(peak - sum(_held_bytes(c) for c in vars(got[0]).values()))
     assert beyond[1] < 1.4 * beyond[0]
+    assert max(beyond) < 1_500_000
 
 
 def test_synth_shapes_and_labeling():
@@ -990,14 +992,29 @@ def _raise_oserror(*args, **kwargs):
     raise OSError(28, "No space left on device")
 
 
-@pytest.mark.parametrize("target", ["savez", "replace"])
+@pytest.mark.parametrize("target", ["write", "replace"])
 def test_unwritable_sidecar_is_skipped(tmp_path, monkeypatch, target):
     path = tmp_path / "c.csv"
     corpus = _odd_ids_source()
     write_corpus(corpus, path)
-    monkeypatch.setattr(*((data.np, "savez") if target == "savez" else (data.os, "replace")), _raise_oserror)
+    monkeypatch.setattr(*((data.zipfile.ZipFile, "open") if target == "write" else (data.os, "replace")), _raise_oserror)
     parses = _count_parses(monkeypatch)
     for _ in range(2):
         assert read_corpus(path).utt_ids == corpus.utt_ids
     assert len(parses) == 2
     assert [p.name for p in tmp_path.iterdir()] == ["c.csv"]  # no sidecar and no temporary file left
+
+
+def test_sidecar_save_holds_less_than_a_block_beyond_its_arrays(tmp_path):
+    # each member is written from its array's own buffer, BLOCK_RECORDS rows at
+    # a time: here about 14 KB beside 786 KB of features. np.savez copied every
+    # array of under 16 MiB whole, so its peak grew with the features.
+    n = 6 * BLOCK_RECORDS
+    corpus = corpus_of_frames(0, [f"u{i // 100}" for i in range(n)], np.arange(n) % 5,
+                              Rng(4).normals(8 * n).reshape(n, 8))
+    sidecar = tmp_path / ".c.csv.labeled.npz"
+    key = ("0" * 64, "labeled", data.SIDECAR_VERSION)
+    peak = traced_peak_bytes(lambda: data._save_sidecar(sidecar, key, corpus))
+    assert peak < corpus.features[:BLOCK_RECORDS].nbytes
+    loaded = data._load_sidecar(sidecar, key)
+    assert _same_bits(loaded.features, corpus.features) and loaded.utt_ids == corpus.utt_ids

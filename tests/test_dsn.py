@@ -524,6 +524,37 @@ def test_baseline_equivalence_bitwise():
 
 
 @pytest.mark.parametrize("with_private", [True, False])
+def test_steps_on_one_work_match_fresh_steps_bit_for_bit(with_private):
+    # each step reuses the buffers of the one before, so any state a step
+    # left in them would move the next step's bits
+    kept = tiny_model(seed=26, with_private=with_private)
+    fresh = copy.deepcopy(kept)
+    work, previous = {}, None
+    for seed in (27, 28, 29):
+        batch = tiny_batch(seed=seed, n_s=6, n_t=6)
+        got, grads = dsn_gradients(kept, *batch, work)
+        want, want_grads = dsn_gradients(fresh, *batch)
+        assert got == want and list(grads) == list(want_grads)
+        for name, g in grads.items():
+            assert np.array_equal(g.view(np.uint64), want_grads[name].view(np.uint64)), name
+            assert previous is None or previous[name] is g  # the next call overwrites the last one's gradients
+        previous = grads
+        dsn_step(kept, *batch, 0.1, work)
+        dsn_step(fresh, *batch, 0.1)
+        for name in ROUTED_GROUPS:
+            if getattr(kept, name) is not None:
+                assert np.array_equal(getattr(kept, name).params.view(np.uint64),
+                                      getattr(fresh, name).params.view(np.uint64)), name
+
+
+def test_a_work_of_another_batch_shape_is_a_contract_breach():
+    model, work = tiny_model(seed=30), {}
+    dsn_gradients(model, *tiny_batch(seed=31, n_s=4, n_t=5), work)
+    with pytest.raises(ContractError, match=r"^activation list shapes .* != this batch's "):
+        dsn_gradients(model, *tiny_batch(seed=31, n_s=4, n_t=6), work)
+
+
+@pytest.mark.parametrize("with_private", [True, False])
 def test_step_runs_each_subnetwork_once(monkeypatch, with_private):
     model = tiny_model(seed=24, with_private=with_private)
     calls = {"forward": [], "backward": []}

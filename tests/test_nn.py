@@ -280,6 +280,49 @@ def test_backward_leaves_acts_and_upstream(spec, input_grad):
     assert _same_bits(acts + [upstream], before)
 
 
+@pytest.mark.parametrize("rows", [1, 3, 257])
+@pytest.mark.parametrize("spec", _EVERY_ACTIVATION)
+def test_forward_into_a_given_list_matches_a_fresh_forward(spec, rows):
+    # the list held another batch's activations: none of them may reach the output
+    net = init_mlp(spec, Rng(11))
+    first, second = (Rng(seed).normals(rows * 6).reshape(rows, 6) * 4.0 for seed in (12, 13))
+    _, given = forward(net, first)
+    arrays = list(given)
+    out, got = forward(net, second, given)
+    _, want = forward(net, second)
+    assert got is given and out is got[-1] and got[0] is second
+    assert all(a is b for a, b in zip(got[1:], arrays[1:]))
+    assert _same_bits(got, _bits(want))
+
+
+@pytest.mark.parametrize("rows", [1, 3, 257])
+@pytest.mark.parametrize("spec", _EVERY_ACTIVATION)
+def test_backward_into_a_given_vector_matches_a_fresh_backward(spec, rows):
+    net = init_mlp(spec, Rng(14))
+    _, acts = forward(net, Rng(15).normals(rows * 6).reshape(rows, 6) * 4.0)
+    upstream = Rng(16).normals(rows * 3).reshape(rows, 3)
+    given = np.full_like(net.params, np.nan)
+    got, got_input = backward(net, acts, upstream, grad=given)
+    want, want_input = backward(net, acts, upstream)
+    assert got is given
+    assert _same_bits([got, got_input], _bits([want, want_input]))
+
+
+def test_buffers_of_other_shapes_are_a_contract_breach_naming_both():
+    net = init_mlp(_EVERY_ACTIVATION[0], Rng(17))
+    _, acts = forward(net, np.zeros((3, 6)))
+    with pytest.raises(ContractError) as exc:
+        forward(net, np.zeros((4, 6)), acts)
+    assert str(exc.value) == ("activation list shapes [(3, 6), (3, 5), (3, 4), (3, 3)] "
+                              "!= this batch's [(4, 6), (4, 5), (4, 4), (4, 3)]")
+    _, other = forward(init_mlp([(6, 3, "linear")], Rng(18)), np.zeros((3, 6)))
+    with pytest.raises(ContractError, match=r"^activation list shapes \[\(3, 6\), \(3, 3\)\] != "):
+        forward(net, np.zeros((3, 6)), other)
+    with pytest.raises(ContractError) as exc:
+        backward(net, acts, np.zeros((3, 3)), grad=np.empty(10))
+    assert str(exc.value) == f"gradient shape (10,) != params shape ({net.params.size},)"
+
+
 def test_forward_holds_little_beside_its_activations():
     # the trend profile's source net on 10k frames: each layer's bias and
     # activation applied in place on its own product; a temporary for each

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dsnadapt.config import ExperimentConfig, NetConfig, SpliceConfig
-from dsnadapt.data import BLOCK_RECORDS, Corpus, SynthConfig, synth_corpus, write_corpus
+from dsnadapt.data import Corpus, SynthConfig, synth_corpus, write_corpus
 from dsnadapt import pipeline
 from dsnadapt.dsn import StepTrace, split_pretrained
 from dsnadapt.errors import ConfigError, ContractError, TrainingDivergedError
@@ -126,10 +126,12 @@ def test_prepare_matches_the_plain_formula_bit_for_bit(tmp_path, make, need_targ
 def test_prepare_holds_no_spliced_copy():
     # at cli_files size the prepared corpora hold their raw frames, 6.4 MB, and
     # their utterance starts, one row number per utterance, at any window
-    # width. The peak, 14.22 MB at +-2 and at +-5, is synthesis's; tracemalloc
-    # counts numpy's buffers exactly, so it is the same on every run and the
-    # bound can sit just above it. A spliced copy of the corpora would add
-    # 32 MB at +-2 and 70 MB at +-5.
+    # width. The peak, 8.78 MB at +-2 and 10.55 MB at +-5, is cmvn's: the
+    # corpora with their labels, 7.2 MB, and its blocks of windows; synthesis,
+    # one block of frames at a time, peaks at 8.22 MB (14.22 MB when it drew
+    # eight blocks at a time). tracemalloc counts numpy's buffers exactly, so
+    # the peak is the same on every run and the bound can sit just above it. A
+    # spliced copy of the corpora would add 32 MB at +-2 and 70 MB at +-5.
     for width in (2, 5):
         cfg = pipeline.trend_profile(1)
         cfg = replace(cfg, synth=replace(cfg.synth, utterances_per_domain=400), splice=SpliceConfig(width, width))
@@ -138,7 +140,7 @@ def test_prepare_holds_no_spliced_copy():
         held = sum(c.features.nbytes + c.starts.nbytes for c in _corpora(prepared[0]))
         assert all(c.features.shape == (len(c), cfg.synth.base_dim) for c in _corpora(prepared[0]))
         assert held == 8 * (8 * 100_000 + 1_000 + 4)  # 100k frames of 8 dims, 1k utterances in 4 corpora
-        assert peak < 15_000_000
+        assert peak < 11_000_000
 
 
 def test_sampler_covers_every_index_each_pass():
@@ -217,18 +219,18 @@ def _first_rows(corpus, n):
     "n, blocks",
     [
         (1, [1]),
-        (2047, [2047]),
-        (2048, [2048]),
-        (2049, [2048, 1]),
-        (4095, [2048, 2047]),
-        (4096, [2048, 2048]),
-        (4097, [2048, 2048, 1]),
-        (10000, [2048, 2048, 2048, 2048, 1808]),
-        (2304, [2048, 256]),
+        (2047, [512, 512, 512, 511]),
+        (2048, [512, 512, 512, 512]),
+        (2049, [512, 512, 512, 512, 1]),
+        (4095, [512] * 7 + [511]),
+        (4096, [512] * 8),
+        (4097, [512] * 8 + [1]),
+        (10000, [512] * 19 + [272]),
+        (2304, [512, 512, 512, 512, 256]),
     ],
 )
 def test_evaluate_blocks_match_the_whole_set_oracle(trend_nets, monkeypatch, nets_name, n, blocks):
-    assert BLOCK_RECORDS == 2048
+    assert pipeline.SCORE_ROWS == 512
     train, all_nets = trend_nets
     nets, corpus = all_nets[nets_name], _first_rows(train, n)
     expected, posteriors = evaluate_oracle(nets, corpus)
@@ -256,15 +258,16 @@ def test_evaluate_blocks_match_the_whole_set_oracle(trend_nets, monkeypatch, net
 
 
 def test_evaluate_holds_a_block():
-    # 40k rows: at most two blocks' activations (2,048 rows each) and the
-    # predictions, about 0.1x the whole set's activations; a whole-set pass
-    # holds about 1.02x
+    # 40k rows: one block's windows and one net's activations (512 rows) and
+    # the predictions, about 0.023x the whole set's activations; blocks of
+    # 2,048 rows that kept each net's list while the next ran held 0.12x, and
+    # a whole-set pass holds about 1.02x
     n = 40_000
     net = init_mlp([(40, 48, "sigmoid"), (48, 48, "sigmoid"), (48, 48, "sigmoid"), (48, 10, "softmax")], Rng(3))
     corpus = Corpus(0, ["u"], np.array([0, n]), np.arange(n) % 10, Rng(5).normals(40 * n).reshape(n, 40))
     whole_set = sum(a.nbytes for a in forward(net, corpus.features)[1])
     peak = traced_peak_bytes(lambda: evaluate((net,), corpus))
-    assert peak < 0.25 * whole_set
+    assert peak < 0.05 * whole_set
 
 
 def test_evaluate_rejects_unlabeled(prepared):
@@ -376,12 +379,26 @@ def test_adapt_modes_share_batch_schedule_bitwise(prepared, source_dnn):
             assert np.array_equal(la.bias, lb.bias)
 
 
+def test_a_second_step_on_one_work_holds_under_a_mib():
+    # at the trend shapes a DSN step on the buffers of the step before holds
+    # 915 KiB beside them, a reversal-only step 450 KiB; making the buffers
+    # afresh held 2,307 and 1,007 KiB, past glibc's trim threshold after cmvn
+    cfg = pipeline.trend_profile(1)
+    source_dnn = init_mlp(pipeline._chain_spec(cfg.net.source_hidden, Activation.SIGMOID, 40, 10,
+                                               Activation.SOFTMAX), Rng(1))
+    x, y = Rng(2).normals(2 * cfg.batch * 40).reshape(2 * cfg.batch, 40), np.arange(cfg.batch) % 10
+    for with_private, bound in ((True, 1 << 20), (False, 1 << 19)):
+        model, work = pipeline.build_dsn(cfg, source_dnn, with_private), {}
+        pipeline.dsn_step(model, x, y, cfg.mu, work)
+        assert traced_peak_bytes(lambda: pipeline.dsn_step(model, x, y, cfg.mu, work)) <= bound, with_private
+
+
 def test_epoch_records_are_step_means(prepared, source_dnn, monkeypatch):
     steps = []
     inner = pipeline.dsn_step
 
-    def recording(model, x, source_y, mu):
-        steps.append(inner(model, x, source_y, mu))
+    def recording(model, x, source_y, mu, work):
+        steps.append(inner(model, x, source_y, mu, work))
         return steps[-1]
 
     monkeypatch.setattr(pipeline, "dsn_step", recording)
