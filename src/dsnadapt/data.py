@@ -248,6 +248,7 @@ def _pooled_column_sum(stats_from: Sequence[Corpus], mean: np.ndarray | None = N
             np.multiply(block, block, out=block)
         block[0] += total
         total = block.sum(axis=0)
+        del block  # before the next block is built
     return total
 
 

@@ -160,11 +160,11 @@ def dsn_gradients(model: DsnModel, x: Matrix, source_y: np.ndarray,
     stacked rows go through the shared extractor, the domain classifier
     (source column 0, target column 1) and the reconstructor; the class head
     sees the source rows and each private extractor its own domain's rows.
-    The difference and reconstruction terms are sums of per-domain terms, a
-    reconstruction term being the squared error averaged over all of its
-    domain's entries; the domain cross-entropy is one mean over both domains.
-    The returned dict holds an entry only for the sub-networks that receive
-    an update this step.
+    The difference and reconstruction terms are sums over one loop of the two
+    domains, source first, a reconstruction term being the squared error
+    averaged over all of its domain's entries; the domain cross-entropy is
+    one mean over both domains. The returned dict holds an entry only for
+    the sub-networks that receive an update this step.
 
     work holds the step's buffers: each net's activation list and gradient
     vector, the reconstructor input [f, p] and the summed upstreams at the
@@ -193,52 +193,45 @@ def dsn_gradients(model: DsnModel, x: Matrix, source_y: np.ndarray,
             work[name] = np.empty(shape)
         return work[name]
 
-    xs, xt = x[:n_s], x[n_s:]
     f = fwd("shared", x)
-    f_s, f_t = f[:n_s], f[n_s:]
-
-    post_y = fwd("senone", f_s)
-    l_sen, g_logits_y = cross_entropy_loss(post_y, source_y)
+    l_sen, g_logits_y = cross_entropy_loss(fwd("senone", f[:n_s]), source_y)
     post_d = fwd("domain", f)
     labels = np.repeat([0, 1], [n_s, len(x) - n_s])
     l_dom, g_logits_d = cross_entropy_loss(post_d, labels)
     accuracy = float((post_d.argmax(axis=1) == labels).mean())
 
-    g_f_s = bwd("senone", g_logits_y)
-    g_f_d = bwd("domain", g_logits_d)
     g_f = buffer("g_f", f.shape)
-    g_f[:n_s], g_f[n_s:] = g_f_s, 0.0
+    g_f[:n_s], g_f[n_s:] = bwd("senone", g_logits_y), 0.0
+    g_f_d = bwd("domain", g_logits_d)
     if model.alpha != 0.0:
         g_f += grl_backward(g_f_d, model.alpha)
 
     l_diff = l_rec = 0.0
     if model.private_src is not None:
         k = model.shared.out_dim
-        p_s, p_t = fwd("private_src", xs), fwd("private_tgt", xt)
-        diff_s, d_fs, d_ps = cross_correlation_penalty(f_s, p_s)
-        diff_t, d_ft, d_pt = cross_correlation_penalty(f_t, p_t)
-        fp = buffer("fp", (len(x), 2 * k))
-        fp[:, :k], fp[:n_s, k:], fp[n_s:, k:] = f, p_s, p_t
-        out = fwd("recon", fp)
-        rec_s, g_out_s = mse_loss(out[:n_s], xs)
-        rec_t, g_out_t = mse_loss(out[n_s:], xt)
-        l_diff, l_rec = diff_s + diff_t, rec_s + rec_t
-        g_out = buffer("g_out", out.shape)
-        g_out[:n_s], g_out[n_s:] = g_out_s, g_out_t
-        g_fp = bwd("recon", g_out)
-        g_p = buffer("g_p", f.shape)
-        g_p[...] = 0.0
-        if model.beta != 0.0:
-            for rows, d_f, d_p in ((slice(n_s), d_fs, d_ps), (slice(n_s, None), d_ft, d_pt)):
+        domains = (("private_src", slice(n_s)), ("private_tgt", slice(n_s, None)))
+        fp, g_p = buffer("fp", (len(x), 2 * k)), buffer("g_p", f.shape)
+        fp[:, :k], g_p[...] = f, 0.0
+        for name, rows in domains:
+            fp[rows, k:] = fwd(name, x[rows])
+            diff, d_f, d_p = cross_correlation_penalty(f[rows], work[name][-1])
+            l_diff += diff
+            if model.beta != 0.0:
                 g_f[rows] += np.multiply(d_f, model.beta, out=d_f)
                 g_p[rows] += np.multiply(d_p, model.beta, out=d_p)
+        out = fwd("recon", fp)
+        g_out = buffer("g_out", out.shape)
+        for _, rows in domains:
+            rec, g_out[rows] = mse_loss(out[rows], x[rows])
+            l_rec += rec
+        g_fp = bwd("recon", g_out)
         if model.gamma != 0.0:
             g_fp *= model.gamma
             g_f += g_fp[:, :k]
             g_p += g_fp[:, k:]
         if model.beta != 0.0 or model.gamma != 0.0:
-            bwd("private_src", g_p[:n_s], input_grad=False)
-            bwd("private_tgt", g_p[n_s:], input_grad=False)
+            for name, rows in domains:
+                bwd(name, g_p[rows], input_grad=False)
     bwd("shared", g_f, input_grad=False)
 
     total = l_sen + l_dom + model.beta * l_diff + model.gamma * l_rec

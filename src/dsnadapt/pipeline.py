@@ -213,25 +213,43 @@ def evaluate(nets: Sequence[Mlp], corpus: Corpus) -> EvalResult:
 # ---------------------------------------------------------------------------
 
 
-def _train(cfg: ExperimentConfig, stream_id: int, sizes: Sequence[int],
-           step: Callable[..., StepTrace]) -> list[StepTrace]:
-    """The epoch loop of every training phase. Each of cfg.epochs records is
-    the field-wise mean of max(sizes) // batch step records, each step given
-    one index batch per corpus from EpochSamplers drawn in order from schedule
-    stream stream_id. A divergence is re-raised naming its epoch."""
+def _train(cfg: ExperimentConfig, stream_id: int, corpora: Sequence[Corpus],
+           step: Callable[[np.ndarray, np.ndarray, dict[str, Any]], StepTrace]) -> list[StepTrace]:
+    """The epoch loop of every training phase. The first corpus must be
+    labeled and all must share its dim (ContractErrors). Each of cfg.epochs
+    records is the field-wise mean of max(len) // batch step records. A step
+    draws one index batch per corpus from EpochSamplers on schedule stream
+    stream_id, in corpus order, and calls step(x, labels, work): x stacks the
+    rows' model input in corpus order, labels are the first corpus's, and
+    work is a dict for the step's buffers. x and work are made once and live
+    for the run, so every step gets the same two. A divergence is re-raised
+    naming its epoch."""
+    if not corpora[0].is_labeled:
+        raise ContractError("training needs a labeled source corpus")
+    for corpus in corpora[1:]:
+        if corpus.dim != corpora[0].dim:
+            raise ContractError(f"source dim {corpora[0].dim} != target dim {corpus.dim}")
     if cfg.epochs < 1:
         return []
-    steps = max(sizes) // cfg.batch
+    steps = max(map(len, corpora)) // cfg.batch
     if steps < 1:
-        raise ConfigError(f"batch size {cfg.batch} exceeds corpus size {max(sizes)}")
+        raise ConfigError(f"batch size {cfg.batch} exceeds corpus size {max(map(len, corpora))}")
+    # A DSN step that made its buffers afresh freed about 2.3 MB, past glibc's trim
+    # threshold (twice the largest mmapped block freed: 1.3 MB after cmvn's), so the
+    # heap top was handed back and re-faulted every step: 472-492 minor faults a step.
+    x = np.empty((len(corpora) * cfg.batch, corpora[0].dim))
+    parts, work = np.split(x, len(corpora)), {}
     schedule = Rng(cfg.seed).derive(stream_id)
-    samplers = [EpochSampler(n, schedule) for n in sizes]
+    samplers = [EpochSampler(len(c), schedule) for c in corpora]
     trace = []
     for epoch in range(1, cfg.epochs + 1):
         sums = np.zeros(len(fields(StepTrace)))
         try:
             for _ in range(steps):
-                t = step(*(sampler.take(cfg.batch) for sampler in samplers))
+                idx = [sampler.take(cfg.batch) for sampler in samplers]
+                for corpus, rows, part in zip(corpora, idx, parts):
+                    corpus.rows(rows, out=part)
+                t = step(x, corpora[0].labels[idx[0]], work)
                 sums += tuple(vars(t).values())
         except TrainingDivergedError as exc:
             raise TrainingDivergedError(f"epoch {epoch}: {exc}") from None
@@ -240,49 +258,29 @@ def _train(cfg: ExperimentConfig, stream_id: int, sizes: Sequence[int],
 
 
 def pretrain_source(cfg: ExperimentConfig, source_train: Corpus) -> tuple[Mlp, RunReport]:
-    """Minibatch cross-entropy training of the source classifier. A record's
-    senone and total loss are the cross-entropy; its domain accuracy is nan.
-    A non-finite gradient is re-raised prefixed with "source"."""
-    if not source_train.is_labeled:
-        raise ContractError("pretraining needs a labeled source corpus")
+    """Minibatch cross-entropy training of the source classifier, by _train,
+    whose work holds the net's activation list and gradient vector. A
+    record's senone and total loss are the cross-entropy; its domain accuracy
+    is nan. A non-finite gradient is re-raised prefixed with "source"."""
     spec = _chain_spec(cfg.net.source_hidden, Activation.SIGMOID, source_train.dim,
                        cfg.synth.num_classes, Activation.SOFTMAX)
     net = init_mlp(spec, Rng(cfg.seed).derive(STREAM_SOURCE_INIT))
 
-    def step(idx: np.ndarray) -> StepTrace:
-        post, acts = forward(net, source_train.rows(idx))
-        loss, g_logits = cross_entropy_loss(post, source_train.labels[idx])
-        grad, _ = backward(net, acts, g_logits, input_grad=False)
-        return apply_step(StepTrace(loss, 0.0, 0.0, 0.0, loss, np.nan), {"source": (net, grad)}, cfg.mu)
+    def step(x: np.ndarray, y: np.ndarray, work: dict[str, Any]) -> StepTrace:
+        post, work["acts"] = forward(net, x, work.get("acts"))
+        loss, g_logits = cross_entropy_loss(post, y)
+        work["grad"], _ = backward(net, work["acts"], g_logits, False, work.get("grad"))
+        return apply_step(StepTrace(loss, 0.0, 0.0, 0.0, loss, np.nan), {"source": (net, work["grad"])}, cfg.mu)
 
-    trace = _train(cfg, STREAM_BATCH_PRETRAIN, (len(source_train),), step)
+    trace = _train(cfg, STREAM_BATCH_PRETRAIN, (source_train,), step)
     return net, RunReport("pretrain", trace, {})
 
 
 def _adapt(cfg: ExperimentConfig, source_dnn: Mlp, source_train: Corpus, target_adapt: Corpus,
            with_private: bool) -> tuple[DsnModel, RunReport]:
-    if not source_train.is_labeled:
-        raise ContractError("adaptation needs a labeled source corpus")
-    if source_train.dim != target_adapt.dim:
-        raise ContractError(f"source dim {source_train.dim} != target dim {target_adapt.dim}")
     model = build_dsn(cfg, source_dnn, with_private)
-    # Every step reuses one set of buffers: the stacked batch and
-    # dsn_gradients' own, all in work. A DSN step that made them afresh freed
-    # about 2.3 MB of arrays each step, more than glibc's trim threshold (twice
-    # the largest mmapped block freed so far: 1.3 MB after cmvn's blocks), so
-    # the heap top went back to the OS after every step and was faulted in
-    # again, 472 to 492 minor faults a step in a fresh adapt_dsn process.
-    work: dict[str, Any] = {}
-
-    def step(si: np.ndarray, ti: np.ndarray) -> StepTrace:
-        if "x" not in work:  # one stacked batch, source rows first, sized at the first step
-            work["x"] = np.empty((len(si) + len(ti), source_train.dim))
-        x = work["x"]
-        source_train.rows(si, out=x[: len(si)])
-        target_adapt.rows(ti, out=x[len(si) :])
-        return dsn_step(model, x, source_train.labels[si], cfg.mu, work)
-
-    trace = _train(cfg, STREAM_BATCH_ADAPT, (len(source_train), len(target_adapt)), step)
+    trace = _train(cfg, STREAM_BATCH_ADAPT, (source_train, target_adapt),
+                   lambda x, y, work: dsn_step(model, x, y, cfg.mu, work))
     return model, RunReport("adapt_dsn" if with_private else "adapt_grl", trace, {})
 
 

@@ -1,5 +1,6 @@
 """Training orchestration: determinism, reductions, evaluation, sweeps."""
 
+import inspect
 import math
 import statistics
 from dataclasses import fields, replace
@@ -126,12 +127,13 @@ def test_prepare_matches_the_plain_formula_bit_for_bit(tmp_path, make, need_targ
 def test_prepare_holds_no_spliced_copy():
     # at cli_files size the prepared corpora hold their raw frames, 6.4 MB, and
     # their utterance starts, one row number per utterance, at any window
-    # width. The peak, 8.78 MB at +-2 and 10.55 MB at +-5, is cmvn's: the
-    # corpora with their labels, 7.2 MB, and its blocks of windows; synthesis,
-    # one block of frames at a time, peaks at 8.22 MB (14.22 MB when it drew
-    # eight blocks at a time). tracemalloc counts numpy's buffers exactly, so
-    # the peak is the same on every run and the bound can sit just above it. A
-    # spliced copy of the corpora would add 32 MB at +-2 and 70 MB at +-5.
+    # width. The peak is 8.22 MB at +-2, synthesis's (one block of frames at a
+    # time; 14.22 MB when it drew eight blocks at a time), and 9.11 MB at +-5,
+    # cmvn's: the corpora with their labels, 7.2 MB, and one block of windows
+    # (10.55 MB when the loop held the previous block while building the next).
+    # tracemalloc counts numpy's buffers exactly, so the peak is the same on
+    # every run and the bound can sit just above it. A spliced copy of the
+    # corpora would add 32 MB at +-2 and 70 MB at +-5.
     for width in (2, 5):
         cfg = pipeline.trend_profile(1)
         cfg = replace(cfg, synth=replace(cfg.synth, utterances_per_domain=400), splice=SpliceConfig(width, width))
@@ -140,7 +142,7 @@ def test_prepare_holds_no_spliced_copy():
         held = sum(c.features.nbytes + c.starts.nbytes for c in _corpora(prepared[0]))
         assert all(c.features.shape == (len(c), cfg.synth.base_dim) for c in _corpora(prepared[0]))
         assert held == 8 * (8 * 100_000 + 1_000 + 4)  # 100k frames of 8 dims, 1k utterances in 4 corpora
-        assert peak < 11_000_000
+        assert peak < 9_500_000
 
 
 def test_sampler_covers_every_index_each_pass():
@@ -284,12 +286,39 @@ def test_evaluate_rejects_a_label_beyond_the_nets_classes(prepared):
         evaluate((_constant_net(top, prepared.source_test.dim, 0),), prepared.source_test)
 
 
-@pytest.mark.parametrize("adapt", [adapt_grl, adapt_dsn])
-def test_adaptation_rejects_corpora_of_different_dims(prepared, adapt):
+def _one_label_missing(corpus):
+    labels = corpus.labels.copy()
+    labels[-1] = -1
+    return replace(corpus, labels=labels)
+
+
+def _raw(corpus):
+    return replace(corpus, context=(0, 0), norm=None)  # 5 columns where the spliced corpora have 15
+
+
+_UNLABELED, _DIMS = "^training needs a labeled source corpus$", "^source dim 15 != target dim 5$"
+
+
+# every training phase's corpora are checked once, by the one epoch loop
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        pytest.param(lambda p, net: pretrain_source(tiny_cfg(), _one_label_missing(p.source_train)), _UNLABELED,
+                     id="pretrain-unlabeled-source"),
+        pytest.param(lambda p, net: adapt_grl(tiny_cfg(), net, _one_label_missing(p.source_train), p.target_adapt),
+                     _UNLABELED, id="adapt_grl-unlabeled-source"),
+        pytest.param(lambda p, net: adapt_dsn(tiny_cfg(), net, _one_label_missing(p.source_train), p.target_adapt),
+                     _UNLABELED, id="adapt_dsn-unlabeled-source"),
+        pytest.param(lambda p, net: adapt_grl(tiny_cfg(), net, p.source_train, _raw(p.target_adapt)), _DIMS,
+                     id="adapt_grl-dims"),
+        pytest.param(lambda p, net: adapt_dsn(tiny_cfg(), net, p.source_train, _raw(p.target_adapt)), _DIMS,
+                     id="adapt_dsn-dims"),
+    ],
+)
+def test_training_rejects_faulty_inputs(prepared, run, message):
     net, _ = pretrain_source(tiny_cfg(epochs=0), prepared.source_train)
-    raw_target = replace(prepared.target_adapt, context=(0, 0), norm=None)
-    with pytest.raises(ContractError, match="^source dim 15 != target dim 5$"):
-        adapt(tiny_cfg(), net, prepared.source_train, raw_target)
+    with pytest.raises(ContractError, match=message):
+        run(prepared, net)
 
 
 def test_evaluate_argmax_tie_breaks_low():
@@ -379,18 +408,41 @@ def test_adapt_modes_share_batch_schedule_bitwise(prepared, source_dnn):
             assert np.array_equal(la.bias, lb.bias)
 
 
-def test_a_second_step_on_one_work_holds_under_a_mib():
+def test_a_second_step_on_one_work_holds_under_850_and_425_kib():
     # at the trend shapes a DSN step on the buffers of the step before holds
-    # 915 KiB beside them, a reversal-only step 450 KiB; making the buffers
+    # 691 KiB beside them, a reversal-only step 402 KiB (915 and 450 KiB when
+    # dsn_gradients held both domains' terms at once); making the buffers
     # afresh held 2,307 and 1,007 KiB, past glibc's trim threshold after cmvn
     cfg = pipeline.trend_profile(1)
     source_dnn = init_mlp(pipeline._chain_spec(cfg.net.source_hidden, Activation.SIGMOID, 40, 10,
                                                Activation.SOFTMAX), Rng(1))
     x, y = Rng(2).normals(2 * cfg.batch * 40).reshape(2 * cfg.batch, 40), np.arange(cfg.batch) % 10
-    for with_private, bound in ((True, 1 << 20), (False, 1 << 19)):
+    for with_private, bound in ((True, 850 << 10), (False, 425 << 10)):
         model, work = pipeline.build_dsn(cfg, source_dnn, with_private), {}
         pipeline.dsn_step(model, x, y, cfg.mu, work)
         assert traced_peak_bytes(lambda: pipeline.dsn_step(model, x, y, cfg.mu, work)) <= bound, with_private
+
+
+def test_pretrain_hands_every_step_one_batch_activation_list_and_gradient(prepared, monkeypatch):
+    calls = {"forward": [], "backward": []}  # every argument is kept, so no id is reused
+    for name, seen in calls.items():
+        real = getattr(pipeline, name)
+
+        def recording(*args, real=real, seen=seen, **kwargs):
+            bound = inspect.signature(real).bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.append(bound.arguments)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, recording)
+    cfg = tiny_cfg(epochs=2)
+    pretrain_source(cfg, prepared.source_train)
+    forwards, backwards = calls["forward"], calls["backward"]
+    assert len(forwards) == len(backwards) == 2 * (len(prepared.source_train) // cfg.batch) > 2
+    acts = backwards[0]["acts"]
+    assert all(c["batch"] is forwards[0]["batch"] for c in forwards)
+    assert all(c["acts"] is acts for c in forwards[1:] + backwards)
+    assert all(c["grad"] is backwards[1]["grad"] is not None for c in backwards[1:])
 
 
 def test_epoch_records_are_step_means(prepared, source_dnn, monkeypatch):
