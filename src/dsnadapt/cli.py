@@ -10,6 +10,7 @@ the file's value; see config.py for the key scheme.
 Success exits 0. A bad input exits 1 (`config error: `), 2 (`data error: `)
 or 3 (`training diverged: `) with one stderr line, that prefix and a message
 naming the file (and line) or the key at fault, and leaves --out as it found it.
+An --out that cannot take the mode's files is a config error too.
 
 `sweep` writes `sweep.csv`, one line per model under the header
 `seed,method,n_h,alpha,source_error,target_error`: the pretrained net (method
@@ -25,6 +26,7 @@ parsing the file again while its bytes are unchanged (see data.py).
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import shutil
 import sys
@@ -81,6 +83,10 @@ def _run_mode(mode: str, cfg: ExperimentConfig, out_dir: Path) -> None:
     input leaves nothing behind; a run that fails later removes what it made."""
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
+    names = {"sweep": ("sweep.csv",), "evaluate": ("report.csv",)}.get(mode, ("model.dsn", "trace.csv", "report.csv"))
+    out_dir = Path(os.path.realpath(out_dir))  # unresolved, x/../y with x missing makes y outside made = x
+    if taken := next((name for name in names if (out_dir / name).is_dir()), None):
+        raise ConfigError(f"--out {out_dir}: cannot write {taken}: {os.strerror(errno.EISDIR)}")
     if mode == "evaluate":
         nets, model_file = _load_eval_nets(cfg), cfg.model_path
     elif mode in ADAPTERS or (mode == "sweep" and cfg.pretrained_model is not None):
@@ -111,7 +117,6 @@ def _run_mode(mode: str, cfg: ExperimentConfig, out_dir: Path) -> None:
     if nets is None and top >= cfg.synth.num_classes:  # the new net gets synth.num_classes outputs
         raise DataError(f"{Path(cfg.data_dir or '.') / DATA_FILES[name]}: label {top}, "
                         f"but synth.num_classes is {cfg.synth.num_classes}")
-    out_dir = Path(os.path.realpath(out_dir))  # unresolved, x/../y with x missing makes y outside made = x
     made = next((p for p in (*reversed(out_dir.parents), out_dir) if not p.exists()), None)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -120,9 +125,8 @@ def _run_mode(mode: str, cfg: ExperimentConfig, out_dir: Path) -> None:
     try:
         if mode == "sweep":
             source_dnn = nets[0] if nets is not None else pretrain_source(cfg, prepared.source_train)[0]
-            write_sweep_csv(sweep(cfg, source_dnn, prepared), out_dir / "sweep.csv")
-            return
-        if mode == "evaluate":
+            writes = [(write_sweep_csv, sweep(cfg, source_dnn, prepared)[0])]
+        elif mode == "evaluate":
             report = RunReport("evaluate", [], {})
         elif mode == "pretrain":
             model, report = pretrain_source(cfg, prepared.source_train)
@@ -130,13 +134,19 @@ def _run_mode(mode: str, cfg: ExperimentConfig, out_dir: Path) -> None:
         else:
             model, report = ADAPTERS[mode](cfg, nets[0], prepared.source_train, prepared.target_adapt)
             nets = adapted_model(model)
-        # a training mode loads no target labels, so it is scored on source_test only
-        for name in ("source_test", "target_test") if mode == "evaluate" else ("source_test",):
-            report.evals[name] = evaluate(nets, getattr(prepared, name))
-        if mode != "evaluate":
-            (save_mlp if mode == "pretrain" else save_dsn_model)(model, out_dir / "model.dsn")
-            write_trace_csv(report.trace, out_dir / "trace.csv")
-        write_report_csv(report, out_dir / "report.csv")
+        if mode != "sweep":
+            # a training mode loads no target labels, so it is scored on source_test only
+            for name in ("source_test", "target_test") if mode == "evaluate" else ("source_test",):
+                report.evals[name] = evaluate(nets, getattr(prepared, name))
+            writes = [(write_report_csv, report)]
+            if mode != "evaluate":
+                save = save_mlp if mode == "pretrain" else save_dsn_model
+                writes = [(save, model), (write_trace_csv, report.trace), *writes]
+        for name, (write, value) in zip(names, writes):
+            try:
+                write(value, out_dir / name)
+            except OSError as exc:
+                raise ConfigError(f"--out {out_dir}: cannot write {name}: {exc.strerror or exc}") from None
     except BaseException:  # a failed run leaves --out as it found it
         if made is not None:
             shutil.rmtree(made, ignore_errors=True)

@@ -13,6 +13,7 @@ import math
 import os
 import secrets
 import zipfile
+from array import array
 from dataclasses import dataclass, replace
 from itertools import chain, islice
 from pathlib import Path
@@ -265,14 +266,13 @@ def _pooled_column_sum(stats_from: Sequence[Corpus], mean: np.ndarray | None = N
 # tag (a file without records reads as source). The reader rejects any other
 # header flag, tag or frame_idx, so writing a loaded corpus reproduces all three.
 #
-# Both directions work on BLOCK_RECORDS records at a time, so a file costs a
-# few numpy calls per block rather than Python work per value, and memory
-# beyond the result stays one block's worth: the reader holds one block of
-# the file's lines, never the whole file. The reader checks a whole block
-# before it keeps any of it: UTF-8, field counts, frame_idx (carried across
-# block edges), the domain tag, labels, then feature values and their
-# finiteness. A faulty file is a DataError naming its earliest faulty line; a
-# line with several faults reports the first in that order.
+# The writer formats BLOCK_RECORDS records at a time; the reader holds one
+# block of the file's lines, never the whole file, and checks and keeps one
+# record at a time: field count, frame_idx, domain tag, label, feature values,
+# finiteness. A faulty file is a DataError naming its first faulty line (a
+# byte that is not UTF-8 names its line once the lines before it pass), and a
+# line with several faults reports the first in that order. Python work per
+# value is affordable: the sidecar below makes a parse a once-per-file cost.
 #
 # Each file is parsed once per reader mode. A successful parse is saved beside
 # the file as the hidden sidecar .<file name>.<labeled|unlabeled>.npz, keyed by
@@ -327,20 +327,6 @@ def _parse_header(line: str, path: str) -> int:
     if spliced != 0:
         raise DataError(f"{path}: line 1: spliced={spliced}; corpus files hold unspliced frames (spliced=0)")
     return dim
-
-
-def _cast(fields: np.ndarray, dtype: type) -> np.ndarray | None:
-    """An object array of field strings parsed as int() or float() parses
-    each one, or None when one does not parse."""
-    try:
-        return fields.astype(dtype)
-    except (ValueError, OverflowError):
-        return None
-
-
-def _first_uncastable(fields: np.ndarray, dtype: type) -> int:
-    flat = fields.ravel()
-    return next(i for i in range(flat.size) if _cast(flat[i : i + 1], dtype) is None)
 
 
 def _read_corpus(path: str | Path, parse_labels: bool) -> Corpus:
@@ -433,75 +419,50 @@ def _save_sidecar(sidecar: Path, key: tuple[str, str, int], corpus: Corpus) -> N
 
 
 def _parse_corpus(blocks: Iterator[list[str]], path: str | Path, parse_labels: bool) -> Corpus:
-    """The corpus of a file's lines, given in non-empty blocks, the header first."""
-    block = next(blocks, None)
-    if block is None:
+    """The corpus of a file's lines, given in non-empty blocks, the header
+    first. Each record is checked, then its label (-1, the field unparsed,
+    when not parse_labels) and values are appended to growable buffers, which
+    the corpus holds as numpy views."""
+    lines = chain.from_iterable(blocks)
+    header = next(lines, None)
+    if header is None:
         raise DataError(f"{path}: empty file")
-    dim = _parse_header(block[0], str(path))
-    utt_ids: list[str] = []
-    starts: list[int] = []
-    labels = np.empty(0, dtype=np.int64)
-    features = np.empty((0, dim))
-    tag, last_utt, last_pos, start = None, None, -1, 0
-    for block in chain([block[1:]] if len(block) > 1 else [], blocks):
-        # (row, message) of the earliest fault found so far; each later check
-        # looks only at the m rows above it
-        fault, m = None, len(block)
-        commas = np.array([line.count(",") for line in block])
-        found = np.flatnonzero(commas != dim + 3)
-        if found.size:
-            m = int(found[0])
-            fault = (m, f"expected {dim + 4} fields, found {commas[m] + 1}")
-        rows = np.array(",".join(block[:m]).split(",") if m else [], dtype=object).reshape(m, dim + 4)
+    dim = _parse_header(header, str(path))
+    utt_ids, starts, labels, features = [], [], array("q"), array("d")
+    tag, utt, run, n = None, None, 0, 0
 
-        utt, idx = rows[:, 0], np.arange(m)
-        previous = np.empty(m, dtype=object)
-        previous[:1], previous[1:] = last_utt, utt[:-1]
-        new = utt != previous
-        run_start = np.maximum.accumulate(np.where(new, idx, -1 - last_pos))  # < 0: run began in an earlier block
-        pos = idx - run_start
-        found = np.flatnonzero(rows[:, 1] != np.array(list(map(str, pos.tolist())), dtype=object))
-        if found.size:
-            m = int(found[0])
-            fault = (m, f"frame index {rows[m, 1]!r}; this record is frame {pos[m]} of utterance {rows[m, 0]!r}")
+    def fault(message: str) -> DataError:
+        return DataError(f"{path}: line {n + 2}: {message}")
 
-        if tag is None and m:
-            if rows[0, 2] in _DOMAIN_TAGS:
-                tag = rows[0, 2]
-            else:
-                m, fault = 0, (0, f"bad domain tag {rows[0, 2]!r}")
-        found = np.flatnonzero(rows[:m, 2] != tag)
-        if found.size:
-            m = int(found[0])
-            fault = (m, f"domain tag {rows[m, 2]!r} after {tag!r}; a file holds one domain")
-
-        if parse_labels:
-            block_labels = _cast(rows[:m, 3], np.int64)
-            if block_labels is None:
-                m = _first_uncastable(rows[:m, 3], np.int64)
-                fault = (m, f"bad label {rows[m, 3]!r}")
-        block_features = _cast(rows[:m, 4:], np.float64)
-        if block_features is None:
-            m = _first_uncastable(rows[:m, 4:], np.float64) // dim
-            fault = (m, "bad feature value")
-            block_features = rows[:m, 4:].astype(np.float64)
-        found = np.flatnonzero(~np.isfinite(block_features).all(axis=1))
-        if found.size:
-            fault = (int(found[0]), "non-finite feature value")
-        if fault is not None:
-            raise DataError(f"{path}: line {start + 2 + fault[0]}: {fault[1]}")
-
-        # realloc, which keeps no second copy of the rows kept so far; no view of either array is held
-        features.resize((start + m, dim), refcheck=False)
-        labels.resize(start + m, refcheck=False)
-        features[start:], labels[start:] = block_features, block_labels if parse_labels else -1
-        first = np.flatnonzero(new)
-        utt_ids += utt[first].tolist()
-        starts += (start + first).tolist()
-        last_utt, last_pos, start = utt[-1], int(pos[-1]), start + m
-        del block, rows, utt, previous  # before the next block is read
-    return Corpus(_DOMAIN_TAGS.index(tag) if tag else 0, utt_ids, np.array([*starts, start], dtype=np.int64),
-                  labels, features)
+    for n, line in enumerate(lines):
+        fields = line.split(",")
+        if len(fields) != dim + 4:
+            raise fault(f"expected {dim + 4} fields, found {len(fields)}")
+        if fields[0] != utt:
+            utt, run = fields[0], n
+            utt_ids.append(utt)
+            starts.append(n)
+        if fields[1] != str(n - run):
+            raise fault(f"frame index {fields[1]!r}; this record is frame {n - run} of utterance {utt!r}")
+        if fields[2] != tag:
+            if tag is not None:
+                raise fault(f"domain tag {fields[2]!r} after {tag!r}; a file holds one domain")
+            if fields[2] not in _DOMAIN_TAGS:
+                raise fault(f"bad domain tag {fields[2]!r}")
+            tag = fields[2]
+        try:
+            labels.append(int(fields[3]) if parse_labels else -1)
+        except (ValueError, OverflowError):  # OverflowError: outside int64
+            raise fault(f"bad label {fields[3]!r}") from None
+        try:
+            values = list(map(float, fields[4:]))
+        except ValueError:
+            raise fault("bad feature value") from None
+        if not all(map(math.isfinite, values)):
+            raise fault("non-finite feature value")
+        features.extend(values)
+    return Corpus(_DOMAIN_TAGS.index(tag) if tag else 0, utt_ids, np.array([*starts, len(labels)], dtype=np.int64),
+                  np.frombuffer(labels, dtype=np.int64), np.frombuffer(features).reshape(-1, dim))
 
 
 def read_corpus(path: str | Path) -> Corpus:

@@ -325,26 +325,28 @@ class SweepRow(NamedTuple):
     target_error: float
 
 
-def sweep(cfg: ExperimentConfig, source_dnn: Mlp, prepared: Corpora) -> list[SweepRow]:
-    """The pretrained net's row, then a row for each method of ADAPTERS at
-    each (n_h, alpha) of cfg.sweep_n_h x cfg.sweep_alpha, every cell adapted
-    from source_dnn on the same data and seed. A diverged run is recorded
-    with NaN errors without aborting the rest."""
+def sweep(cfg: ExperimentConfig, source_dnn: Mlp,
+          prepared: Corpora) -> tuple[list[SweepRow], list[Mlp | DsnModel | None]]:
+    """The pretrained net's row, then a row for each method of ADAPTERS at each
+    (n_h, alpha) of cfg.sweep_n_h x cfg.sweep_alpha, every cell adapted from
+    source_dnn on the same data and seed; and each row's model. A diverged run
+    gets NaN errors and no model, and the rest still run."""
 
     def row(method: str, n_h: int | str, alpha: float | str, nets: Sequence[Mlp]) -> SweepRow:
-        errors = (evaluate(nets, c).error_rate for c in (prepared.source_test, prepared.target_test))
+        tests = (prepared.source_test, prepared.target_test)
+        errors = (evaluate(nets, c).error_rate if nets else np.nan for c in tests)
         return SweepRow(cfg.seed, method, n_h, alpha, *errors)
 
-    rows = [row("pretrain", "", "", (source_dnn,))]
+    rows, models = [row("pretrain", "", "", (source_dnn,))], [source_dnn]
     for n_h, alpha, (method, adapt) in product(cfg.sweep_n_h, cfg.sweep_alpha, ADAPTERS.items()):
         try:
             model, _ = adapt(replace(cfg, n_h=n_h, alpha=alpha), source_dnn, prepared.source_train,
                              prepared.target_adapt)
         except TrainingDivergedError:
-            rows.append(SweepRow(cfg.seed, method, n_h, alpha, np.nan, np.nan))
-        else:
-            rows.append(row(method, n_h, alpha, adapted_model(model)))
-    return rows
+            model = None
+        rows.append(row(method, n_h, alpha, adapted_model(model) if model is not None else ()))
+        models.append(model)
+    return rows, models
 
 
 def trend_profile(seed: int) -> ExperimentConfig:
@@ -354,17 +356,24 @@ def trend_profile(seed: int) -> ExperimentConfig:
     return replace(cfg, synth=replace(cfg.synth, seed=seed), seed=seed)
 
 
-def run_trend(seeds: Sequence[int] = (1, 2, 3, 4, 5)) -> list[SweepRow]:
-    """sweep's rows for each seed of trend_profile, over the one cell of its
-    n_h and alpha: the pretrained, reversal-only and full models."""
-    rows = []
+class TrendRun(NamedTuple):
+    """One seed of run_trend: its prepared corpora, sweep's rows and each row's model by method."""
+
+    prepared: Corpora
+    rows: list[SweepRow]
+    models: dict[str, Mlp | DsnModel | None]
+
+
+def run_trend(seeds: Sequence[int] = (1, 2, 3, 4, 5)) -> list[TrendRun]:
+    """sweep at each seed of trend_profile, over its one (n_h, alpha) cell."""
+    runs = []
     for seed in seeds:
         cfg = trend_profile(seed)
         cfg = replace(cfg, sweep_n_h=(cfg.n_h,), sweep_alpha=(cfg.alpha,))
         prepared = prepare_corpora(cfg, need_target_labels=True)
-        dnn, _ = pretrain_source(cfg, prepared.source_train)
-        rows += sweep(cfg, dnn, prepared)
-    return rows
+        rows, models = sweep(cfg, pretrain_source(cfg, prepared.source_train)[0], prepared)
+        runs.append(TrendRun(prepared, rows, {r.method: m for r, m in zip(rows, models)}))
+    return runs
 
 
 # ---------------------------------------------------------------------------

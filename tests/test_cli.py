@@ -1,3 +1,5 @@
+import errno
+import os
 import re
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -162,6 +164,12 @@ def _empty_model_file(tmp_path):
     return mode, line, f"{tmp_path / 'source.mlp'}: empty file"
 
 
+def _output_is_a_directory(tmp_path, mode, name):
+    # the --out `clash` holds a directory where the mode writes a file; no compute runs
+    (tmp_path / "outs" / "clash" / name).mkdir(parents=True)
+    return mode, "", f"clash: cannot write {name}: Is a directory"
+
+
 def _manifest_without(tmp_path, key):
     mode, line, name = _bad_model_file(tmp_path, (f"{key}=", f"x{key}="))  # `{key}=` occurs once on the line
     return mode, line, f"{name}: line 2: manifest is missing '{key}'"
@@ -216,6 +224,10 @@ _BAD = {
         Bad("nan-channel-scale", 1,
             ("pretrain", "synth.channel_matrix_scale = nan", "synth.channel_matrix_scale must be finite")),
         Bad("out-is-a-file", 1, ("pretrain", "", "taken: cannot make the output directory"), outs=("taken",)),
+        *[Bad(f"{mode}-{name}-is-a-directory", 1, lambda d, mode=mode, name=name: _output_is_a_directory(d, mode, name),
+              outs=("clash",))
+          for mode, name in (("pretrain", "model.dsn"), ("adapt_grl", "trace.csv"), ("evaluate", "report.csv"),
+                             ("sweep", "sweep.csv"))],
         # finite frames whose variance overflows float64
         Bad("overflowing-class-separation", 1, ("pretrain", "synth.class_separation = 1e200", _OVERFLOW)),
         # frames that overflow while drawn: numpy's own overflow warnings stay silent
@@ -429,6 +441,22 @@ def test_sweep_rows_are_the_modes_own_scores(tmp_path):
     rows = [line.split(",") for line in (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1:]]
     assert {row[1]: row[4:] for row in rows} == scored  # both written to 17 digits, so equal strings are equal floats
     assert [row[2:4] for row in rows] == [["", ""], ["1", "4"], ["1", "4"]]
+
+
+def test_a_failed_write_is_one_config_error_line(tmp_path, monkeypatch, capsys):
+    # a write that fails after training, here on a full disk, names its file,
+    # and the run removes the --out it made
+    def full(*args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "write_trace_csv", full)
+    config = tmp_path / "run.cfg"
+    config.write_text(_TINY)
+    out = tmp_path / "out"
+    assert main(["pretrain", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: --out {os.path.realpath(out)}: cannot write trace.csv: {os.strerror(errno.ENOSPC)}\n")
+    assert not out.exists()
 
 
 def test_help_names_every_mode(capsys):

@@ -569,7 +569,8 @@ def test_header_only_file_is_an_empty_source_corpus(tmp_path):
         assert (len(corpus), corpus.domain, corpus.features.shape, corpus.labels.shape) == (0, 0, (0, 3), (0,))
 
 
-# Each fault edits one record's fields and gives the reader's message for it.
+# Each fault edits one record's fields and gives the reader's message for it;
+# a record with several faults is reported by the first in this order.
 _FAULTS = {
     "short-record": lambda f: (f[:-1], f"expected {len(f)} fields, found {len(f) - 1}"),
     "frame-index": lambda f: (
@@ -581,6 +582,7 @@ _FAULTS = {
     "label-overflow": lambda f: ([*f[:3], "9" * 20, *f[4:]], f"bad label '{'9' * 20}'"),
     "bad-float": lambda f: ([*f[:5], "1.5.2", *f[6:]], "bad feature value"),
     "non-finite": lambda f: ([*f[:-1], "-inf"], "non-finite feature value"),
+    "non-finite-first-value": lambda f: ([*f[:4], "inf", *f[5:]], "non-finite feature value"),
     "not-utf8": lambda f: ([*f[:4], f[4] + "\udcff", *f[5:]], "not UTF-8 text"),  # written as the byte 0xff
 }
 
@@ -588,7 +590,8 @@ _FAULTS = {
 def _faulty_file(tmp_path, faults: dict[int, str]):
     """A 3-frames-per-utterance source file of BLOCK_RECORDS + 5 records with
     the named faults at the given records; returns it and each fault's line
-    and message."""
+    and message. Names joined by "+" put several faults on one record, the
+    first named being the one expected."""
     n, dim = BLOCK_RECORDS + 5, 2
     corpus = corpus_of_frames(0, [f"u{i // 3:04d}" for i in range(n)], np.arange(n) % 10,
                               np.arange(n * dim).reshape(n, dim) / 7)
@@ -596,8 +599,10 @@ def _faulty_file(tmp_path, faults: dict[int, str]):
     write_corpus(corpus, path)
     lines = path.read_text().splitlines()
     expected = {}
-    for record, kind in faults.items():
-        fields, message = _FAULTS[kind](lines[record + 1].split(","))
+    for record, kinds in faults.items():
+        fields = lines[record + 1].split(",")
+        for kind in reversed(kinds.split("+")):  # the first named last, so its message is kept
+            fields, message = _FAULTS[kind](fields)
         lines[record + 1] = ",".join(fields)
         expected[record + 2] = message
     path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
@@ -632,10 +637,23 @@ def test_one_fault_at_a_block_edge_names_its_line(tmp_path, kind, record):
         {BLOCK_RECORDS + 1: "bad-float", BLOCK_RECORDS + 3: "not-utf8"},
         {BLOCK_RECORDS + 1: "not-utf8", BLOCK_RECORDS + 3: "bad-float"},
         {3: "not-utf8", BLOCK_RECORDS + 3: "short-record"},
+        {5: "non-finite", 8: "not-utf8"},
+        {5: "bad-label", 8: "not-utf8"},
+        {5: "frame-index", 8: "not-utf8"},
+        # several faults on one record, in the order the reader checks them
+        {6: "bad-label+bad-float+non-finite-first-value"},
+        {6: "bad-float+non-finite-first-value"},
+        {6: "frame-index+domain-tag"},
+        {6: "short-record+domain-tag+bad-label"},
+        {6: "domain-tag+bad-label+non-finite"},
+        {6: "not-utf8+short-record", 2: "bad-label+non-finite-first-value"},
     ],
     ids=["bad-float-first", "non-finite-first", "short-record-first", "bad-label-first",
          "either-side-of-a-block-edge", "in-two-blocks", "bad-float-before-a-bad-byte",
-         "bad-byte-before-a-bad-float", "bad-byte-in-the-first-block"],
+         "bad-byte-before-a-bad-float", "bad-byte-in-the-first-block", "non-finite-before-a-bad-byte",
+         "bad-label-before-a-bad-byte", "frame-index-before-a-bad-byte", "one-record-label-float-inf",
+         "one-record-float-after-inf", "one-record-frame-index-tag", "one-record-fields-tag-label",
+         "one-record-tag-label-inf", "one-record-bad-byte-after-a-line-of-two"],
 )
 def test_several_faults_name_the_earliest(tmp_path, faults):
     path, expected = _faulty_file(tmp_path, faults)

@@ -508,7 +508,7 @@ def test_adapt_is_deterministic(prepared, source_dnn):
 
 def test_sweep_grid_shape_and_determinism(prepared, source_dnn, tmp_path):
     cfg = tiny_cfg(epochs=1, sweep_n_h=(1, 2), sweep_alpha=(1.0, 8.0))
-    rows = sweep(cfg, source_dnn, prepared)
+    rows, models = sweep(cfg, source_dnn, prepared)
     # the pretrained net, then both methods at each cell in grid order
     cells = [(method, n_h, alpha) for n_h in (1, 2) for alpha in (1.0, 8.0) for method in ("adapt_grl", "adapt_dsn")]
     assert [(r.method, r.n_h, r.alpha) for r in rows] == [("pretrain", "", "")] + cells
@@ -516,7 +516,8 @@ def test_sweep_grid_shape_and_determinism(prepared, source_dnn, tmp_path):
     assert np.isfinite([(r.source_error, r.target_error) for r in rows]).all()
     tests = (prepared.source_test, prepared.target_test)
     assert rows[0][4:] == tuple(evaluate((source_dnn,), c).error_rate for c in tests)
-    assert sweep(cfg, source_dnn, prepared) == rows
+    assert models[0] is source_dnn and [(m.n_h, m.alpha) for m in models[1:]] == [c[1:] for c in cells]
+    assert sweep(cfg, source_dnn, prepared)[0] == rows
     write_sweep_csv(rows, tmp_path / "sweep.csv")
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert lines[0] == "seed,method,n_h,alpha,source_error,target_error"
@@ -528,7 +529,7 @@ def test_sweep_grid_shape_and_determinism(prepared, source_dnn, tmp_path):
 def test_sweep_rows_parse_back_to_the_configured_alphas(prepared, source_dnn, tmp_path):
     # 6 significant digits would write 1.0000001 as "1" and 0.1234567 as "0.123457"
     alphas = (1.0, 1.0000001, 0.1234567, 4.5, 1e-300, 0.1)
-    rows = sweep(tiny_cfg(epochs=0, sweep_n_h=(1,), sweep_alpha=alphas), source_dnn, prepared)
+    rows, _ = sweep(tiny_cfg(epochs=0, sweep_n_h=(1,), sweep_alpha=alphas), source_dnn, prepared)
     pipeline.write_sweep_csv(rows, tmp_path / "sweep.csv")
     lines = [line.split(",") for line in (tmp_path / "sweep.csv").read_text().splitlines()]
     assert lines[0][3] == "alpha" and lines[1][3] == ""  # the pretrained net's row has none
@@ -540,11 +541,12 @@ def test_sweep_marks_diverged_cell_nan(prepared, source_dnn):
     # a learning rate large enough to overflow DSN's reconstruction path
     cfg = tiny_cfg(epochs=2, mu=1e150, sweep_n_h=(1, 2), sweep_alpha=(1.0,))
     with np.errstate(all="ignore"):
-        rows = sweep(cfg, source_dnn, prepared)
+        rows, models = sweep(cfg, source_dnn, prepared)
     # every cell was attempted and recorded; the failures did not abort the loop
     assert [(r.method, r.n_h) for r in rows[1:]] == [(m, n_h) for n_h in (1, 2) for m in ("adapt_grl", "adapt_dsn")]
     dsn = [r for r in rows if r.method == "adapt_dsn"]
     assert all(math.isnan(r.source_error) and math.isnan(r.target_error) for r in dsn)
+    assert [m is None for m in models] == [r.method == "adapt_dsn" for r in rows]  # a diverged cell has no model
 
 
 # ---------------------------------------------------------------------------
@@ -579,6 +581,19 @@ def test_trend_error_counts_are_pinned(trend_rows):
         counts[r.seed, r.method] = tuple(round(rate * 2500) for rate in (r.source_error, r.target_error))
         assert (r.source_error, r.target_error) == tuple(c / 2500 for c in counts[r.seed, r.method])  # whole counts
     assert counts == _TREND_ERRORS
+
+
+def test_stock_dsn_silences_its_target_private_extractor(trend_runs):
+    # ROADMAP item 12's finding as it stands: the uncentred difference loss is
+    # lowered by silencing one side, not by decorrelating the two. After stock
+    # DSN, the share of private_tgt's sigmoid outputs below 0.01 on target_test
+    # reads 0.9976, 0.9903, 0.8515, 0.8566 and 0.9994 on seeds 1-5. A change that
+    # revives the private nets fails here, and follows item 8's protocol.
+    shares = []
+    for run in trend_runs:
+        outputs = forward(run.models["adapt_dsn"].private_tgt, run.prepared.target_test.rows(slice(None)))[0]
+        shares.append(float((outputs < 0.01).mean()))
+    assert min(shares) > 0.80, shares
 
 
 # ---------------------------------------------------------------------------
