@@ -10,7 +10,9 @@ the file's value; see config.py for the key scheme.
 Success exits 0. A bad input exits 1 (`config error: `), 2 (`data error: `)
 or 3 (`training diverged: `) with one stderr line, that prefix and a message
 naming the file (and line) or the key at fault, and leaves --out as it found it.
-An --out that cannot take the mode's files is a config error too.
+An --out that cannot take the mode's files, or a config file that cannot be
+read or is not UTF-8, is a config error too; such a model or corpus file is a
+data error.
 
 `sweep` writes `sweep.csv`, one line per model under the header
 `seed,method,n_h,alpha,source_error,target_error`: the pretrained net (method

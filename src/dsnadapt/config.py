@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .data import SynthConfig
 from .errors import ConfigError
-from .nn import _check_at_least, utf8_lines
+from .nn import _check_at_least, read_lines
 
 MODES = ("pretrain", "adapt_grl", "adapt_dsn", "evaluate", "sweep")
 
@@ -163,11 +163,5 @@ def build_config(values: dict[str, str]) -> ExperimentConfig:
 def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> ExperimentConfig:
     """Read a config file. `overrides` (CLI flag values, keyed like the
     file) beat the file's values; the merged keys are validated once."""
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    lines, bad = utf8_lines(path.read_bytes())
-    if bad:
-        raise ConfigError(f"{path}: line {bad}: not UTF-8 text")
-    values = parse_config_text("\n".join(lines), source=str(path))
+    values = parse_config_text("\n".join(read_lines(path, ConfigError)), source=str(path))
     return build_config({**values, **(overrides or {})})

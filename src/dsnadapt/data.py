@@ -15,14 +15,14 @@ import secrets
 import zipfile
 from array import array
 from dataclasses import dataclass, replace
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import ContractError, DataError
-from .nn import Rng, _box_muller, _check_at_least, utf8_lines
+from .nn import BLOCK_RECORDS, Rng, _box_muller, _check_at_least, _line_blocks
 
 VARIANCE_FLOOR = 1e-8
 
@@ -267,7 +267,8 @@ def _pooled_column_sum(stats_from: Sequence[Corpus], mean: np.ndarray | None = N
 # header flag, tag or frame_idx, so writing a loaded corpus reproduces all three.
 #
 # The writer formats BLOCK_RECORDS records at a time; the reader holds one
-# block of the file's lines, never the whole file, and checks and keeps one
+# block of the file's lines, never the whole file (nn._line_blocks, the block
+# reader of config and model files too), and checks and keeps one
 # record at a time: field count, frame_idx, domain tag, label, feature values,
 # finiteness. A faulty file is a DataError naming its first faulty line (a
 # byte that is not UTF-8 names its line once the lines before it pass), and a
@@ -289,7 +290,6 @@ def _pooled_column_sum(stats_from: Sequence[Corpus], mean: np.ndarray | None = N
 # sidecar, so an unlabeled read never returns labels.
 # ---------------------------------------------------------------------------
 
-BLOCK_RECORDS = 2048
 SIDECAR_VERSION = 1
 
 
@@ -340,30 +340,12 @@ def _read_corpus(path: str | Path, parse_labels: bool) -> Corpus:
             corpus = _load_sidecar(sidecar, key)
             if corpus is None:
                 file.seek(0)
-                corpus = _parse_corpus(_line_blocks(file, path, parsed.update), path, parse_labels)
+                corpus = _parse_corpus(_line_blocks(file, path, DataError, parsed.update), path, parse_labels)
                 if parsed.hexdigest() == key[0]:  # the bytes parsed are the bytes keyed
                     _save_sidecar(sidecar, key, corpus)
     except OSError as exc:
         raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from None
     return corpus
-
-
-def _line_blocks(file: BinaryIO, path: str | Path, update: Callable[[bytes], object]) -> Iterator[list[str]]:
-    """The file's lines as str.splitlines numbers the whole text's, split
-    BLOCK_RECORDS binary lines at a time (a newline byte ends a line and no
-    UTF-8 sequence), each block's bytes passed to update. A byte that is not
-    UTF-8 is a DataError naming its line, raised after the lines before it."""
-    count = 0
-    while raw := b"".join(islice(file, BLOCK_RECORDS)):
-        update(raw)
-        lines, bad = utf8_lines(raw)
-        del raw
-        if lines:
-            yield lines
-        if bad:
-            raise DataError(f"{path}: line {count + bad}: not UTF-8 text")
-        count += len(lines)
-        del lines  # before the next block is read
 
 
 def _load_sidecar(sidecar: Path, key: tuple[str, str, int]) -> Corpus | None:

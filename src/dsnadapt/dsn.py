@@ -311,14 +311,16 @@ def load_dsn_model(path: str | Path, lines: Sequence[str] | None = None) -> DsnM
             raise cursor.error(f"duplicate manifest key {key!r}")
         manifest[key] = value
     try:
-        coefficients = {key: float(manifest[key]) for key in ("alpha", "beta", "gamma")}
+        coefficients = {key: float(manifest.pop(key)) for key in ("alpha", "beta", "gamma")}
         for key, value in coefficients.items():
             _check_at_least(key, value, 0)  # a ConfigError, so reported as a bad value on this line
-        dims = {key: int(manifest[key]) for key in ("n_h", "k", "q", "feature_dim")}
+        dims = {key: int(manifest.pop(key)) for key in ("n_h", "k", "q", "feature_dim")}
     except KeyError as exc:
         raise cursor.error(f"manifest is missing {exc}") from None
     except ValueError as exc:
         raise cursor.error(f"bad manifest value: {exc}") from None
+    if manifest:  # what is left is no key save_dsn_model writes
+        raise cursor.error(f"unknown manifest key {next(iter(manifest))!r}")
     nets_line = cursor.take().split()
     if not nets_line or nets_line[0] != "nets":
         raise cursor.error("expected a 'nets' line")

@@ -15,8 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -89,10 +90,10 @@ class Rng:
         return _box_muller(self._raw_block(2 * ((n + 1) // 2)))[:n]
 
     def shuffle(self, values: np.ndarray) -> None:
-        tops = np.arange(len(values) - 1, 0, -1)
-        js = (self._raw_block(len(tops)) % (tops + 1).astype(np.uint64)).tolist()
+        n = len(values)
+        js = (self._raw_block(max(n - 1, 0)) % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
         items = values.tolist()
-        for i, j in zip(tops.tolist(), js):
+        for i, j in zip(range(n - 1, 0, -1), js):
             items[i], items[j] = items[j], items[i]
         values[:] = items
 
@@ -405,26 +406,41 @@ def mlp_to_lines(net: Mlp) -> list[str]:
     return lines
 
 
-def utf8_lines(raw: bytes) -> tuple[list[str], int]:
-    """raw's lines as str.splitlines numbers them, up to the first byte that
-    is not UTF-8, and the number of that byte's line (0 when there is none)."""
-    try:
-        return raw.decode("utf-8").splitlines(), 0
-    except UnicodeDecodeError as exc:
-        lines = (raw[: exc.start].decode("utf-8") + ".").splitlines()  # the last is the bad byte's line
-        return lines[:-1], len(lines)
+BLOCK_RECORDS = 2048  # the lines, records or rows a reader, writer or scan of the data holds at a time
 
 
-def read_lines(path: str | Path) -> list[str]:
-    """The lines of a UTF-8 text file; a file that cannot be read is a
-    DataError naming it, and a byte that is not UTF-8 one naming its line."""
+def _line_blocks(file: BinaryIO, path: str | Path, error: type[Exception],
+                 update: Callable[[bytes], object] = lambda raw: None) -> Iterator[list[str]]:
+    """The file's lines as str.splitlines numbers the whole text's, split
+    BLOCK_RECORDS binary lines at a time (a newline byte ends a line and no
+    UTF-8 sequence), each block's bytes passed to update. A byte that is not
+    UTF-8 is an `error` naming its line, raised after the lines before it."""
+    count = 0
+    while raw := b"".join(islice(file, BLOCK_RECORDS)):
+        update(raw)
+        try:
+            lines, bad = raw.decode("utf-8").splitlines(), 0
+        except UnicodeDecodeError as exc:
+            lines = (raw[: exc.start].decode("utf-8") + ".").splitlines()  # the last is the bad byte's line
+            lines, bad = lines[:-1], len(lines)
+        del raw
+        if lines:
+            yield lines
+        if bad:
+            raise error(f"{path}: line {count + bad}: not UTF-8 text")
+        count += len(lines)
+        del lines  # before the next block is read
+
+
+def read_lines(path: str | Path, error: type[Exception] = DataError) -> list[str]:
+    """The lines of a UTF-8 text file, every config, model and corpus file's
+    reader: a file that cannot be read is an `error` naming it, and a byte
+    that is not UTF-8 one naming its line."""
     try:
-        lines, bad = utf8_lines(Path(path).read_bytes())
+        with open(path, "rb") as file:
+            return list(chain.from_iterable(_line_blocks(file, path, error)))
     except OSError as exc:
-        raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from None
-    if bad:
-        raise DataError(f"{path}: line {bad}: not UTF-8 text")
-    return lines
+        raise error(f"{path}: cannot read: {exc.strerror or exc}") from None
 
 
 class LineCursor:
@@ -479,6 +495,8 @@ def mlp_from_cursor(cursor: LineCursor) -> Mlp:
         parts = cursor.take().split()
         if len(parts) != 5:
             raise cursor.error("malformed layer line")
+        if parts[1] != str(len(layers)):
+            raise cursor.error(f"layer index {parts[1]!r}; this is layer {len(layers)}")
         try:
             din, dout = int(parts[2]), int(parts[3])
             act = Activation(parts[4])

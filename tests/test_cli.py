@@ -1,4 +1,5 @@
 import errno
+import io
 import os
 import re
 from pathlib import Path
@@ -6,7 +7,7 @@ from typing import Callable, NamedTuple
 
 import pytest
 
-from dsnadapt import cli, data
+from dsnadapt import cli, data, nn
 from dsnadapt.cli import main
 from dsnadapt.config import MODES
 from dsnadapt.data import SynthConfig, synth_corpus, write_corpus
@@ -178,7 +179,7 @@ def _manifest_without(tmp_path, key):
 class Bad(NamedTuple):
     """A bad input. `case` is (mode, config text, a fragment of the message), or
     a function of the test's directory that writes the input files and returns
-    it; a config of None runs without --config."""
+    it; a config of None runs without --config, and a Path is given as --config unwritten."""
 
     id: str
     code: int
@@ -217,6 +218,9 @@ _BAD = {
     ],
     "test_bad_input_is_a_config_error": [
         Bad("config-not-utf8", 1, ("pretrain", b"seed = 1\nalpha = 1  # caf\xe9\n", "run.cfg: line 2: not UTF-8 text")),
+        Bad("config-is-a-directory", 1, lambda d: ("pretrain", d, f"{d}: cannot read: Is a directory")),
+        Bad("missing-config", 1, lambda d: ("pretrain", d / "missing.cfg",
+                                            f"{d / 'missing.cfg'}: cannot read: No such file or directory")),
         Bad("empty-key", 1, ("pretrain", "seed = 1\n = 3", "run.cfg: line 2: empty key")),
         Bad("nan-noise-std", 1, ("pretrain", "synth.noise_std = nan", "synth.noise_std must be finite")),
         Bad("inf-class-separation", 1,
@@ -274,6 +278,8 @@ _BAD = {
             lambda d: ("adapt_grl", f"pretrained_model = {d / 'missing.mlp'}", "missing.mlp")),
         Bad("missing-corpus", 2, lambda d: ("pretrain", f"data_dir = {d}", "source_train.csv")),
         Bad("missing-model-path", 2, lambda d: ("evaluate", f"model_path = {d / 'missing.dsn'}", "missing.dsn")),
+        *[Bad(f"{key}-is-a-directory", 2, lambda d, key=key, mode=mode: (mode, f"{key} = {d}", f"{d}: cannot read:"))
+          for key, mode in _PATHS[1:]],
         Bad("spliced-data-dir", 2, _spliced_data_dir),
         Bad("narrow-pretrained-model", 2, lambda d: _narrow_model(d, "adapt_grl", "pretrained_model")),
         Bad("narrow-model-path", 2, lambda d: _narrow_model(d, "evaluate", "model_path")),
@@ -350,11 +356,18 @@ _BAD = {
         Bad("row-one-value-too-long", 2, lambda d: _bad_mlp_file(d, "layer 0 2 1 linear\n1 2 3\n0\n", 3)),
         Bad("layer-line-of-4-fields", 2, lambda d: _bad_mlp_file(d, "layer 0 2 1\n1 2\n0\n", 2)),
         Bad("non-integer-width", 2, lambda d: _bad_mlp_file(d, "layer 0 2 x linear\n1 2\n0\n", 2)),
+        Bad("layer-index-not-a-number", 2, lambda d: (*_bad_mlp_file(d, "layer banana 2 1 linear\n1 2\n0\n", 2)[:2],
+                                                      "source.mlp: line 2: layer index 'banana'; this is layer 0")),
+        Bad("layer-index-repeated", 2, lambda d: (
+            *_bad_mlp_file(d, "layer 0 2 1 sigmoid\n1 2\n0\nlayer 0 1 1 linear\n1\n0\n", 5)[:2],
+            "source.mlp: line 5: layer index '0'; this is layer 1")),
         Bad("unknown-activation", 2, lambda d: _bad_mlp_file(d, "layer 0 2 1 tanh\n1 2\n0\n", 2)),
         Bad("malformed-manifest-entry", 2, lambda d: (*_bad_model_file(d, (" n_h=", " n_h "))[:2],
                                                       "model.dsn: line 2: malformed manifest entry 'n_h'")),
         *[Bad(f"manifest-without-{key.replace('_', '-')}", 2, lambda d, key=key: _manifest_without(d, key))
           for key in ("alpha", "n_h", "k", "q", "feature_dim")],
+        Bad("unknown-manifest-key", 2, lambda d: (*_bad_model_file(d, ("feature_dim=40", "feature_dim=40 bogus=3"))[:2],
+                                                  "model.dsn: line 2: unknown manifest key 'bogus'")),
         Bad("no-nets-line", 2, lambda d: _bad_nets_line(d, "shared senone domain")),
         Bad("unknown-net-name", 2, lambda d: _bad_nets_line(d, "nets shared senone domain bogus")),
     ],
@@ -371,7 +384,9 @@ def _contract_test(rows):
     def test(tmp_path, capsys, monkeypatch, row):
         mode, text, fragment = row.case(tmp_path) if callable(row.case) else row.case
         argv = [mode, *row.flags]
-        if text is not None:
+        if isinstance(text, Path):
+            argv += ["--config", str(text)]
+        elif text is not None:
             (tmp_path / "run.cfg").write_bytes(text if isinstance(text, bytes) else f"{text}\n".encode())
             argv += ["--config", str(tmp_path / "run.cfg")]
         if row.poison:
@@ -456,6 +471,32 @@ def test_a_failed_write_is_one_config_error_line(tmp_path, monkeypatch, capsys):
     assert main(["pretrain", "--config", str(config), "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
         f"config error: --out {os.path.realpath(out)}: cannot write trace.csv: {os.strerror(errno.ENOSPC)}\n")
+    assert not out.exists()
+
+
+class _FailingDevice(io.RawIOBase):
+    """A file that opens but whose every read fails, as /proc/self/mem does at offset 0."""
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+
+@pytest.mark.parametrize("fails", ["open", "read"])
+def test_a_config_that_fails_to_read_is_one_config_error_line(tmp_path, monkeypatch, capsys, fails):
+    def failing_open(*args):
+        if fails == "open":
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        return _FailingDevice()
+
+    monkeypatch.setattr(nn, "open", failing_open, raising=False)  # the one reader of text files opens here
+    config = tmp_path / "run.cfg"
+    config.write_text(_TINY)
+    out = tmp_path / "out"
+    assert main(["pretrain", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {config}: cannot read: {os.strerror(errno.EIO)}\n"
     assert not out.exists()
 
 
